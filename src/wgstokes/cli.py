@@ -25,7 +25,7 @@ from .assembly import build_saddle_system, export_system
 from .krylov import solve_system
 from .mesh import Mesh, load_mesh, structured_simplex_mesh
 from .problems import StokesProblem, builtin_problem, problem_from_expressions
-from .sparse_linalg import InnerSolveConfig, InnerSolver
+from .sparse_linalg import InnerSolver
 from .verification import ERROR_FIELDS, convergence_study, inconsistency_demo, spectral_report
 
 EXIT_OK = 0
@@ -231,7 +231,7 @@ def run_solver_study(cfg: ExperimentConfig) -> int:
             prob = problem if problem.mu == mu else problem.with_mu(mu)
             system = build_saddle_system(mesh, prob, cfg.qg, cfg.consistent)
             if inner is None and precond != "none":
-                inner = InnerSolver(system.A, InnerSolveConfig())
+                inner = InnerSolver(system.A)
             sol = solve_system(
                 system, cfg.method, precond=precond, tol=cfg.tol,
                 maxit=cfg.maxit, restart=cfg.restart, inner_solver=inner,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,7 @@ import numpy as np
 from .assembly import SaddleSystem, build_saddle_system
 from .mesh import Mesh
 from .problems import StokesProblem
-from .sparse_linalg import InnerSolveConfig, InnerSolver
+from .sparse_linalg import InnerSolver
 from .wg_core import PressureField, WGField
 
 __all__ = [
@@ -29,8 +29,6 @@ __all__ = [
     "SaddlePreconditioner",
     "SolveReport",
     "StokesSolution",
-    "apply_Pd_inverse",
-    "apply_Pt_inverse",
     "minres",
     "gmres_restart",
     "solve_system",
@@ -46,7 +44,6 @@ STAGNATION_IMPROVEMENT = 0.999
 @dataclass
 class PreconditionerSpec:
     kind: str = "block_diag"  # block_diag | block_lower_tri | none
-    inner: InnerSolveConfig = field(default_factory=InnerSolveConfig)
 
     def __post_init__(self):
         if self.kind not in ("block_diag", "block_lower_tri", "none"):
@@ -72,15 +69,11 @@ class SaddlePreconditioner:
         if self.kind == "none":
             self.inner = None
         else:
-            self.inner = inner_solver or InnerSolver(system.A, self.spec.inner)
+            self.inner = inner_solver or InnerSolver(system.A)
 
     @property
     def is_spd(self) -> bool:
         return self.kind in ("block_diag", "none")
-
-    @property
-    def inner_iterations(self) -> int:
-        return 0 if self.inner is None else self.inner.total_iterations
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         n_u = self.system.n_u
@@ -95,22 +88,6 @@ class SaddlePreconditioner:
         return np.concatenate([xu, xp])
 
 
-def apply_Pd_inverse(
-    system: SaddleSystem, r: np.ndarray, inner_solver: InnerSolver | None = None
-) -> np.ndarray:
-    return SaddlePreconditioner(
-        system, PreconditionerSpec("block_diag"), inner_solver
-    ).apply(r)
-
-
-def apply_Pt_inverse(
-    system: SaddleSystem, r: np.ndarray, inner_solver: InnerSolver | None = None
-) -> np.ndarray:
-    return SaddlePreconditioner(
-        system, PreconditionerSpec("block_lower_tri"), inner_solver
-    ).apply(r)
-
-
 @dataclass
 class SolveReport:
     method: str
@@ -123,7 +100,6 @@ class SolveReport:
     tol: float
     maxit: int
     wall_time: float
-    inner_iterations: int
     restart: int | None = None
 
     def summary(self) -> str:
@@ -132,7 +108,7 @@ class SolveReport:
         return (
             f"{self.method}/{self.preconditioner}: {self.iterations} iterations, "
             f"relres {self.residuals[-1]:.3e}, {flag}{extra}, "
-            f"{self.wall_time:.2f}s, inner iterations {self.inner_iterations}"
+            f"{self.wall_time:.2f}s"
         )
 
     def write_csv(self, path: str | Path) -> None:
@@ -173,7 +149,6 @@ def minres(
     if not precond.is_spd:
         raise ValueError("minres needs a symmetric positive definite preconditioner")
     t0 = time.perf_counter()
-    inner0 = precond.inner_iterations
     b = system.rhs()
     normb = float(np.linalg.norm(b))
     n = b.shape[0]
@@ -181,7 +156,7 @@ def minres(
     if normb == 0.0:
         report = SolveReport(
             "minres", precond.kind, 0, True, False, [0.0], [0.0], tol, maxit,
-            time.perf_counter() - t0, 0,
+            time.perf_counter() - t0,
         )
         return x, report
 
@@ -257,7 +232,6 @@ def minres(
         tol,
         maxit,
         time.perf_counter() - t0,
-        precond.inner_iterations - inner0,
     )
     return x, report
 
@@ -278,7 +252,6 @@ def gmres_restart(
     convergence as a safeguard.
     """
     t0 = time.perf_counter()
-    inner0 = precond.inner_iterations
     b = system.rhs()
     normb = float(np.linalg.norm(b))
     n = b.shape[0]
@@ -286,7 +259,7 @@ def gmres_restart(
     if normb == 0.0:
         report = SolveReport(
             "gmres", precond.kind, 0, True, False, [0.0], [0.0], tol, maxit,
-            time.perf_counter() - t0, 0, restart,
+            time.perf_counter() - t0, restart,
         )
         return x, report
 
@@ -360,7 +333,6 @@ def gmres_restart(
         tol,
         maxit,
         time.perf_counter() - t0,
-        precond.inner_iterations - inner0,
         restart,
     )
     return x, report

@@ -21,7 +21,7 @@ from .krylov import SolveReport, StokesSolution, default_tolerance, solve_system
 from .mesh import Mesh, mesh_stats, structured_simplex_mesh
 from .problems import StokesProblem
 from .quadrature import simplex_rule
-from .sparse_linalg import DENSE_GUARD, InnerSolveConfig, InnerSolver
+from .sparse_linalg import DENSE_GUARD, InnerSolver
 from .wg_core import field_weak_gradients
 
 __all__ = [
@@ -235,7 +235,6 @@ def convergence_study(
     maxit: int = 1000,
     restart: int = 30,
     degree: int = 4,
-    inner_config: InnerSolveConfig | None = None,
     solver_cache: dict | None = None,
 ) -> ConvergenceTable:
     """Solve on a mesh sequence for each viscosity and tabulate errors.
@@ -254,14 +253,13 @@ def convergence_study(
         solver_cache = {}
     reports = {}
     for i, mesh in enumerate(resolved):
-        inner = None
         for mu in mu_values:
             prob = problem if problem.mu == mu else problem.with_mu(mu)
             system = build_saddle_system(mesh, prob, qg_method)
             key = ("inner", id(mesh), qg_method)
             inner = solver_cache.get(key)
             if inner is None:
-                inner = InnerSolver(system.A, inner_config or InnerSolveConfig())
+                inner = InnerSolver(system.A)
                 solver_cache[key] = inner
             sol = solve_system(
                 system, method, tol=tol, maxit=maxit, restart=restart,

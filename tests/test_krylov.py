@@ -7,8 +7,6 @@ from wgstokes.assembly import build_saddle_system
 from wgstokes.krylov import (
     PreconditionerSpec,
     SaddlePreconditioner,
-    apply_Pd_inverse,
-    apply_Pt_inverse,
     gmres_restart,
     minres,
     solve_stokes,
@@ -43,7 +41,7 @@ def test_pd_inverse_recovers_velocity_block():
     rng = np.random.default_rng(3)
     y = rng.standard_normal(sys_.n_u)
     r = np.concatenate([sys_.A @ y, np.zeros(sys_.n_p)])
-    x = apply_Pd_inverse(sys_, r)
+    x = SaddlePreconditioner(sys_, PreconditionerSpec("block_diag")).apply(r)
     assert np.max(np.abs(x[: sys_.n_u] - y)) < 1e-10
     assert np.max(np.abs(x[sys_.n_u :])) == 0.0
 
@@ -53,7 +51,7 @@ def test_pd_inverse_scales_pressure_by_measures():
     rng = np.random.default_rng(4)
     z = rng.standard_normal(sys_.n_p)
     r = np.concatenate([np.zeros(sys_.n_u), sys_.Mp * z])
-    x = apply_Pd_inverse(sys_, r)
+    x = SaddlePreconditioner(sys_, PreconditionerSpec("block_diag")).apply(r)
     assert np.max(np.abs(x[sys_.n_u :] - z)) < 1e-13
     assert np.max(np.abs(x[: sys_.n_u])) < 1e-12
 
@@ -62,7 +60,7 @@ def test_pt_inverse_dense_roundtrip():
     sys_ = small_system(n=1)
     rng = np.random.default_rng(5)
     r = rng.standard_normal(sys_.size)
-    x = apply_Pt_inverse(sys_, r)
+    x = SaddlePreconditioner(sys_, PreconditionerSpec("block_lower_tri")).apply(r)
     a = sys_.A.toarray()
     b = sys_.B.toarray()
     top = np.hstack([a, np.zeros((sys_.n_u, sys_.n_p))])
@@ -78,7 +76,7 @@ def test_pt_inverse_maps_momentum_residual_to_velocity():
     rng = np.random.default_rng(6)
     y = rng.standard_normal(sys_.n_u)
     r = np.concatenate([sys_.A @ y, -(sys_.B @ y)])
-    x = apply_Pt_inverse(sys_, r)
+    x = SaddlePreconditioner(sys_, PreconditionerSpec("block_lower_tri")).apply(r)
     assert np.max(np.abs(x[: sys_.n_u] - y)) < 1e-9
     assert np.max(np.abs(x[sys_.n_u :])) < 1e-9
 
@@ -133,7 +131,6 @@ def test_minres_converges_with_history_invariants():
     # the recurrence residual in the preconditioner norm never increases
     pr = np.array(rep.precond_residuals)
     assert np.all(np.diff(pr) <= 1e-14)
-    assert rep.inner_iterations >= 0
     assert rep.wall_time > 0.0
 
 

@@ -1,203 +1,48 @@
-"""Sparse kernels: spmv, incomplete Cholesky, PCG, dense eigensolvers."""
+"""Exact A-block inverse: Kronecker reduction, static condensation, sparse LU."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from wgstokes.assembly import assemble_A
-from wgstokes.mesh import generate_structured_tri
-from wgstokes.sparse_linalg import (
-    ICholBreakdownError,
-    IndefiniteOperatorError,
-    InnerSolveConfig,
-    InnerSolver,
-    dense_eig_sym,
-    dense_geig_sym,
-    ichol_threshold,
-    pcg,
-    read_matrix,
-    spmv,
-    spmv_transpose,
-    write_matrix,
+from wgstokes.assembly import assemble_A, build_dofmap
+from wgstokes.mesh import generate_structured_tet, generate_structured_tri
+from wgstokes.sparse_linalg import InnerSolver
+
+
+def relres(a, x, r):
+    return np.linalg.norm(a @ x - r) / np.linalg.norm(r)
+
+
+@pytest.mark.parametrize(
+    "mesh", [generate_structured_tri(4), generate_structured_tet(2)], ids=["2d-4", "3d-2"]
 )
+def test_inner_solver_reduces_assembled_stiffness(mesh):
+    a = assemble_A(mesh)
+    dof = build_dofmap(mesh)
+    inner = InnerSolver(a)
+    assert inner.d == mesh.dim
+    assert inner.ni == dof.n_interior // mesh.dim
+    r = np.random.default_rng(7).normal(size=a.shape[0])
+    assert relres(a, inner.solve(r), r) <= 1e-12
 
 
-def tridiag(n):
-    return sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n)).tocsr()
-
-
-def test_spmv_identity_and_columns():
-    a = sp.identity(7, format="csr")
-    x = np.arange(7.0)
-    assert np.array_equal(spmv(a, x), x)
-    rng = np.random.default_rng(0)
-    dense = rng.normal(size=(6, 6))
-    a = sp.csr_matrix(dense)
-    for j in range(6):
-        e = np.zeros(6)
-        e[j] = 1.0
-        assert np.allclose(spmv(a, e), dense[:, j])
-
-
-def test_spmv_random_vs_dense():
-    rng = np.random.default_rng(3)
-    dense = rng.normal(size=(20, 20)) * (rng.random((20, 20)) < 0.3)
-    a = sp.csr_matrix(dense)
-    x = rng.normal(size=20)
-    assert np.max(np.abs(spmv(a, x) - dense @ x)) < 1e-13
-    assert np.max(np.abs(spmv_transpose(a, x) - dense.T @ x)) < 1e-13
-
-
-def test_spmv_dimension_mismatch():
-    a = sp.identity(4, format="csr")
-    with pytest.raises(ValueError):
-        spmv(a, np.ones(5))
-    with pytest.raises(ValueError):
-        spmv_transpose(a, np.ones(5))
-
-
-def test_spmv_deterministic():
-    rng = np.random.default_rng(9)
-    a = sp.random(50, 50, density=0.1, random_state=2, format="csr")
-    x = rng.normal(size=50)
-    y1, y2 = spmv(a, x), spmv(a, x)
-    assert np.array_equal(y1, y2)
-
-
-def test_ichol_diagonal():
-    a = sp.diags([4.0, 9.0, 16.0]).tocsr()
-    f = ichol_threshold(a, droptol=0.0)
-    assert f.shift == 0.0
-    assert np.allclose(f.L.toarray(), np.diag([2.0, 3.0, 4.0]))
-
-
-def test_ichol_tridiagonal_exact():
-    a = tridiag(10)
-    f = ichol_threshold(a, droptol=0.0)
-    exact = np.linalg.cholesky(a.toarray())
-    assert np.max(np.abs(f.L.toarray() - exact)) < 1e-12
-    # applying (L L^T)^{-1} matches a dense solve
+def test_inner_solver_general_spd_is_scalar_and_exact():
+    n = 12
     rng = np.random.default_rng(5)
-    b = rng.normal(size=10)
-    assert np.allclose(f.solve(b), np.linalg.solve(a.toarray(), b), rtol=1e-12)
+    off = rng.uniform(-1.0, 1.0, n - 1)
+    diag = 2.5 + rng.uniform(0.0, 1.0, n)  # diagonally dominant, hence SPD
+    a = sp.diags([off, diag, off], [-1, 0, 1], format="csr")
+    inner = InnerSolver(a)
+    assert inner.d == 1
+    assert inner.ni == 1
+    r = rng.normal(size=n)
+    assert relres(a, inner.solve(r), r) <= 1e-12
 
 
-def test_ichol_rejects_bad_input():
+def test_inner_solver_rejects_bad_input():
+    with pytest.raises(ValueError, match="square"):
+        InnerSolver(sp.csr_matrix(np.ones((2, 3))))
     with pytest.raises(ValueError, match="symmetric"):
-        ichol_threshold(sp.csr_matrix(np.array([[2.0, 1.0], [0.0, 2.0]])))
+        InnerSolver(sp.csr_matrix(np.array([[2.0, 1.0], [0.0, 2.0]])))
     with pytest.raises(ValueError, match="positive diagonal"):
-        ichol_threshold(sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 2.0]])))
-
-
-def test_ichol_shift_retry():
-    # positive diagonal but indefinite: factorization must shift and still succeed
-    a = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
-    f = ichol_threshold(a, droptol=0.0)
-    assert f.shift > 0.0
-    shifted = a.toarray() + f.shift * np.eye(2)
-    assert np.allclose(f.L.toarray() @ f.L.toarray().T, shifted, atol=1e-10)
-
-
-def test_pcg_zero_rhs():
-    a = tridiag(8)
-    x, info = pcg(a, np.zeros(8))
-    assert info.iterations == 0 and info.converged
-    assert np.all(x == 0.0)
-
-
-def test_pcg_identity_one_iteration():
-    a = sp.identity(12, format="csr")
-    rng = np.random.default_rng(1)
-    b = rng.normal(size=12)
-    x, info = pcg(a, b)
-    assert info.iterations == 1 and info.converged
-    assert np.allclose(x, b)
-
-
-def test_pcg_wg_stiffness_true_residual():
-    mesh = generate_structured_tri(8)
-    a = assemble_A(mesh)
-    rng = np.random.default_rng(7)
-    b = rng.normal(size=a.shape[0])
-    m = ichol_threshold(a, droptol=1e-3)
-    x, info = pcg(a, b, m, rel_tol=1e-10, max_iterations=500)
-    assert info.converged
-    true = np.linalg.norm(b - a @ x) / np.linalg.norm(b)
-    assert true <= 1e-10
-    # recurrence and true residual agree at the end
-    assert info.residuals[-1] == pytest.approx(true, rel=1e-8, abs=1e-14)
-
-
-def test_ichol_accelerates_pcg():
-    mesh = generate_structured_tri(4)
-    a = assemble_A(mesh)
-    rng = np.random.default_rng(13)
-    b = rng.normal(size=a.shape[0])
-    m = ichol_threshold(a, droptol=1e-3)
-    _, plain = pcg(a, b, None, rel_tol=1e-10, max_iterations=2000)
-    _, precond = pcg(a, b, m, rel_tol=1e-10, max_iterations=2000)
-    assert precond.converged and plain.converged
-    assert precond.iterations < plain.iterations
-
-
-def test_pcg_detects_indefiniteness():
-    a = sp.diags([1.0, -1.0]).tocsr()
-    b = np.array([0.0, 1.0])
-    with pytest.raises(IndefiniteOperatorError):
-        pcg(a, b)
-
-
-def test_dense_eig():
-    assert np.allclose(dense_eig_sym(np.diag([3.0, 1.0, 2.0])), [1.0, 2.0, 3.0])
-    g = dense_geig_sym(np.eye(4), 2.0 * np.eye(4))
-    assert np.allclose(g, 0.5)
-    rng = np.random.default_rng(11)
-    s = rng.normal(size=(10, 10))
-    s = s + s.T
-    assert dense_eig_sym(s).sum() == pytest.approx(np.trace(s), abs=1e-11)
-
-
-def test_dense_eig_guard():
-    big = sp.identity(2001, format="csr")
-    with pytest.raises(ValueError, match="guard"):
-        dense_eig_sym(big)
-
-
-def test_dense_geig_requires_spd():
-    with pytest.raises(ValueError, match="positive definite"):
-        dense_geig_sym(np.eye(2), np.diag([1.0, -1.0]))
-
-
-def test_inner_solver_dense_and_pcg_agree():
-    mesh = generate_structured_tri(3)
-    a = assemble_A(mesh)
-    rng = np.random.default_rng(2)
-    b = rng.normal(size=a.shape[0])
-    dense = InnerSolver(a, InnerSolveConfig(method="dense_cholesky"))
-    iterative = InnerSolver(a, InnerSolveConfig(method="pcg"))
-    xd = dense.solve(b)
-    xi = iterative.solve(b)
-    assert np.linalg.norm(xd - xi) <= 1e-8 * np.linalg.norm(xd)
-    assert iterative.total_iterations > 0
-
-
-def test_inner_solver_auto_switches():
-    small = InnerSolver(tridiag(10))
-    assert small.method == "dense_cholesky"
-    forced = InnerSolver(tridiag(10), InnerSolveConfig(dense_cutoff=5))
-    assert forced.method == "pcg"
-
-
-def test_inner_solve_config_validation():
-    with pytest.raises(ValueError):
-        InnerSolveConfig(rel_tol=2.0)
-    with pytest.raises(ValueError):
-        InnerSolveConfig(max_iterations=0)
-
-
-def test_matrix_market_roundtrip(tmp_path):
-    a = tridiag(6)
-    path = tmp_path / "a.mtx"
-    write_matrix(path, a)
-    back = read_matrix(path)
-    assert np.max(np.abs((back - a).toarray())) < 1e-14
+        InnerSolver(sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 2.0]])))

@@ -31,7 +31,7 @@ def study(qg):
 
 def dummy_report():
     return SolveReport(
-        "minres", "block_diag", 0, True, False, [0.0], [0.0], 1e-9, 1000, 0.0, 0
+        "minres", "block_diag", 0, True, False, [0.0], [0.0], 1e-9, 1000, 0.0
     )
 
 
@@ -236,7 +236,7 @@ def test_residual_bound_check_rejects_flat_history():
     spec = spectral_report(sys_)
     flat = [1.0] * 40
     fake = SolveReport(
-        "minres", "block_diag", 39, False, False, flat, flat, 1e-9, 39, 0.0, 0
+        "minres", "block_diag", 39, False, False, flat, flat, 1e-9, 39, 0.0
     )
     check = residual_bound_check(fake, spec, "minres")
     assert not check.passed
