@@ -16,6 +16,10 @@ Unknown ordering: interior velocity values (element-major, component-minor),
 then interior-facet values (facet-major, component-minor). Boundary facet
 values are eliminated at assembly time and their stiffness coupling moves
 into b1.
+
+Every block is built from the mesh's per-element arrays and the dof map's
+element-to-dof table: local blocks for all elements at once, then one
+scatter per block.
 """
 
 from __future__ import annotations
@@ -26,16 +30,15 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import ElementGeometry, Mesh
-from .problems import StokesProblem, boundary_compatibility
-from .wg_core import project_boundary_datum
+from .mesh import Mesh
+from .problems import StokesProblem, boundary_compatibility, evaluate_batch, facet_means
+from .wg_core import facet_projection_rule, lifting_matrix
 
 __all__ = [
     "DofMap",
     "SaddleSystem",
     "build_dofmap",
-    "local_gram_matrix",
-    "lifting_matrix_inverse",
+    "local_gram_matrices",
     "assemble_A",
     "assemble_B",
     "assemble_b1",
@@ -56,7 +59,7 @@ class DofMap:
     dim: int
     num_elements: int
     facet_slot: np.ndarray  # global facet -> position among interior facets, -1 if boundary
-    boundary_slot: np.ndarray  # global facet -> position among boundary facets, -1 if interior
+    elem_dofs: np.ndarray  # (ne, d+2) component-0 dof of local basis 0..d+1, -1 if eliminated
     n_interior: int
     n_facet: int
 
@@ -74,52 +77,45 @@ class DofMap:
 
 
 def build_dofmap(mesh: Mesh) -> DofMap:
-    d = mesh.dim
+    d, ne = mesh.dim, mesh.num_elements
     facet_slot = np.full(mesh.num_facets, -1, dtype=np.int64)
     facet_slot[mesh.interior_facets] = np.arange(len(mesh.interior_facets))
-    boundary_slot = np.full(mesh.num_facets, -1, dtype=np.int64)
-    boundary_slot[mesh.boundary_facets] = np.arange(len(mesh.boundary_facets))
+    facet_dof = np.where(facet_slot >= 0, ne * d + facet_slot * d, -1)
     return DofMap(
         dim=d,
-        num_elements=mesh.num_elements,
+        num_elements=ne,
         facet_slot=facet_slot,
-        boundary_slot=boundary_slot,
-        n_interior=mesh.num_elements * d,
+        elem_dofs=np.column_stack([np.arange(0, ne * d, d), facet_dof[mesh.elem_facets]]),
+        n_interior=ne * d,
         n_facet=len(mesh.interior_facets) * d,
     )
 
 
-def local_gram_matrix(geom: ElementGeometry) -> np.ndarray:
-    """Exact (d+2)x(d+2) Gram matrix of the weak-gradient basis of one scalar unknown.
+def local_gram_matrices(mesh: Mesh) -> np.ndarray:
+    """Exact (d+2)x(d+2) Gram matrix of the weak-gradient basis of one scalar
+    unknown, for every element: (ne, d+2, d+2).
 
     Index 0 is the interior basis function, 1..d+1 the facet ones. Each basis
     gradient is a + b*(x - x_K); cross moments vanish, so the integral is
     a_p.a_q |K| + b_p b_q m_K with no quadrature error.
     """
-    d = geom.dim
-    a = np.zeros((d + 2, d))
-    b = np.empty(d + 2)
-    b[0] = -geom.grad_scale
-    a[1:] = geom.facet_measures[:, None] * geom.normals / geom.volume
-    b[1:] = geom.grad_scale / (d + 1)
-    return (a @ a.T) * geom.volume + np.outer(b, b) * geom.second_moment
+    d, ne = mesh.dim, mesh.num_elements
+    vol = mesh.elem_volumes[:, None, None]
+    scale = mesh.elem_grad_scales[:, None]
+    a = np.zeros((ne, d + 2, d))
+    a[:, 1:] = mesh.elem_facet_measures[..., None] * mesh.elem_normals / vol
+    b = np.concatenate([-scale, np.repeat(scale / (d + 1), d + 1, axis=1)], axis=1)
+    return (a @ a.transpose(0, 2, 1)) * vol + (
+        b[:, :, None] * b[:, None, :] * mesh.elem_second_moments[:, None, None]
+    )
 
 
-def lifting_matrix_inverse(geom: ElementGeometry) -> np.ndarray:
-    """Inverse of the local lifting system [n_i^T, delta_i]; column i gives the
-    RT0 coefficients responding to a unit normal trace on facet i."""
-    d = geom.dim
-    delta = d * geom.volume / ((d + 1) * geom.facet_measures)
-    return np.linalg.inv(np.column_stack([geom.normals, delta]))
-
-
-def _local_dofs(mesh: Mesh, dof: DofMap, k: int) -> list[int | None]:
-    """Global dof base index (component 0) for local basis 0..d+1; None where eliminated."""
-    out: list[int | None] = [dof.interior_dof(k, 0)]
-    for f in mesh.elem_facets[k]:
-        slot = dof.facet_slot[f]
-        out.append(None if slot < 0 else dof.facet_dof(f, 0))
-    return out
+def _scatter(shape, rows, cols, vals, keep) -> sp.csr_matrix:
+    """Sum the kept (row, col, val) triples into a CSR matrix; inputs broadcast."""
+    rows, cols, vals, keep = np.broadcast_arrays(rows, cols, vals, keep)
+    m = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=shape).tocsr()
+    m.sum_duplicates()
+    return m
 
 
 def assemble_A(mesh: Mesh, dof: DofMap | None = None) -> sp.csr_matrix:
@@ -129,60 +125,45 @@ def assemble_A(mesh: Mesh, dof: DofMap | None = None) -> sp.csr_matrix:
     scatter); boundary facet columns are eliminated.
     """
     dof = dof or build_dofmap(mesh)
-    d = mesh.dim
-    rows, cols, vals = [], [], []
-    for k in range(mesh.num_elements):
-        g = mesh.element_geometry(k)
-        gram = local_gram_matrix(g)
-        base = _local_dofs(mesh, dof, k)
-        for p, bp in enumerate(base):
-            if bp is None:
-                continue
-            for q, bq in enumerate(base):
-                if bq is None:
-                    continue
-                for r in range(d):
-                    rows.append(bp + r)
-                    cols.append(bq + r)
-                    vals.append(gram[p, q])
-    a = sp.coo_matrix((vals, (rows, cols)), shape=(dof.n_u, dof.n_u)).tocsr()
-    a.sum_duplicates()
-    return a
+    r = np.arange(mesh.dim)
+    base = dof.elem_dofs[..., None]  # (ne, d+2, 1)
+    live = base >= 0
+    # entry (p, q, r) of element k couples component r of local dofs p and q
+    return _scatter(
+        (dof.n_u, dof.n_u),
+        base[:, :, None] + r,
+        base[:, None, :] + r,
+        local_gram_matrices(mesh)[..., None],
+        live[:, :, None] & live[:, None, :],
+    )
 
 
 def assemble_B(mesh: Mesh, dof: DofMap | None = None) -> sp.csr_matrix:
     """Divergence block: row K holds |e|*n components of the interior facets of K."""
     dof = dof or build_dofmap(mesh)
-    d = mesh.dim
-    rows, cols, vals = [], [], []
-    for k in range(mesh.num_elements):
-        g = mesh.element_geometry(k)
-        for i in range(d + 1):
-            f = mesh.elem_facets[k, i]
-            if dof.facet_slot[f] < 0:
-                continue
-            flux = g.facet_measures[i] * g.normals[i]
-            for r in range(d):
-                rows.append(k)
-                cols.append(dof.facet_dof(f, r))
-                vals.append(flux[r])
-    b = sp.coo_matrix((vals, (rows, cols)), shape=(mesh.num_elements, dof.n_u)).tocsr()
-    b.sum_duplicates()
-    return b
+    base = dof.elem_dofs[:, 1:, None]  # (ne, d+1, 1)
+    return _scatter(
+        (len(base), dof.n_u),
+        np.arange(len(base))[:, None, None],
+        base + np.arange(mesh.dim),
+        mesh.elem_facet_measures[..., None] * mesh.elem_normals,
+        base >= 0,
+    )
 
 
 def project_boundary_values(
     mesh: Mesh, problem: StokesProblem, qg_method: str = "barycenter"
 ) -> np.ndarray:
     """Projected boundary datum, one d-vector per boundary facet (mesh ordering)."""
-    return np.array(
-        [
-            project_boundary_datum(
-                problem.boundary, mesh.vertices[mesh.facets[f]], qg_method
-            )
-            for f in mesh.boundary_facets
-        ]
-    ).reshape(len(mesh.boundary_facets), mesh.dim)
+    rule = facet_projection_rule(mesh.dim, qg_method)
+    return facet_means(mesh, problem.boundary, mesh.boundary_facets, rule, "boundary")
+
+
+def _local_boundary_values(mesh: Mesh, g_proj: np.ndarray) -> np.ndarray:
+    """Projected datum on each element's local facets, zero on interior ones."""
+    g = np.zeros((mesh.num_facets, mesh.dim))
+    g[mesh.boundary_facets] = g_proj
+    return g[mesh.elem_facets]  # (ne, d+1, d)
 
 
 def _forcing_moments(
@@ -198,24 +179,10 @@ def _forcing_moments(
     """
     from .quadrature import duffy_rule
 
-    d = mesh.dim
-    bary, w = duffy_rule(d, quad_points)
-    ne = mesh.num_elements
+    bary, w = duffy_rule(mesh.dim, quad_points)
     # physical quadrature points for every element at once: (ne, nq, d)
     pts = np.einsum("qj,njd->nqd", bary, mesh.vertices[mesh.elements])
-    fvals = None
-    try:
-        flat = problem.forcing(pts.reshape(-1, d))
-        if flat.shape == (ne * len(w), d):
-            fvals = np.asarray(flat, dtype=float).reshape(ne, len(w), d)
-    except Exception:
-        pass
-    if fvals is None:
-        # point-wise callable: evaluate one quadrature point at a time
-        fvals = np.empty((ne, len(w), d))
-        for k in range(ne):
-            for q in range(len(w)):
-                fvals[k, q] = problem.forcing(pts[k, q])
+    fvals = evaluate_batch(problem.forcing, pts, "forcing")
     rel = pts - mesh.elem_centroids[:, None, :]
     f0 = mesh.elem_volumes[:, None] * np.einsum("q,nqd->nd", w, fvals)
     f1 = mesh.elem_volumes * np.einsum("q,nqd,nqd->n", w, fvals, rel)
@@ -241,32 +208,20 @@ def assemble_b1(
     if g_proj is None:
         g_proj = project_boundary_values(mesh, problem, qg_method)
     f0, f1 = _forcing_moments(mesh, problem)
-    b1 = np.zeros(dof.n_u)
-    for k in range(mesh.num_elements):
-        g = mesh.element_geometry(k)
-        minv = lifting_matrix_inverse(g)
-        # load responses: value of (f, lifting of unit trace on facet i)_K
-        load = minv[:d].T @ f0[k] + minv[d] * f1[k]  # (d+1,)
-        gram = None
-        base = _local_dofs(mesh, dof, k)
-        for i in range(d + 1):
-            f = mesh.elem_facets[k, i]
-            slot = dof.facet_slot[f]
-            if slot >= 0:
-                fd = dof.facet_dof(f, 0)
-                for r in range(d):
-                    b1[fd + r] += load[i] * g.normals[i, r]
-            else:
-                # eliminated boundary facet: -mu * ghat_r * gram[q, 1+i]
-                if gram is None:
-                    gram = local_gram_matrix(g)
-                ghat = g_proj[dof.boundary_slot[f]]
-                for q, bq in enumerate(base):
-                    if bq is None:
-                        continue
-                    for r in range(d):
-                        b1[bq + r] -= problem.mu * gram[q, 1 + i] * ghat[r]
-    return b1
+    minv = np.linalg.inv(
+        lifting_matrix(mesh.elem_normals, mesh.elem_facet_measures, mesh.elem_volumes)
+    )
+    # load responses: value of (f, lifting of unit trace on facet i)_K
+    load = np.einsum("nci,nc->ni", minv[:, :d], f0) + minv[:, d] * f1[:, None]
+    # eliminated boundary facets: -mu * sum_i gram[q, 1+i] * ghat_i
+    ghat = _local_boundary_values(mesh, g_proj)
+    local = -problem.mu * np.einsum("nqi,nir->nqr", local_gram_matrices(mesh)[:, :, 1:], ghat)
+    local[:, 1:] += load[..., None] * mesh.elem_normals
+    base = dof.elem_dofs[..., None]  # (ne, d+2, 1)
+    keep = np.broadcast_to(base >= 0, local.shape)
+    return np.bincount(
+        (base + np.arange(d))[keep], weights=local[keep], minlength=dof.n_u
+    )
 
 
 def assemble_b2(
@@ -278,17 +233,9 @@ def assemble_b2(
     """Per-element boundary flux of the projected datum."""
     if g_proj is None:
         g_proj = project_boundary_values(mesh, problem, qg_method)
-    b2 = np.zeros(mesh.num_elements)
-    boundary_slot = np.full(mesh.num_facets, -1, dtype=np.int64)
-    boundary_slot[mesh.boundary_facets] = np.arange(len(mesh.boundary_facets))
-    for k in range(mesh.num_elements):
-        g = mesh.element_geometry(k)
-        for i in range(mesh.dim + 1):
-            f = mesh.elem_facets[k, i]
-            slot = boundary_slot[f]
-            if slot >= 0:
-                b2[k] += g.facet_measures[i] * (g_proj[slot] @ g.normals[i])
-    return b2
+    ghat = _local_boundary_values(mesh, g_proj)
+    flux = np.einsum("nid,nid->ni", ghat, mesh.elem_normals)
+    return (mesh.elem_facet_measures * flux).sum(axis=1)
 
 
 def compute_alpha(b2: np.ndarray) -> float:

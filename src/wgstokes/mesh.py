@@ -2,13 +2,15 @@
 
 A mesh is immutable after construction. Facet normals are stored once,
 oriented outward with respect to the lower-indexed adjacent element (outward
-from the domain on boundary facets); per-element outward normals are obtained
-by a sign flip. Element geometry carries the centroid second moment
+from the domain on boundary facets). Everything the discretization needs per
+element is computed once, as arrays with a leading element axis: outward
+normals and measures of the local facets (local facet i is opposite local
+vertex i), volumes, centroids, and the centroid second moment
 
     m_K = integral_K |x - x_K|^2 dx
 
 in closed form, together with the derived constant d*|K|/m_K that scales the
-piecewise weak-gradient basis.
+piecewise weak-gradient basis. `element_geometry(k)` is a view of one row.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import numpy as np
 __all__ = [
     "Mesh",
     "ElementGeometry",
-    "FacetRecord",
     "MeshStats",
     "MeshError",
     "DuplicateElementError",
@@ -60,7 +61,7 @@ class UnsupportedCellError(MeshError):
 
 @dataclass(frozen=True)
 class ElementGeometry:
-    """Per-element geometric data.
+    """Geometric data of one element, read from the mesh's per-element arrays.
 
     normals[i] is the outward unit normal of the facet opposite local
     vertex i; facet_measures and facet_barycenters follow the same local
@@ -80,17 +81,6 @@ class ElementGeometry:
 
 
 @dataclass(frozen=True)
-class FacetRecord:
-    index: int
-    vertices: np.ndarray
-    measure: float
-    normal: np.ndarray
-    barycenter: np.ndarray
-    elements: tuple[int, int]  # second is -1 on the boundary
-    is_boundary: bool
-
-
-@dataclass(frozen=True)
 class MeshStats:
     h: float
     num_elements: int
@@ -107,9 +97,9 @@ def _signed_volumes(vertices: np.ndarray, elements: np.ndarray) -> np.ndarray:
 class Mesh:
     """Conforming simplicial mesh of a connected domain in 2D or 3D.
 
-    Stores struct-of-arrays connectivity; `element_geometry` and `facet`
-    return per-entity views. Construction validates element orientation,
-    conformity, connectedness and nondegeneracy.
+    Stores struct-of-arrays connectivity and per-element geometry;
+    `element_geometry` returns a per-element view. Construction validates
+    element orientation, conformity, connectedness and nondegeneracy.
     """
 
     def __init__(self, vertices: np.ndarray, elements: np.ndarray):
@@ -150,7 +140,19 @@ class Mesh:
 
         self._build_facets()
         self._check_connected()
-        self._geom_cache: dict[int, ElementGeometry] = {}
+
+        # local facet i is opposite local vertex i; its stored normal is
+        # outward for the element iff the element is the facet's first one
+        fidx = self.elem_facets
+        first = self.facet_elems[fidx, 0] == np.arange(len(fidx))[:, None]
+        sign = np.where(first, 1.0, -1.0)
+        self.elem_normals = self.facet_normals[fidx] * sign[..., None]  # (ne, d+1, d)
+        self.elem_facet_measures = self.facet_measures[fidx]  # (ne, d+1)
+        # integral_K |x - x_K|^2 dx over a simplex, in closed form: with x_K
+        # the vertex average it equals |K|/((d+1)(d+2)) * sum_i |v_i - x_K|^2
+        r2 = ((ev - self.elem_centroids[:, None, :]) ** 2).sum(axis=(1, 2))
+        self.elem_second_moments = vols * r2 / ((d + 1) * (d + 2))
+        self.elem_grad_scales = d * vols / self.elem_second_moments
 
     # ---- connectivity ----------------------------------------------------
 
@@ -170,7 +172,7 @@ class Mesh:
         nf = len(facets)
 
         facet_elems = np.full((nf, 2), -1, dtype=np.int64)
-        elem_ids = np.repeat(np.arange(ne), d + 1)
+        elem_ids = np.repeat(np.arange(len(local)), d + 1)
         order = np.argsort(inverse, kind="stable")
         sorted_f = inverse[order]
         sorted_e = elem_ids[order]
@@ -239,50 +241,19 @@ class Mesh:
     def num_facets(self) -> int:
         return len(self.facets)
 
-    def element_sign(self, k: int, local_facet: int) -> float:
-        """+1 if the stored facet normal is outward for element k, else -1."""
-        f = self.elem_facets[k, local_facet]
-        return 1.0 if self.facet_elems[f, 0] == k else -1.0
-
-    def facet(self, f: int) -> FacetRecord:
-        return FacetRecord(
-            index=f,
-            vertices=self.facets[f],
-            measure=float(self.facet_measures[f]),
-            normal=self.facet_normals[f],
-            barycenter=self.facet_barycenters[f],
-            elements=(int(self.facet_elems[f, 0]), int(self.facet_elems[f, 1])),
-            is_boundary=self.facet_elems[f, 1] < 0,
-        )
-
     def element_geometry(self, k: int) -> ElementGeometry:
-        geom = self._geom_cache.get(k)
-        if geom is not None:
-            return geom
-        d = self.dim
-        verts = self.vertices[self.elements[k]]
-        centroid = self.elem_centroids[k]
-        vol = float(self.elem_volumes[k])
-        # integral_K |x - x_K|^2 dx over a simplex, in closed form:
-        # with x_K the vertex average this equals |K|/((d+1)(d+2)) * sum_i |v_i - x_K|^2
-        r2 = float(((verts - centroid) ** 2).sum())
-        moment = vol * r2 / ((d + 1) * (d + 2))
-        fidx = self.elem_facets[k]
-        signs = np.array([self.element_sign(k, i) for i in range(d + 1)])
-        geom = ElementGeometry(
-            dim=d,
-            vertices=verts,
-            centroid=centroid,
-            volume=vol,
+        return ElementGeometry(
+            dim=self.dim,
+            vertices=self.vertices[self.elements[k]],
+            centroid=self.elem_centroids[k],
+            volume=float(self.elem_volumes[k]),
             diameter=float(self.elem_diameters[k]),
-            second_moment=moment,
-            grad_scale=d * vol / moment,
-            normals=self.facet_normals[fidx] * signs[:, None],
-            facet_measures=self.facet_measures[fidx].copy(),
-            facet_barycenters=self.facet_barycenters[fidx].copy(),
+            second_moment=float(self.elem_second_moments[k]),
+            grad_scale=float(self.elem_grad_scales[k]),
+            normals=self.elem_normals[k],
+            facet_measures=self.elem_facet_measures[k],
+            facet_barycenters=self.facet_barycenters[self.elem_facets[k]],
         )
-        self._geom_cache[k] = geom
-        return geom
 
 
 # ---- generators ----------------------------------------------------------
@@ -295,18 +266,12 @@ def generate_structured_tri(n: int) -> Mesh:
     xs = np.linspace(0.0, 1.0, n + 1)
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
     vertices = np.column_stack([gx.ravel(), gy.ravel()])
-
-    def vid(i, j):
-        return i * (n + 1) + j
-
-    elements = []
-    for i in range(n):
-        for j in range(n):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            elements.append([a, b, c])
-            elements.append([a, c, d])
-    return Mesh(vertices, np.array(elements))
+    # lower-left vertex of cell (i, j) is i*(n+1) + j, cells in row-major order
+    i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    a = (i * (n + 1) + j).ravel()
+    b, c, d = a + n + 1, a + n + 2, a + 1
+    elements = np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3)
+    return Mesh(vertices, elements)
 
 
 def generate_structured_tet(n: int) -> Mesh:
@@ -325,34 +290,17 @@ def generate_structured_tet(n: int) -> Mesh:
     gx, gy, gz = np.meshgrid(xs, xs, xs, indexing="ij")
     vertices = np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
 
-    def vid(i, j, k):
-        return (i * (n + 1) + j) * (n + 1) + k
-
-    perms = list(itertools.permutations(range(3)))
-    elements = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                base = np.array([i, j, k])
-                for perm in perms:
-                    corners = [base.copy()]
-                    cur = base.copy()
-                    for axis in perm:
-                        cur = cur.copy()
-                        cur[axis] += 1
-                        corners.append(cur)
-                    tet = [vid(*c) for c in corners]
-                    # parity of the permutation decides the orientation
-                    inv = sum(
-                        1
-                        for a in range(3)
-                        for b in range(a + 1, 3)
-                        if perm[a] > perm[b]
-                    )
-                    if inv % 2 == 1:
-                        tet[1], tet[2] = tet[2], tet[1]
-                    elements.append(tet)
-    return Mesh(vertices, np.array(elements))
+    # vertex offsets of the 6 path tets from the cell's lower corner
+    stride = np.array([(n + 1) ** 2, n + 1, 1])
+    perms = np.array(list(itertools.permutations(range(3))))
+    offsets = np.column_stack([np.zeros(6, dtype=np.int64), np.cumsum(stride[perms], axis=1)])
+    # parity of the permutation decides the orientation
+    odd = np.linalg.det(np.eye(3)[perms]) < 0
+    offsets[odd] = offsets[odd][:, [0, 2, 1, 3]]
+    i, j, k = np.meshgrid(np.arange(n), np.arange(n), np.arange(n), indexing="ij")
+    corner = (((i * (n + 1) + j) * (n + 1)) + k).ravel()
+    elements = (corner[:, None, None] + offsets[None]).reshape(-1, 4)
+    return Mesh(vertices, elements)
 
 
 def structured_simplex_mesh(dim: int, n: int) -> Mesh:
@@ -379,23 +327,16 @@ def write_mesh(mesh: Mesh, path: str | Path) -> None:
 
 
 def _load_native(tokens: list[str]) -> Mesh:
-    it = iter(tokens)
     try:
-        dim = int(next(it))
-        nv = int(next(it))
-        ne = int(next(it))
-        vertices = np.array(
-            [[float(next(it)) for _ in range(dim)] for _ in range(nv)]
-        )
-        elements = (
-            np.array(
-                [[int(next(it)) for _ in range(dim + 1)] for _ in range(ne)]
-            )
-            - 1
-        )
-    except (StopIteration, ValueError) as exc:
+        dim, nv, ne = (int(t) for t in tokens[:3])
+        end = 3 + nv * dim + ne * (dim + 1)
+        if len(tokens) < end:
+            raise ValueError(f"expected {end} tokens, found {len(tokens)}")
+        vertices = np.array(tokens[3 : 3 + nv * dim], dtype=float).reshape(nv, dim)
+        elements = np.array(tokens[3 + nv * dim : end], dtype=np.int64).reshape(ne, dim + 1)
+    except ValueError as exc:
         raise MeshError(f"malformed native mesh file: {exc}") from exc
-    return Mesh(vertices, elements)
+    return Mesh(vertices, elements - 1)
 
 
 def _load_gmsh(text: str) -> Mesh:

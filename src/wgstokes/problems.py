@@ -4,6 +4,8 @@ Two built-in solutions on the unit square/cube, plus custom problems given
 as expression strings (velocity and pressure; the forcing is derived
 symbolically when not supplied). All problems are checked against the
 strong form by centered finite differences at random interior points.
+
+Problem callables evaluate batches; see `StokesProblem`.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ __all__ = [
     "problem_from_expressions",
     "strong_form_residual",
     "boundary_compatibility",
+    "evaluate_batch",
+    "facet_means",
 ]
 
 Vec = Callable[[np.ndarray], np.ndarray]
@@ -28,6 +32,16 @@ Vec = Callable[[np.ndarray], np.ndarray]
 
 @dataclass(frozen=True)
 class StokesProblem:
+    """A Stokes problem with known exact solution.
+
+    Batch contract: `velocity`, `forcing` and `boundary` take an (n, d)
+    array of points and return (n, d) values; `pressure` returns (n,).
+    The library calls each one once on all the points it needs and checks
+    the shape of the result (`evaluate_batch`), raising a ValueError that
+    names the callable. Wrap a point-wise function once, visibly, with
+    `np.vectorize(f, signature="(d)->(d)")` (`"(d)->()"` for the pressure).
+    """
+
     name: str
     dim: int
     mu: float
@@ -50,8 +64,7 @@ class StokesProblem:
 
 
 def _problem_2d(mu: float) -> StokesProblem:
-    # vector fields accept a single point (2,) or a batch (n, 2); they
-    # evaluate with numpy ufuncs so batches cost one call
+    # numpy ufuncs over the last axis: a batch of points costs one call
     def u(p):
         p = np.asarray(p, dtype=float)
         x, y = p[..., 0], p[..., 1]
@@ -229,36 +242,59 @@ def strong_form_residual(
     d = problem.dim
     rng = np.random.default_rng(seed)
     pts = 0.2 + 0.6 * rng.random((npoints, d))
-    worst = 0.0
-    for x0 in pts:
-        lap = np.zeros(d)
-        grad_p = np.zeros(d)
-        div = 0.0
-        u0 = problem.velocity(x0)
-        for j in range(d):
-            e = np.zeros(d)
-            e[j] = step
-            up, um = problem.velocity(x0 + e), problem.velocity(x0 - e)
-            lap += (up - 2.0 * u0 + um) / step**2
-            grad_p[j] = (problem.pressure(x0 + e) - problem.pressure(x0 - e)) / (
-                2.0 * step
-            )
-            div += (up[j] - um[j]) / (2.0 * step)
-        resid = -problem.mu * lap + grad_p - problem.forcing(x0)
-        worst = max(worst, float(np.max(np.abs(resid))), abs(div))
-    return worst
+    u0 = evaluate_batch(problem.velocity, pts, "velocity")
+    lap = np.zeros((npoints, d))
+    grad_p = np.zeros((npoints, d))
+    div = np.zeros(npoints)
+    for j in range(d):
+        e = np.zeros(d)
+        e[j] = step
+        up = evaluate_batch(problem.velocity, pts + e, "velocity")
+        um = evaluate_batch(problem.velocity, pts - e, "velocity")
+        lap += (up - 2.0 * u0 + um) / step**2
+        grad_p[:, j] = (
+            evaluate_batch(problem.pressure, pts + e, "pressure", vector=False)
+            - evaluate_batch(problem.pressure, pts - e, "pressure", vector=False)
+        ) / (2.0 * step)
+        div += (up[:, j] - um[:, j]) / (2.0 * step)
+    resid = -problem.mu * lap + grad_p - evaluate_batch(problem.forcing, pts, "forcing")
+    return max(float(np.max(np.abs(resid))), float(np.max(np.abs(div))))
+
+
+def evaluate_batch(fn, points: np.ndarray, name: str, vector: bool = True) -> np.ndarray:
+    """Call fn once on a (..., d) array of points and check the result.
+
+    Returns (..., d) values for a vector field, (...) for a scalar one. A
+    result of any other shape raises a ValueError that names the callable.
+    """
+    flat = points.reshape(-1, points.shape[-1])
+    expected = flat.shape if vector else flat.shape[:1]
+    vals = np.asarray(fn(flat), dtype=float)
+    if vals.shape != expected:
+        raise ValueError(
+            f"{name} returned shape {vals.shape} for {len(flat)} points, expected "
+            f"{expected}: problem callables evaluate (n, d) batches (wrap a "
+            f"point-wise function with np.vectorize)"
+        )
+    return vals.reshape(points.shape[:-1] + expected[1:])
+
+
+def facet_means(mesh, fn, facets: np.ndarray, rule: tuple, name: str) -> np.ndarray:
+    """Mean of the vector field fn over each listed facet, (len(facets), d).
+
+    rule is a barycentric (points, weights) pair on the facet simplex with
+    weights summing to one; fn is evaluated once on all points.
+    """
+    bary, w = rule
+    pts = bary @ mesh.vertices[mesh.facets[facets]]  # (nf, q, d)
+    return np.einsum("q,fqd->fd", w, evaluate_batch(fn, pts, name))
 
 
 def boundary_compatibility(problem: StokesProblem, mesh, degree: int = 8) -> float:
     """integral over the boundary of g.n (zero for a well-posed problem)."""
-    from .quadrature import facet_rule, map_to_physical
+    from .quadrature import facet_rule
 
-    bary, w = facet_rule(mesh.dim, degree)
-    total = 0.0
-    for fidx in mesh.boundary_facets:
-        verts = mesh.vertices[mesh.facets[fidx]]
-        pts = map_to_physical(verts, bary)
-        n = mesh.facet_normals[fidx]
-        vals = np.array([problem.boundary(p) @ n for p in pts])
-        total += mesh.facet_measures[fidx] * float(w @ vals)
-    return total
+    bf = mesh.boundary_facets
+    means = facet_means(mesh, problem.boundary, bf, facet_rule(mesh.dim, degree), "boundary")
+    flux = np.einsum("fd,fd->f", means, mesh.facet_normals[bf])
+    return float(mesh.facet_measures[bf] @ flux)

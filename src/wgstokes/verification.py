@@ -19,7 +19,7 @@ import scipy.linalg
 from .assembly import SaddleSystem, build_saddle_system
 from .krylov import SolveReport, StokesSolution, default_tolerance, solve_system
 from .mesh import Mesh, mesh_stats, structured_simplex_mesh
-from .problems import StokesProblem
+from .problems import StokesProblem, evaluate_batch
 from .quadrature import simplex_rule
 from .sparse_linalg import DENSE_GUARD, InnerSolver
 from .wg_core import field_weak_gradients
@@ -103,24 +103,8 @@ def compute_errors(
     pts = np.einsum("qj,njd->nqd", bary, mesh.vertices[mesh.elements])
     vols = mesh.elem_volumes
     flat = pts.reshape(-1, d)
-    try:
-        uex = np.asarray(problem.velocity(flat), dtype=float)
-        if uex.shape != (len(flat), d):
-            raise ValueError
-        uex = uex.reshape(pts.shape)
-    except Exception:
-        uex = np.array([problem.velocity(p) for p in flat], dtype=float).reshape(
-            pts.shape
-        )
-    try:
-        pex = np.asarray(problem.pressure(flat), dtype=float)
-        if pex.shape != (len(flat),):
-            raise ValueError
-        pex = pex.reshape(pts.shape[:2])
-    except Exception:
-        pex = np.array([problem.pressure(p) for p in flat], dtype=float).reshape(
-            pts.shape[:2]
-        )
+    uex = evaluate_batch(problem.velocity, pts, "velocity")  # (ne, nq, d)
+    pex = evaluate_batch(problem.pressure, pts, "pressure", vector=False)  # (ne, nq)
 
     ui = solution.velocity.interior  # (ne, d)
     diff = uex - ui[:, None, :]
@@ -235,13 +219,12 @@ def convergence_study(
     maxit: int = 1000,
     restart: int = 30,
     degree: int = 4,
-    solver_cache: dict | None = None,
 ) -> ConvergenceTable:
     """Solve on a mesh sequence for each viscosity and tabulate errors.
 
     meshes may hold Mesh objects or integers (structured subdivision levels,
-    dimension taken from the problem). A shared cache can be passed in to
-    reuse stiffness-block factorizations across studies on the same meshes.
+    dimension taken from the problem). The stiffness block does not depend
+    on the viscosity, so each mesh's A is factored once for all of them.
     """
     if len(meshes) < 2:
         raise ValueError("need at least two meshes to observe a rate")
@@ -249,18 +232,14 @@ def convergence_study(
         m if isinstance(m, Mesh) else structured_simplex_mesh(problem.dim, m)
         for m in meshes
     ]
-    if solver_cache is None:
-        solver_cache = {}
     reports = {}
     for i, mesh in enumerate(resolved):
+        inner = None
         for mu in mu_values:
             prob = problem if problem.mu == mu else problem.with_mu(mu)
             system = build_saddle_system(mesh, prob, qg_method)
-            key = ("inner", id(mesh), qg_method)
-            inner = solver_cache.get(key)
             if inner is None:
                 inner = InnerSolver(system.A)
-                solver_cache[key] = inner
             sol = solve_system(
                 system, method, tol=tol, maxit=maxit, restart=restart,
                 inner_solver=inner,

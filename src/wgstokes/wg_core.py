@@ -1,4 +1,4 @@
-"""Single-element calculus of the lowest-order weak Galerkin method.
+"""Element calculus of the lowest-order weak Galerkin method.
 
 Unknowns are constants on element interiors and constants on facets. The
 weak gradient of such a function lives in the lowest-order Raviart-Thomas
@@ -11,6 +11,10 @@ with c = d|K|/m_K and m_K the centroid second moment. The lifting operator
 maps facet values to the unique RT0(K) field whose facet-mean normal traces
 match; it feeds the load term and makes the velocity error independent of
 the pressure.
+
+The single-element functions take an `ElementGeometry`; `lifting_matrix`
+also takes the mesh's per-element arrays, and `field_weak_gradients` and
+`interpolate_field` work on every element at once.
 """
 
 from __future__ import annotations
@@ -20,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import ElementGeometry, Mesh
-from .quadrature import facet_rule, map_to_physical, simplex_rule
+from .problems import evaluate_batch, facet_means
+from .quadrature import facet_rule, simplex_rule
 
 __all__ = [
     "RT0Function",
@@ -29,13 +34,11 @@ __all__ = [
     "weak_gradient_interior_basis",
     "weak_gradient_facet_basis",
     "weak_gradient_scalar",
-    "weak_gradient_field",
     "field_weak_gradients",
     "weak_divergence",
+    "lifting_matrix",
     "lifting_apply",
     "facet_projection_rule",
-    "project_boundary_datum",
-    "project_interior",
     "interpolate_field",
 ]
 
@@ -112,24 +115,6 @@ def weak_gradient_scalar(
     return RT0Function(a=a, b=float(b), centroid=geom.centroid)
 
 
-def weak_gradient_field(
-    geom: ElementGeometry, interior: np.ndarray, facet_values: np.ndarray
-) -> list[RT0Function]:
-    """Componentwise weak gradients of a vector unknown.
-
-    interior: (m,) and facet_values: (d+1, m); returns one RT0Function per
-    component (row r of the weak gradient).
-    """
-    interior = np.atleast_1d(np.asarray(interior, dtype=float))
-    facet_values = np.asarray(facet_values, dtype=float)
-    if facet_values.ndim == 1:
-        facet_values = facet_values[:, None]
-    return [
-        weak_gradient_scalar(geom, float(interior[r]), facet_values[:, r])
-        for r in range(len(interior))
-    ]
-
-
 def field_weak_gradients(mesh: Mesh, field: WGField) -> tuple[np.ndarray, np.ndarray]:
     """Weak-gradient coefficients of a velocity field on every element at once.
 
@@ -139,33 +124,14 @@ def field_weak_gradients(mesh: Mesh, field: WGField) -> tuple[np.ndarray, np.nda
     known data stored on the field.
     """
     d = mesh.dim
-    ne = mesh.num_elements
-    islot = np.full(mesh.num_facets, -1, dtype=np.int64)
-    islot[mesh.interior_facets] = np.arange(len(mesh.interior_facets))
-    bslot = np.full(mesh.num_facets, -1, dtype=np.int64)
-    bslot[mesh.boundary_facets] = np.arange(len(mesh.boundary_facets))
-
-    fidx = mesh.elem_facets  # (ne, d+1)
-    inner_vals = field.facet if len(field.facet) else np.zeros((1, d))
-    bnd_vals = field.boundary if len(field.boundary) else np.zeros((1, d))
-    vals = np.where(
-        (islot[fidx] >= 0)[..., None],
-        inner_vals[np.clip(islot[fidx], 0, None)],
-        bnd_vals[np.clip(bslot[fidx], 0, None)],
-    )  # (ne, d+1, d)
-
-    sign = np.where(mesh.facet_elems[fidx, 0] == np.arange(ne)[:, None], 1.0, -1.0)
-    normals = mesh.facet_normals[fidx] * sign[..., None]
-    meas = mesh.facet_measures[fidx]
-
-    vols = mesh.elem_volumes
-    ev = mesh.vertices[mesh.elements]
-    sq = ((ev - mesh.elem_centroids[:, None, :]) ** 2).sum(axis=(1, 2))
-    second_moment = vols * sq / ((d + 1) * (d + 2))
-    grad_scale = d * vols / second_moment
-
-    a = np.einsum("ni,nir,nic->nrc", meas, vals, normals) / vols[:, None, None]
-    b = grad_scale[:, None] * (vals.sum(axis=1) / (d + 1) - field.interior)
+    vals = np.empty((mesh.num_facets, d))
+    vals[mesh.interior_facets] = field.facet
+    vals[mesh.boundary_facets] = field.boundary
+    vals = vals[mesh.elem_facets]  # (ne, d+1, d)
+    a = np.einsum(
+        "ni,nir,nic->nrc", mesh.elem_facet_measures, vals, mesh.elem_normals
+    ) / mesh.elem_volumes[:, None, None]
+    b = mesh.elem_grad_scales[:, None] * (vals.sum(axis=1) / (d + 1) - field.interior)
     return a, b
 
 
@@ -179,10 +145,16 @@ def weak_divergence(geom: ElementGeometry, facet_values: np.ndarray) -> float:
     return float(flux / geom.volume)
 
 
-def _centroid_facet_distances(geom: ElementGeometry) -> np.ndarray:
-    # (x - x_K).n_i is constant on facet i; equals d|K|/((d+1)|e_i|)
-    d = geom.dim
-    return d * geom.volume / ((d + 1) * geom.facet_measures)
+def lifting_matrix(normals: np.ndarray, facet_measures: np.ndarray, volume) -> np.ndarray:
+    """Rows [n_i^T, delta_i] of the local lifting system, (..., d+1, d+1).
+
+    delta_i = d|K|/((d+1)|e_i|) is the constant value of (x - x_K).n_i on
+    facet i. Leading axes broadcast: pass one element's geometry or the
+    mesh's per-element arrays.
+    """
+    d = normals.shape[-1]
+    delta = d * np.asarray(volume)[..., None] / ((d + 1) * facet_measures)
+    return np.concatenate([normals, delta[..., None]], axis=-1)
 
 
 def lifting_apply(geom: ElementGeometry, facet_values: np.ndarray) -> RT0Function:
@@ -194,8 +166,7 @@ def lifting_apply(geom: ElementGeometry, facet_values: np.ndarray) -> RT0Functio
     """
     facet_values = np.asarray(facet_values, dtype=float)
     d = geom.dim
-    delta = _centroid_facet_distances(geom)
-    m = np.column_stack([geom.normals, delta])
+    m = lifting_matrix(geom.normals, geom.facet_measures, geom.volume)
     rhs = np.einsum("id,id->i", facet_values, geom.normals)
     try:
         coef = np.linalg.solve(m, rhs)
@@ -224,47 +195,25 @@ def facet_projection_rule(dim: int, method: str) -> tuple[np.ndarray, np.ndarray
     raise ValueError(f"unknown facet projection method {method!r}; use one of {_FACET_METHODS}")
 
 
-def project_boundary_datum(g, facet_vertices: np.ndarray, method: str = "barycenter"):
-    """Approximate facet mean of g on the facet spanned by facet_vertices ((dim, d))."""
-    facet_vertices = np.asarray(facet_vertices, dtype=float)
-    dim = facet_vertices.shape[1]
-    bary, w = facet_projection_rule(dim, method)
-    pts = map_to_physical(facet_vertices, bary)
-    vals = np.array([np.asarray(g(p), dtype=float) for p in pts])
-    return np.tensordot(w, vals, axes=1)
-
-
-def project_interior(u, geom: ElementGeometry, degree: int = 2):
-    """Element average of u by a volume rule exact to the given degree."""
-    bary, w = simplex_rule(geom.dim, degree)
-    pts = map_to_physical(geom.vertices, bary)
-    vals = np.array([np.asarray(u(p), dtype=float) for p in pts])
-    return np.tensordot(w, vals, axes=1)
-
-
 def interpolate_field(
     mesh: Mesh,
     u,
     facet_method: str = "gauss3",
     interior_degree: int = 4,
 ) -> WGField:
-    """Interpolate a vector function into the discrete space by local averaging."""
+    """Interpolate a vector function into the discrete space by local averaging.
+
+    u follows the batch contract of `StokesProblem` callables.
+    """
     d = mesh.dim
-    interior = np.array(
-        [
-            project_interior(u, mesh.element_geometry(k), degree=interior_degree)
-            for k in range(mesh.num_elements)
-        ]
+    bary, w = simplex_rule(d, interior_degree)
+    pts = bary @ mesh.vertices[mesh.elements]  # (ne, q, d)
+    interior = np.einsum("q,nqd->nd", w, evaluate_batch(u, pts, "u"))
+    rule = facet_projection_rule(d, facet_method)
+    means = facet_means(mesh, u, np.arange(mesh.num_facets), rule, "u")
+    return WGField(
+        dim=d,
+        interior=interior,
+        facet=means[mesh.interior_facets],
+        boundary=means[mesh.boundary_facets],
     )
-    bary, w = facet_projection_rule(d, facet_method)
-
-    def facet_mean(f):
-        pts = map_to_physical(mesh.vertices[mesh.facets[f]], bary)
-        vals = np.array([np.asarray(u(p), dtype=float) for p in pts])
-        return w @ vals
-
-    facet = np.array([facet_mean(f) for f in mesh.interior_facets])
-    boundary = np.array([facet_mean(f) for f in mesh.boundary_facets])
-    if len(mesh.interior_facets) == 0:
-        facet = np.zeros((0, d))
-    return WGField(dim=d, interior=interior, facet=facet, boundary=boundary)

@@ -17,46 +17,80 @@ from wgstokes.assembly import (
     compute_alpha,
     enforce_consistency,
     export_system,
-    lifting_matrix_inverse,
-    local_gram_matrix,
+    local_gram_matrices,
     project_boundary_values,
 )
-from wgstokes.mesh import generate_structured_tet, generate_structured_tri
+from wgstokes.mesh import Mesh, generate_structured_tet, generate_structured_tri
 from wgstokes.problems import StokesProblem, builtin_problem
 from wgstokes.quadrature import duffy_rule, map_to_physical
-from wgstokes.wg_core import lifting_apply, weak_divergence
+from wgstokes.wg_core import lifting_apply, lifting_matrix, weak_divergence
+
+# problem callables take (n, d) point batches: vectors -> (n, d), pressure -> (n,)
+zeros_vec = np.zeros_like
+
+
+def zeros_scalar(p):
+    return np.zeros(len(p))
 
 
 def zero_problem(dim, mu=1.0):
-    z = lambda p: np.zeros(dim)
-    return StokesProblem("zero", dim, mu, z, lambda p: 0.0, z, z)
+    return StokesProblem("zero", dim, mu, zeros_vec, zeros_scalar, zeros_vec, zeros_vec)
 
 
 def linear_problem(mu=1.0, scale=1.0):
     # u = scale*(x + y, x - y) is divergence free; f = grad p with p = 0
-    u = lambda p: scale * np.array([p[0] + p[1], p[0] - p[1]])
-    z = lambda p: np.zeros(2)
-    return StokesProblem("linear", 2, mu, u, lambda p: 0.0, z, u)
+    u = lambda p: scale * np.stack([p[:, 0] + p[:, 1], p[:, 0] - p[:, 1]], axis=-1)
+    return StokesProblem("linear", 2, mu, u, zeros_scalar, zeros_vec, u)
 
 
-@pytest.mark.parametrize("n", [1, 2])
-def test_A_matches_dense_oracle_2d(n):
-    mesh = generate_structured_tri(n)
+def oracle_mesh(dim, n, jitter):
+    """Structured mesh, with interior vertices moved by up to 0.1*h per
+    coordinate when jitter is set: unstructured element shapes, so a sign or
+    index slip in the batched gather cannot hide behind the symmetry of the
+    structured split."""
+    base = (generate_structured_tri if dim == 2 else generate_structured_tet)(n)
+    if not jitter:
+        return base
+    verts = base.vertices.copy()
+    inside = np.all((verts > 0.0) & (verts < 1.0), axis=1)
+    rng = np.random.default_rng(5)
+    verts[inside] += rng.uniform(-0.1 / n, 0.1 / n, size=(int(inside.sum()), dim))
+    return Mesh(verts, base.elements)
+
+
+oracle_inputs_2d = pytest.mark.parametrize(
+    "n,jitter", [(1, False), (2, False), (3, True)], ids=["1", "2", "jittered-3"]
+)
+
+
+@oracle_inputs_2d
+def test_A_matches_dense_oracle_2d(n, jitter):
+    mesh = oracle_mesh(2, n, jitter)
     a = assemble_A(mesh).toarray()
     oracle = dense_A_oracle(mesh)
     assert np.max(np.abs(a - oracle)) < 1e-12
 
 
 def test_A_matches_dense_oracle_3d():
-    mesh = generate_structured_tet(1)
-    a = assemble_A(mesh).toarray()
-    oracle = dense_A_oracle(mesh)
-    assert np.max(np.abs(a - oracle)) < 1e-12
+    for mesh in (oracle_mesh(3, 1, False), oracle_mesh(3, 2, True)):
+        a = assemble_A(mesh).toarray()
+        oracle = dense_A_oracle(mesh)
+        assert np.max(np.abs(a - oracle)) < 1e-12
 
 
-@pytest.mark.parametrize("n", [1, 2])
-def test_B_matches_dense_oracle_2d(n):
-    mesh = generate_structured_tri(n)
+@oracle_inputs_2d
+def test_B_matches_dense_oracle_2d(n, jitter):
+    mesh = oracle_mesh(2, n, jitter)
+    b = assemble_B(mesh).toarray()
+    oracle = dense_B_oracle(mesh)
+    assert np.max(np.abs(b - oracle)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "n,jitter", [(1, False), (2, False), (2, True)], ids=["1", "2", "jittered-2"]
+)
+def test_B_matches_dense_oracle_3d(n, jitter):
+    mesh = oracle_mesh(3, n, jitter)
     b = assemble_B(mesh).toarray()
     oracle = dense_B_oracle(mesh)
     assert np.max(np.abs(b - oracle)) < 1e-12
@@ -73,7 +107,7 @@ def test_A_symmetric_positive_definite():
 def test_local_gram_against_quadrature():
     mesh = generate_structured_tri(1)
     g = mesh.element_geometry(0)
-    gram = local_gram_matrix(g)
+    gram = local_gram_matrices(mesh)[0]
     from wgstokes.quadrature import simplex_rule
     from wgstokes.wg_core import weak_gradient_facet_basis, weak_gradient_interior_basis
 
@@ -90,10 +124,9 @@ def test_local_gram_against_quadrature():
 
 def test_constant_field_has_zero_energy():
     mesh = generate_structured_tet(1)
-    for k in range(mesh.num_elements):
-        gram = local_gram_matrix(mesh.element_geometry(k))
-        ones = np.ones(mesh.dim + 2)
-        assert abs(ones @ gram @ ones) < 1e-10
+    grams = local_gram_matrices(mesh)
+    assert grams.shape == (mesh.num_elements, mesh.dim + 2, mesh.dim + 2)
+    assert np.abs(grams.sum(axis=(1, 2))).max() < 1e-10
 
 
 def test_B_sparsity_single_interior_facet():
@@ -164,8 +197,7 @@ def test_b1_interior_dofs_receive_no_load():
     mesh = generate_structured_tri(2)
     prob = builtin_problem("stokes2d_exp", mu=0.5)
     prob_nog = StokesProblem(
-        "noload", 2, 0.5, prob.velocity, prob.pressure, prob.forcing,
-        lambda p: np.zeros(2),
+        "noload", 2, 0.5, prob.velocity, prob.pressure, prob.forcing, zeros_vec
     )
     dof = build_dofmap(mesh)
     b1 = assemble_b1(mesh, prob_nog)
@@ -177,8 +209,8 @@ def test_b1_constant_forcing_against_lifting_quadrature():
     fconst = np.array([0.7, -1.2])
     prob = StokesProblem(
         "const_f", 2, 1.0,
-        lambda p: np.zeros(2), lambda p: 0.0,
-        lambda p: fconst, lambda p: np.zeros(2),
+        zeros_vec, zeros_scalar,
+        lambda p: np.tile(fconst, (len(p), 1)), zeros_vec,
     )
     dof = build_dofmap(mesh)
     b1 = assemble_b1(mesh, prob)
@@ -207,8 +239,13 @@ def test_b1_boundary_term_linear_in_mu():
 
 
 def test_lifting_matrix_matches_lifting_apply():
-    g = generate_structured_tet(1).element_geometry(4)
-    minv = lifting_matrix_inverse(g)
+    # the batched lifting system that assemble_b1 inverts, against the
+    # single-element solve
+    mesh = generate_structured_tet(1)
+    g = mesh.element_geometry(4)
+    minv = np.linalg.inv(
+        lifting_matrix(mesh.elem_normals, mesh.elem_facet_measures, mesh.elem_volumes)
+    )[4]
     rng = np.random.default_rng(8)
     vals = rng.normal(size=(4, 3))
     rt = lifting_apply(g, vals)
@@ -331,13 +368,25 @@ def test_incompatible_boundary_datum_rejected():
     mesh = generate_structured_tri(2)
     bad = StokesProblem(
         "bad", 2, 1.0,
-        lambda p: np.array([p[0], p[1]]),  # div u = 2, net outflow
-        lambda p: 0.0,
-        lambda p: np.zeros(2),
-        lambda p: np.array([p[0], p[1]]),
+        lambda p: p.copy(),  # u = (x, y): div u = 2, net outflow
+        zeros_scalar,
+        zeros_vec,
+        lambda p: p.copy(),
     )
     with pytest.raises(ValueError, match="compatibility"):
         build_saddle_system(mesh, bad)
+
+
+def test_pointwise_forcing_rejected_by_name():
+    # a callable that ignores the batch and returns one (d,) vector is named
+    # in the error instead of being evaluated point by point
+    mesh = generate_structured_tri(2)
+    prob = StokesProblem(
+        "fixed_f", 2, 1.0, zeros_vec, zeros_scalar,
+        lambda p: np.array([1.0, 0.0]), zeros_vec,
+    )
+    with pytest.raises(ValueError, match="forcing"):
+        build_saddle_system(mesh, prob)
 
 
 def test_export_system_roundtrip(tmp_path):

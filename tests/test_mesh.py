@@ -71,26 +71,29 @@ def test_closed_surface_identity(mesh):
 
 @pytest.mark.parametrize("mesh", [generate_structured_tri(2), generate_structured_tet(1)])
 def test_normal_orientation_convention(mesh):
-    for f in range(mesh.num_facets):
-        rec = mesh.facet(f)
-        k0 = rec.elements[0]
-        out = rec.barycenter - mesh.elem_centroids[k0]
-        assert rec.normal @ out > 0
-        assert np.linalg.norm(rec.normal) == pytest.approx(1.0, abs=1e-14)
-        if not rec.is_boundary:
-            assert rec.elements[0] < rec.elements[1]
-            k1 = rec.elements[1]
-            assert rec.normal @ (rec.barycenter - mesh.elem_centroids[k1]) < 0
+    normals, bary, elems = mesh.facet_normals, mesh.facet_barycenters, mesh.facet_elems
+    out0 = np.einsum("fd,fd->f", normals, bary - mesh.elem_centroids[elems[:, 0]])
+    assert np.all(out0 > 0)
+    assert np.allclose(np.linalg.norm(normals, axis=1), 1.0, atol=1e-14)
+    inner = mesh.interior_facets
+    assert np.all(elems[inner, 0] < elems[inner, 1])
+    out1 = np.einsum(
+        "fd,fd->f", normals[inner], bary[inner] - mesh.elem_centroids[elems[inner, 1]]
+    )
+    assert np.all(out1 < 0)
+    assert np.all(elems[mesh.boundary_facets, 1] == -1)
 
 
 def test_element_sign_flip():
+    # the two elements of an interior facet see opposite outward normals;
+    # the first one sees the stored facet normal
     m = generate_structured_tri(2)
-    f = int(m.interior_facets[0])
-    k0, k1 = m.facet_elems[f]
-    i0 = list(m.elem_facets[k0]).index(f)
-    i1 = list(m.elem_facets[k1]).index(f)
-    assert m.element_sign(k0, i0) == 1.0
-    assert m.element_sign(k1, i1) == -1.0
+    for f in m.interior_facets:
+        k0, k1 = m.facet_elems[f]
+        i0 = list(m.elem_facets[k0]).index(f)
+        i1 = list(m.elem_facets[k1]).index(f)
+        assert np.array_equal(m.elem_normals[k0, i0], m.facet_normals[f])
+        assert np.array_equal(m.elem_normals[k1, i1], -m.facet_normals[f])
 
 
 def test_element_geometry_reference_triangle():
@@ -209,6 +212,39 @@ def test_zero_subdivisions_rejected():
         generate_structured_tri(0)
     with pytest.raises(MeshError):
         generate_structured_tet(0)
+
+
+def loop_structured_elements(dim, n):
+    """Cell-by-cell construction of the structured splits, the reference for
+    the vectorised generators."""
+    import itertools
+
+    elements = []
+    for cell in itertools.product(range(n), repeat=dim):
+        if dim == 2:
+            i, j = cell
+            a, b = i * (n + 1) + j, (i + 1) * (n + 1) + j
+            elements += [[a, b, b + 1], [a, b + 1, a + 1]]
+            continue
+        for perm in itertools.permutations(range(3)):
+            corner = list(cell)
+            path = [corner]
+            for axis in perm:
+                corner = corner.copy()
+                corner[axis] += 1
+                path.append(corner)
+            tet = [(i * (n + 1) + j) * (n + 1) + k for i, j, k in path]
+            if sum(perm[a] > perm[b] for a in range(3) for b in range(a + 1, 3)) % 2:
+                tet[1], tet[2] = tet[2], tet[1]
+            elements.append(tet)
+    return np.array(elements)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_structured_generators_match_loop_construction(n):
+    # benchmark meshes and their reference errors depend on this exact numbering
+    assert np.array_equal(generate_structured_tri(n).elements, loop_structured_elements(2, n))
+    assert np.array_equal(generate_structured_tet(n).elements, loop_structured_elements(3, n))
 
 
 def test_tet_mesh_uniform_diameters():

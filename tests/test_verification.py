@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from wgstokes.assembly import build_saddle_system
+from wgstokes.assembly import build_dofmap, build_saddle_system
 from wgstokes.krylov import SolveReport, StokesSolution, solve_system
 from wgstokes.mesh import structured_simplex_mesh
 from wgstokes.problems import StokesProblem, builtin_problem, problem_from_expressions
@@ -137,6 +137,24 @@ def test_velocity_errors_independent_of_viscosity():
         e1 = table.reports[(1.0, i)].l2_velocity
         e2 = table.reports[(1e-4, i)].l2_velocity
         assert abs(e1 - e2) / e1 < 1e-6
+
+
+def test_convergence_study_factors_each_mesh_once(monkeypatch):
+    # A does not depend on mu, so both viscosities share one factorization
+    # per mesh, and each mesh gets its own
+    import wgstokes.verification as verification
+
+    built = []
+    real = verification.InnerSolver
+
+    def counting(a):
+        built.append(a.shape[0])
+        return real(a)
+
+    monkeypatch.setattr(verification, "InnerSolver", counting)
+    meshes = [structured_simplex_mesh(2, n) for n in (2, 3)]
+    convergence_study(builtin_problem("stokes2d_exp"), meshes, mu_values=(1.0, 1e-3))
+    assert built == [build_dofmap(m).n_u for m in meshes]
 
 
 def test_convergence_study_needs_two_meshes():

@@ -6,15 +6,14 @@ import numpy as np
 import pytest
 
 from wgstokes.mesh import Mesh, generate_structured_tet, generate_structured_tri
+from wgstokes.problems import facet_means
 from wgstokes.quadrature import facet_rule, map_to_physical, simplex_rule
 from wgstokes.wg_core import (
+    facet_projection_rule,
     interpolate_field,
     lifting_apply,
-    project_boundary_datum,
-    project_interior,
     weak_divergence,
     weak_gradient_facet_basis,
-    weak_gradient_field,
     weak_gradient_interior_basis,
     weak_gradient_scalar,
 )
@@ -102,8 +101,9 @@ def test_weak_gradient_single_facet_value():
 @pytest.mark.parametrize("geom", [reference_triangle(), some_tet()])
 def test_weak_gradient_of_identity_map(geom):
     d = geom.dim
-    rows = weak_gradient_field(geom, geom.centroid, geom.facet_barycenters)
-    for r, rt in enumerate(rows):
+    for r in range(d):
+        # component r of x: interior value at the centroid, facet values at barycenters
+        rt = weak_gradient_scalar(geom, geom.centroid[r], geom.facet_barycenters[:, r])
         assert abs(rt.b) < 1e-10 * geom.grad_scale
         expect = np.zeros(d)
         expect[r] = 1.0
@@ -202,11 +202,11 @@ def test_lifting_divergence_compatibility(geom):
 def test_commuting_divergence_identity():
     # weak divergence of the interpolant equals the mean of div u for quadratics
     def u(p):
-        x, y = p
-        return np.array([x * x + 2 * x * y, y * y - x * y])
+        x, y = p[..., 0], p[..., 1]
+        return np.stack([x * x + 2 * x * y, y * y - x * y], axis=-1)
 
     def divu(p):
-        x, y = p
+        x, y = p[..., 0], p[..., 1]
         return 2 * x + 2 * y + 2 * y - x
 
     mesh = generate_structured_tri(2)
@@ -226,44 +226,54 @@ def test_commuting_divergence_identity():
         assert weak_divergence(g, vals) == pytest.approx(mean_div, abs=1e-12)
 
 
+def facet_mean(g, verts, method):
+    # mean of g over the edge verts[0]-verts[1], the first facet of one triangle
+    tri = Mesh(np.vstack([verts, [verts[0, 0], 1.0]]), np.array([[0, 1, 2]]))
+    f = np.flatnonzero((tri.facets == [0, 1]).all(axis=1))
+    return facet_means(tri, g, f, facet_projection_rule(2, method), "g")[0]
+
+
 def test_project_boundary_datum_constant_and_linear():
     fverts = np.array([[0.2, 0.0], [0.7, 0.0]])
-    const = lambda p: np.array([4.0, -1.0])
-    lin = lambda p: np.array([2.0 * p[0] + 1.0, p[0]])
+    const = lambda p: np.tile([4.0, -1.0], (len(p), 1))
+    lin = lambda p: np.stack([2.0 * p[:, 0] + 1.0, p[:, 0]], axis=-1)
     for method in ("barycenter", "gauss2", "gauss3"):
-        assert np.allclose(project_boundary_datum(const, fverts, method), [4.0, -1.0])
+        assert np.allclose(facet_mean(const, fverts, method), [4.0, -1.0])
     # midpoint rule is exact on linears
-    assert np.allclose(
-        project_boundary_datum(lin, fverts, "barycenter"), [2.0 * 0.45 + 1.0, 0.45]
-    )
+    assert np.allclose(facet_mean(lin, fverts, "barycenter"), [2.0 * 0.45 + 1.0, 0.45])
 
 
 def test_project_boundary_datum_gauss2_order():
-    g = lambda p: np.array([math.sin(math.pi * p[0]), math.cos(p[0])])
+    g = lambda p: np.stack([np.sin(math.pi * p[:, 0]), np.cos(p[:, 0])], axis=-1)
     errs = []
     for h in (0.2, 0.1):
         fverts = np.array([[0.3, 0.0], [0.3 + h, 0.0]])
-        approx = project_boundary_datum(g, fverts, "gauss2")
-        dense = project_boundary_datum(g, fverts, "gauss3")
+        approx = facet_mean(g, fverts, "gauss2")
+        dense = facet_mean(g, fverts, "gauss3")
         errs.append(np.linalg.norm(approx - dense))
     # two-point Gauss error is O(h^4) relative to the dense reference
     assert errs[1] < errs[0] / 12.0
 
 
 def test_project_interior_linear_and_smooth():
-    g = reference_triangle()
-    lin = lambda p: 3.0 * p[0] - p[1] + 0.5
-    assert project_interior(lin, g) == pytest.approx(lin(g.centroid), rel=1e-13)
-    smooth = lambda p: math.sin(math.pi * p[0])
+    # the interior value of interpolate_field is the element average
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    mesh = Mesh(verts, np.array([[0, 1, 2]]))
+    g = mesh.element_geometry(0)
+    lin = lambda p: 3.0 * p[..., 0] - p[..., 1] + 0.5
+    as_vec = lambda fn: (lambda p: np.stack([fn(p), fn(p)], axis=-1))
+    interior = interpolate_field(mesh, as_vec(lin), interior_degree=2).interior[0]
+    assert interior == pytest.approx([lin(g.centroid)] * 2, rel=1e-13)
+    smooth = lambda p: np.sin(math.pi * p[..., 0])
     dense_bary, dense_w = simplex_rule(2, 20)
-    pts = map_to_physical(g.vertices, dense_bary)
-    oracle = float(dense_w @ np.array([smooth(p) for p in pts]))
-    assert project_interior(smooth, g, degree=12) == pytest.approx(oracle, abs=1e-10)
+    oracle = float(dense_w @ smooth(map_to_physical(g.vertices, dense_bary)))
+    interior = interpolate_field(mesh, as_vec(smooth), interior_degree=12).interior[0]
+    assert interior == pytest.approx([oracle] * 2, abs=1e-10)
 
 
 def test_interpolate_field_shapes():
     mesh = generate_structured_tri(2)
-    f = interpolate_field(mesh, lambda p: np.array([p[0], -p[1]]))
+    f = interpolate_field(mesh, lambda p: p * [1.0, -1.0])
     assert f.interior.shape == (8, 2)
     assert f.facet.shape == (len(mesh.interior_facets), 2)
     assert f.boundary.shape == (len(mesh.boundary_facets), 2)
