@@ -12,13 +12,7 @@ from __future__ import annotations
 __version__ = "0.1.0"
 
 from .assembly import SaddleSystem, build_saddle_system, export_system
-from .krylov import (
-    PreconditionerSpec,
-    SolveReport,
-    StokesSolution,
-    solve_stokes,
-    solve_system,
-)
+from .krylov import SolveReport, StokesSolution, solve_stokes, solve_system
 from .mesh import Mesh, load_mesh, structured_simplex_mesh, write_mesh
 from .problems import StokesProblem, builtin_problem, problem_from_expressions
 from .verification import (
@@ -37,7 +31,6 @@ __all__ = [
     "ConvergenceTable",
     "ErrorReport",
     "Mesh",
-    "PreconditionerSpec",
     "PressureField",
     "SaddleSystem",
     "SolveReport",

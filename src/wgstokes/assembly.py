@@ -166,26 +166,33 @@ def _local_boundary_values(mesh: Mesh, g_proj: np.ndarray) -> np.ndarray:
     return g[mesh.elem_facets]  # (ne, d+1, d)
 
 
-def _forcing_moments(
-    mesh: Mesh, problem: StokesProblem, quad_points: int = 6
-) -> tuple[np.ndarray, np.ndarray]:
+_FORCING_AXIS_POINTS = 6  # Gauss points per axis of the collapsed forcing rule
+_FORCING_CHUNK = 1024  # elements per forcing evaluation; bounds the temporaries
+
+
+def _forcing_moments(mesh: Mesh, problem: StokesProblem) -> tuple[np.ndarray, np.ndarray]:
     """Per-element integral of f and of f.(x - x_K).
 
     These two moments determine (f, w)_K for every w = a + b*(x - x_K), which
-    is all the load assembly needs. A collapsed tensor rule with quad_points
+    is all the load assembly needs. A collapsed tensor rule with six points
     per axis keeps the quadrature error far below the discretization error;
     a low-order rule here would leak a pressure-dependent perturbation into
-    the velocity at small viscosities.
+    the velocity at small viscosities. Evaluating the forcing one chunk of
+    elements at a time keeps the point arrays at a few MB on any mesh.
     """
     from .quadrature import duffy_rule
 
-    bary, w = duffy_rule(mesh.dim, quad_points)
-    # physical quadrature points for every element at once: (ne, nq, d)
-    pts = np.einsum("qj,njd->nqd", bary, mesh.vertices[mesh.elements])
-    fvals = evaluate_batch(problem.forcing, pts, "forcing")
-    rel = pts - mesh.elem_centroids[:, None, :]
-    f0 = mesh.elem_volumes[:, None] * np.einsum("q,nqd->nd", w, fvals)
-    f1 = mesh.elem_volumes * np.einsum("q,nqd,nqd->n", w, fvals, rel)
+    bary, w = duffy_rule(mesh.dim, _FORCING_AXIS_POINTS)
+    f0 = np.empty((mesh.num_elements, mesh.dim))
+    f1 = np.empty(mesh.num_elements)
+    for lo in range(0, mesh.num_elements, _FORCING_CHUNK):
+        k = slice(lo, lo + _FORCING_CHUNK)
+        # physical quadrature points of the chunk's elements: (nk, nq, d)
+        pts = np.einsum("qj,njd->nqd", bary, mesh.vertices[mesh.elements[k]])
+        fvals = evaluate_batch(problem.forcing, pts, "forcing")
+        rel = pts - mesh.elem_centroids[k, None, :]
+        f0[k] = mesh.elem_volumes[k, None] * np.einsum("q,nqd->nd", w, fvals)
+        f1[k] = mesh.elem_volumes[k] * np.einsum("q,nqd,nqd->n", w, fvals, rel)
     return f0, f1
 
 

@@ -22,20 +22,16 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .assembly import build_saddle_system, export_system
-from .krylov import solve_system
+from .krylov import METHODS, PRECONDITIONERS, solve_system
 from .mesh import Mesh, load_mesh, structured_simplex_mesh
-from .problems import StokesProblem, builtin_problem, problem_from_expressions
+from .problems import BUILTIN_PROBLEMS, StokesProblem, builtin_problem, problem_from_expressions
 from .sparse_linalg import InnerSolver
 from .verification import ERROR_FIELDS, convergence_study, inconsistency_demo, spectral_report
+from .wg_core import FACET_METHODS
 
 EXIT_OK = 0
 EXIT_SOLVER = 1
 EXIT_CONFIG = 2
-
-_BUILTIN_NAMES = ("stokes2d_exp", "stokes3d_trig")
-_QG_METHODS = ("barycenter", "gauss2", "gauss3")
-_METHODS = ("minres", "gmres")
-_PRECONDS = ("block_diag", "block_lower_tri", "none")
 
 
 class ConfigError(Exception):
@@ -121,10 +117,10 @@ def _normalize(cfg: ExperimentConfig) -> None:
 
 
 def _validate(cfg: ExperimentConfig) -> None:
-    if cfg.problem not in _BUILTIN_NAMES + ("custom",):
+    if cfg.problem not in BUILTIN_PROBLEMS + ("custom",):
         raise ConfigError(
             f"unknown problem {cfg.problem!r}; choose one of "
-            f"{', '.join(_BUILTIN_NAMES)} or 'custom'"
+            f"{', '.join(BUILTIN_PROBLEMS)} or 'custom'"
         )
     if not cfg.mu:
         raise ConfigError("need at least one viscosity value")
@@ -136,12 +132,16 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("restart must be a positive integer")
     if cfg.maxit < 1:
         raise ConfigError("maxit must be a positive integer")
-    if cfg.qg not in _QG_METHODS:
-        raise ConfigError(f"qg must be one of {', '.join(_QG_METHODS)}")
-    if cfg.method not in _METHODS:
-        raise ConfigError(f"method must be one of {', '.join(_METHODS)}")
-    if cfg.precond is not None and cfg.precond not in _PRECONDS:
-        raise ConfigError(f"precond must be one of {', '.join(_PRECONDS)}")
+    if cfg.qg not in FACET_METHODS:
+        raise ConfigError(f"qg must be one of {', '.join(FACET_METHODS)}")
+    if cfg.method not in METHODS:
+        raise ConfigError(f"method must be one of {', '.join(METHODS)}")
+    if cfg.precond is not None and cfg.precond not in PRECONDITIONERS:
+        raise ConfigError(f"precond must be one of {', '.join(PRECONDITIONERS)}")
+    if cfg.method == "minres" and cfg.precond == "block_lower_tri":
+        raise ConfigError(
+            "minres needs a symmetric preconditioner; use gmres with block_lower_tri"
+        )
     if any(not isinstance(n, int) or n < 1 for n in cfg.levels):
         raise ConfigError("mesh levels must be positive integers")
     if not cfg.levels and not cfg.mesh_files:
@@ -221,9 +221,7 @@ def run_convergence(cfg: ExperimentConfig) -> int:
 def run_solver_study(cfg: ExperimentConfig) -> int:
     problem = make_problem(cfg)
     meshes = resolve_meshes(cfg, problem.dim)
-    precond = cfg.precond
-    if precond is None:
-        precond = "block_diag" if cfg.method == "minres" else "block_lower_tri"
+    precond = cfg.precond or METHODS[cfg.method]
     rows = []
     for mesh in meshes:
         inner = None
@@ -357,10 +355,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="structured mesh subdivisions, e.g. --levels 4 8 16")
     common.add_argument("--mesh-file", action="append", dest="mesh_files",
                         metavar="PATH", help="mesh file to load; repeatable")
-    common.add_argument("--qg", choices=_QG_METHODS,
+    common.add_argument("--qg", choices=FACET_METHODS,
                         help="boundary-data projection rule")
-    common.add_argument("--method", choices=_METHODS, help="Krylov method")
-    common.add_argument("--precond", choices=_PRECONDS,
+    common.add_argument("--method", choices=METHODS, help="Krylov method")
+    common.add_argument("--precond", choices=PRECONDITIONERS,
                         help="preconditioner (default depends on the method)")
     common.add_argument("--tol", type=float,
                         help="relative residual tolerance (default 1e-9 in 2D, 1e-8 in 3D)")

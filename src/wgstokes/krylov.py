@@ -25,7 +25,8 @@ from .sparse_linalg import InnerSolver
 from .wg_core import PressureField, WGField
 
 __all__ = [
-    "PreconditionerSpec",
+    "METHODS",
+    "PRECONDITIONERS",
     "SaddlePreconditioner",
     "SolveReport",
     "StokesSolution",
@@ -40,14 +41,10 @@ STAGNATION_WINDOW = 50
 STAGNATION_FACTOR = 100.0
 STAGNATION_IMPROVEMENT = 0.999
 
-
-@dataclass
-class PreconditionerSpec:
-    kind: str = "block_diag"  # block_diag | block_lower_tri | none
-
-    def __post_init__(self):
-        if self.kind not in ("block_diag", "block_lower_tri", "none"):
-            raise ValueError(f"unknown preconditioner kind {self.kind!r}")
+# Krylov method -> its default preconditioner
+METHODS = {"minres": "block_diag", "gmres": "block_lower_tri"}
+PRECONDITIONERS = ("block_diag", "block_lower_tri", "none")
+_MINRES_TRI = "minres needs a symmetric positive definite preconditioner, not block_lower_tri"
 
 
 class SaddlePreconditioner:
@@ -60,20 +57,19 @@ class SaddlePreconditioner:
     def __init__(
         self,
         system: SaddleSystem,
-        spec: PreconditionerSpec | None = None,
+        kind: str = "block_diag",
         inner_solver: InnerSolver | None = None,
     ):
-        self.spec = spec or PreconditionerSpec()
+        if kind not in PRECONDITIONERS:
+            raise ValueError(
+                f"unknown preconditioner {kind!r}; use one of {', '.join(PRECONDITIONERS)}"
+            )
         self.system = system
-        self.kind = self.spec.kind
-        if self.kind == "none":
+        self.kind = kind
+        if kind == "none":
             self.inner = None
         else:
             self.inner = inner_solver or InnerSolver(system.A)
-
-    @property
-    def is_spd(self) -> bool:
-        return self.kind in ("block_diag", "none")
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         n_u = self.system.n_u
@@ -143,11 +139,10 @@ def minres(
     precond: SaddlePreconditioner,
     tol: float = 1e-9,
     maxit: int = 1000,
-    stop_on_stagnation: bool = False,
 ) -> tuple[np.ndarray, SolveReport]:
     """Preconditioned MINRES with zero initial guess and true-residual stopping."""
-    if not precond.is_spd:
-        raise ValueError("minres needs a symmetric positive definite preconditioner")
+    if precond.kind == "block_lower_tri":
+        raise ValueError(_MINRES_TRI)
     t0 = time.perf_counter()
     b = system.rhs()
     normb = float(np.linalg.norm(b))
@@ -218,8 +213,6 @@ def minres(
         if true_rel <= tol:
             converged = True
             break
-        if stop_on_stagnation and _detect_stagnation(residuals, tol):
-            break
 
     report = SolveReport(
         "minres",
@@ -242,7 +235,6 @@ def gmres_restart(
     tol: float = 1e-9,
     maxit: int = 1000,
     restart: int = 30,
-    stop_on_stagnation: bool = False,
 ) -> tuple[np.ndarray, SolveReport]:
     """Restarted GMRES, right preconditioning, zero initial guess.
 
@@ -266,8 +258,7 @@ def gmres_restart(
     residuals = [1.0]
     it = 0
     converged = False
-    stop = False
-    while it < maxit and not stop:
+    while it < maxit:
         r = b - system.apply(x)
         beta = float(np.linalg.norm(r))
         if beta / normb <= tol:
@@ -307,9 +298,6 @@ def gmres_restart(
             relres = abs(g[j + 1]) / normb
             residuals.append(relres)
             if relres <= tol or breakdown:
-                break
-            if stop_on_stagnation and _detect_stagnation(residuals, tol):
-                stop = True
                 break
         # solve the small triangular system and fold the correction back
         k = j + 1
@@ -358,29 +346,24 @@ def _to_solution(system: SaddleSystem, x: np.ndarray, report: SolveReport) -> St
 def solve_system(
     system: SaddleSystem,
     method: str = "minres",
-    precond: PreconditionerSpec | str | None = None,
+    precond: str | None = None,
     tol: float | None = None,
     maxit: int = 1000,
     restart: int = 30,
     inner_solver: InnerSolver | None = None,
-    stop_on_stagnation: bool = False,
 ) -> StokesSolution:
     """Solve a prebuilt system; reuse inner_solver to share A factorizations."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; use minres or gmres")
+    if method == "minres" and precond == "block_lower_tri":
+        raise ValueError(_MINRES_TRI)
     if tol is None:
         tol = default_tolerance(system.dof.dim)
-    if precond is None:
-        precond = PreconditionerSpec(
-            "block_diag" if method == "minres" else "block_lower_tri"
-        )
-    elif isinstance(precond, str):
-        precond = PreconditionerSpec(precond)
-    p = SaddlePreconditioner(system, precond, inner_solver)
+    p = SaddlePreconditioner(system, precond or METHODS[method], inner_solver)
     if method == "minres":
-        x, report = minres(system, p, tol, maxit, stop_on_stagnation)
-    elif method == "gmres":
-        x, report = gmres_restart(system, p, tol, maxit, restart, stop_on_stagnation)
+        x, report = minres(system, p, tol, maxit)
     else:
-        raise ValueError(f"unknown method {method!r}; use minres or gmres")
+        x, report = gmres_restart(system, p, tol, maxit, restart)
     return _to_solution(system, x, report)
 
 
@@ -388,17 +371,13 @@ def solve_stokes(
     mesh: Mesh,
     problem: StokesProblem,
     method: str = "minres",
-    precond: PreconditionerSpec | str | None = None,
+    precond: str | None = None,
     tol: float | None = None,
     maxit: int = 1000,
     restart: int = 30,
     qg_method: str = "barycenter",
     consistent: bool = True,
-    stop_on_stagnation: bool = False,
 ) -> StokesSolution:
     """Assemble and solve; velocity is returned unscaled, pressure zero-mean."""
     system = build_saddle_system(mesh, problem, qg_method, consistent)
-    return solve_system(
-        system, method, precond, tol, maxit, restart,
-        stop_on_stagnation=stop_on_stagnation,
-    )
+    return solve_system(system, method, precond, tol, maxit, restart)

@@ -24,7 +24,6 @@ import numpy as np
 __all__ = [
     "Mesh",
     "ElementGeometry",
-    "MeshStats",
     "MeshError",
     "DuplicateElementError",
     "InvertedElementError",
@@ -35,7 +34,6 @@ __all__ = [
     "generate_structured_tet",
     "load_mesh",
     "write_mesh",
-    "mesh_stats",
 ]
 
 
@@ -78,13 +76,6 @@ class ElementGeometry:
     normals: np.ndarray  # (d+1, d), outward
     facet_measures: np.ndarray  # (d+1,)
     facet_barycenters: np.ndarray  # (d+1, d)
-
-
-@dataclass(frozen=True)
-class MeshStats:
-    h: float
-    num_elements: int
-    quasi_uniformity: float
 
 
 def _signed_volumes(vertices: np.ndarray, elements: np.ndarray) -> np.ndarray:
@@ -386,23 +377,12 @@ def _load_gmsh(text: str) -> Mesh:
     return Mesh(coords[:, :dim], np.array(cells))
 
 
-def load_mesh(path: str | Path, format: str | None = None) -> Mesh:
-    """Read a mesh from the native text format or a Gmsh MSH 2.2 ASCII file."""
-    path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    if format is None:
-        format = "gmsh" if text.lstrip().startswith("$MeshFormat") else "native"
-    if format == "native":
-        return _load_native(text.split())
-    if format == "gmsh":
+def load_mesh(path: str | Path) -> Mesh:
+    """Read a mesh from the native text format or a Gmsh MSH 2.2 ASCII file.
+
+    A file whose first line is `$MeshFormat` is read as Gmsh, any other as native.
+    """
+    text = Path(path).read_text(encoding="utf-8")
+    if text.lstrip().startswith("$MeshFormat"):
         return _load_gmsh(text)
-    raise MeshError(f"unknown mesh format {format!r}")
-
-
-def mesh_stats(mesh: Mesh) -> MeshStats:
-    dia = mesh.elem_diameters
-    return MeshStats(
-        h=float(dia.max()),
-        num_elements=mesh.num_elements,
-        quasi_uniformity=float(dia.max() / dia.min()),
-    )
+    return _load_native(text.split())

@@ -55,12 +55,9 @@ class StokesProblem:
 
     def with_mu(self, mu: float) -> "StokesProblem":
         """Same exact solution rebuilt with a different viscosity."""
-        if self.rebuild is not None:
-            return self.rebuild(mu)
-        base = _BUILTIN_FACTORIES.get(self.name)
-        if base is not None:
-            return base(mu)
-        raise ValueError(f"cannot rebuild problem {self.name!r} with a new viscosity")
+        if self.rebuild is None:
+            raise ValueError(f"cannot rebuild problem {self.name!r} with a new viscosity")
+        return self.rebuild(mu)
 
 
 def _problem_2d(mu: float) -> StokesProblem:
@@ -87,7 +84,7 @@ def _problem_2d(mu: float) -> StokesProblem:
         c = 2.0 * (1.0 - mu) * np.exp(x)
         return np.stack([c * np.sin(y), c * np.cos(y)], axis=-1)
 
-    return StokesProblem("stokes2d_exp", 2, mu, u, pres, f, u)
+    return StokesProblem("stokes2d_exp", 2, mu, u, pres, f, u, rebuild=_problem_2d)
 
 
 def _problem_3d(mu: float) -> StokesProblem:
@@ -125,7 +122,7 @@ def _problem_3d(mu: float) -> StokesProblem:
             axis=-1,
         )
 
-    return StokesProblem("stokes3d_trig", 3, mu, u, pres, f, u)
+    return StokesProblem("stokes3d_trig", 3, mu, u, pres, f, u, rebuild=_problem_3d)
 
 
 _BUILTIN_FACTORIES = {

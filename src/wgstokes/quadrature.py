@@ -22,8 +22,6 @@ __all__ = [
     "simplex_rule",
     "duffy_rule",
     "facet_rule",
-    "map_to_physical",
-    "simplex_volume",
 ]
 
 
@@ -130,19 +128,3 @@ def simplex_rule(dim: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
 def facet_rule(dim: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
     """Rule on the facet of a dim-simplex (a segment for dim=2, triangle for dim=3)."""
     return simplex_rule(dim - 1, degree)
-
-
-def map_to_physical(vertices: np.ndarray, bary: np.ndarray) -> np.ndarray:
-    """Map barycentric points to physical coordinates.
-
-    vertices: (nv, d) array of simplex vertices, nv = bary.shape[1].
-    """
-    return np.asarray(bary) @ np.asarray(vertices)
-
-
-def simplex_volume(vertices: np.ndarray) -> float:
-    """Measure of the simplex spanned by the rows of vertices ((d+1, d) array)."""
-    v = np.asarray(vertices, dtype=float)
-    d = v.shape[1]
-    edges = v[1:] - v[0]
-    return abs(np.linalg.det(edges)) / math.factorial(d)

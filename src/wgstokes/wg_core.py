@@ -175,7 +175,7 @@ def lifting_apply(geom: ElementGeometry, facet_values: np.ndarray) -> RT0Functio
     return RT0Function(a=coef[:d], b=float(coef[d]), centroid=geom.centroid)
 
 
-_FACET_METHODS = ("barycenter", "gauss2", "gauss3")
+FACET_METHODS = ("barycenter", "gauss2", "gauss3")
 
 
 def facet_projection_rule(dim: int, method: str) -> tuple[np.ndarray, np.ndarray]:
@@ -192,7 +192,7 @@ def facet_projection_rule(dim: int, method: str) -> tuple[np.ndarray, np.ndarray
         return facet_rule(dim, 3 if dim == 2 else 2)
     if method == "gauss3":
         return facet_rule(dim, 5 if dim == 2 else 4)
-    raise ValueError(f"unknown facet projection method {method!r}; use one of {_FACET_METHODS}")
+    raise ValueError(f"unknown facet projection method {method!r}; use one of {FACET_METHODS}")
 
 
 def interpolate_field(

@@ -9,11 +9,16 @@ from vertex coordinates.
 import numpy as np
 
 from wgstokes.assembly import build_dofmap
-from wgstokes.quadrature import map_to_physical, simplex_rule
+from wgstokes.quadrature import simplex_rule
 from wgstokes.wg_core import (
     weak_gradient_facet_basis,
     weak_gradient_interior_basis,
 )
+
+
+def map_to_physical(vertices, bary):
+    """Barycentric points -> physical coordinates of the simplex with these vertices."""
+    return np.asarray(bary) @ np.asarray(vertices)
 
 
 def dense_A_oracle(mesh, degree=4):

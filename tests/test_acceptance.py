@@ -12,12 +12,12 @@ from itertools import product
 
 import numpy as np
 
-from oracles import dense_A_oracle, dense_B_oracle
+from oracles import dense_A_oracle, dense_B_oracle, map_to_physical
 from wgstokes.assembly import assemble_A, assemble_B, build_saddle_system
 from wgstokes.krylov import solve_system
 from wgstokes.mesh import generate_structured_tet, generate_structured_tri
 from wgstokes.problems import builtin_problem, problem_from_expressions
-from wgstokes.quadrature import facet_rule, map_to_physical
+from wgstokes.quadrature import facet_rule
 from wgstokes.sparse_linalg import InnerSolver
 from wgstokes.verification import (
     convergence_study,

@@ -5,7 +5,7 @@ import pytest
 import scipy.io
 import scipy.linalg
 
-from oracles import dense_A_oracle, dense_B_oracle
+from oracles import dense_A_oracle, dense_B_oracle, map_to_physical
 from wgstokes.assembly import (
     assemble_A,
     assemble_B,
@@ -22,7 +22,7 @@ from wgstokes.assembly import (
 )
 from wgstokes.mesh import Mesh, generate_structured_tet, generate_structured_tri
 from wgstokes.problems import StokesProblem, builtin_problem
-from wgstokes.quadrature import duffy_rule, map_to_physical
+from wgstokes.quadrature import duffy_rule
 from wgstokes.wg_core import lifting_apply, lifting_matrix, weak_divergence
 
 # problem callables take (n, d) point batches: vectors -> (n, d), pressure -> (n,)

@@ -29,6 +29,20 @@ def test_missing_mesh_source_is_config_error(capsys):
     assert "no meshes" in capsys.readouterr().err
 
 
+def test_minres_with_triangular_preconditioner_is_config_error(monkeypatch, capsys):
+    argv = ["solver-study", "--levels", "2", "--method", "minres",
+            "--precond", "block_lower_tri"]
+    with pytest.raises(cli.ConfigError, match="minres"):
+        cli.config_from_args(cli.build_parser().parse_args(argv))
+
+    def no_mesh(*args):
+        raise AssertionError("a mesh was built before the configuration was checked")
+
+    monkeypatch.setattr(cli, "structured_simplex_mesh", no_mesh)
+    assert cli.main(argv) == 2
+    assert "minres" in capsys.readouterr().err
+
+
 def test_convergence_writes_csv_and_markdown(tmp_path):
     code = cli.main(
         ["convergence", "--levels", "2", "4", "--out", str(tmp_path)]

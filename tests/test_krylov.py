@@ -5,7 +5,6 @@ import pytest
 
 from wgstokes.assembly import build_saddle_system
 from wgstokes.krylov import (
-    PreconditionerSpec,
     SaddlePreconditioner,
     gmres_restart,
     minres,
@@ -41,7 +40,7 @@ def test_pd_inverse_recovers_velocity_block():
     rng = np.random.default_rng(3)
     y = rng.standard_normal(sys_.n_u)
     r = np.concatenate([sys_.A @ y, np.zeros(sys_.n_p)])
-    x = SaddlePreconditioner(sys_, PreconditionerSpec("block_diag")).apply(r)
+    x = SaddlePreconditioner(sys_, "block_diag").apply(r)
     assert np.max(np.abs(x[: sys_.n_u] - y)) < 1e-10
     assert np.max(np.abs(x[sys_.n_u :])) == 0.0
 
@@ -51,7 +50,7 @@ def test_pd_inverse_scales_pressure_by_measures():
     rng = np.random.default_rng(4)
     z = rng.standard_normal(sys_.n_p)
     r = np.concatenate([np.zeros(sys_.n_u), sys_.Mp * z])
-    x = SaddlePreconditioner(sys_, PreconditionerSpec("block_diag")).apply(r)
+    x = SaddlePreconditioner(sys_, "block_diag").apply(r)
     assert np.max(np.abs(x[sys_.n_u :] - z)) < 1e-13
     assert np.max(np.abs(x[: sys_.n_u])) < 1e-12
 
@@ -60,7 +59,7 @@ def test_pt_inverse_dense_roundtrip():
     sys_ = small_system(n=1)
     rng = np.random.default_rng(5)
     r = rng.standard_normal(sys_.size)
-    x = SaddlePreconditioner(sys_, PreconditionerSpec("block_lower_tri")).apply(r)
+    x = SaddlePreconditioner(sys_, "block_lower_tri").apply(r)
     a = sys_.A.toarray()
     b = sys_.B.toarray()
     top = np.hstack([a, np.zeros((sys_.n_u, sys_.n_p))])
@@ -76,14 +75,14 @@ def test_pt_inverse_maps_momentum_residual_to_velocity():
     rng = np.random.default_rng(6)
     y = rng.standard_normal(sys_.n_u)
     r = np.concatenate([sys_.A @ y, -(sys_.B @ y)])
-    x = SaddlePreconditioner(sys_, PreconditionerSpec("block_lower_tri")).apply(r)
+    x = SaddlePreconditioner(sys_, "block_lower_tri").apply(r)
     assert np.max(np.abs(x[: sys_.n_u] - y)) < 1e-9
     assert np.max(np.abs(x[sys_.n_u :])) < 1e-9
 
 
 def test_pd_preconditioned_operator_self_adjoint():
     sys_ = small_system()
-    pd = SaddlePreconditioner(sys_, PreconditionerSpec("block_diag"))
+    pd = SaddlePreconditioner(sys_, "block_diag")
     rng = np.random.default_rng(7)
     for _ in range(3):
         x = rng.standard_normal(sys_.size)
@@ -103,7 +102,7 @@ def test_pd_preconditioned_operator_self_adjoint():
 
 def test_minres_rejects_nonsymmetric_preconditioner():
     sys_ = small_system()
-    pt = SaddlePreconditioner(sys_, PreconditionerSpec("block_lower_tri"))
+    pt = SaddlePreconditioner(sys_, "block_lower_tri")
     with pytest.raises(ValueError):
         minres(sys_, pt)
 
@@ -111,14 +110,25 @@ def test_minres_rejects_nonsymmetric_preconditioner():
 def test_unknown_kind_and_method_raise():
     sys_ = small_system()
     with pytest.raises(ValueError):
-        PreconditionerSpec("ilu")
+        SaddlePreconditioner(sys_, "ilu")
     with pytest.raises(ValueError):
         solve_system(sys_, method="bicgstab")
 
 
+def test_solve_system_rejects_minres_with_triangular_before_factoring(monkeypatch):
+    import wgstokes.krylov as krylov
+
+    def no_factor(a):
+        raise AssertionError("A was factored before the method/preconditioner check")
+
+    monkeypatch.setattr(krylov, "InnerSolver", no_factor)
+    with pytest.raises(ValueError, match="minres"):
+        solve_system(small_system(), "minres", "block_lower_tri")
+
+
 def test_minres_converges_with_history_invariants():
     sys_ = small_system(n=8)
-    pd = SaddlePreconditioner(sys_, PreconditionerSpec("block_diag"))
+    pd = SaddlePreconditioner(sys_, "block_diag")
     x, rep = minres(sys_, pd, tol=1e-9)
     assert rep.converged
     assert rep.residuals[0] == 1.0
@@ -136,7 +146,7 @@ def test_minres_converges_with_history_invariants():
 
 def test_gmres_converges_with_history_invariants():
     sys_ = small_system(n=8)
-    pt = SaddlePreconditioner(sys_, PreconditionerSpec("block_lower_tri"))
+    pt = SaddlePreconditioner(sys_, "block_lower_tri")
     x, rep = gmres_restart(sys_, pt, tol=1e-9)
     assert rep.converged
     assert rep.residuals[0] == 1.0
@@ -149,7 +159,7 @@ def test_gmres_converges_with_history_invariants():
 
 def test_gmres_short_restart_still_converges():
     sys_ = small_system(n=4)
-    pt = SaddlePreconditioner(sys_, PreconditionerSpec("block_lower_tri"))
+    pt = SaddlePreconditioner(sys_, "block_lower_tri")
     x, rep = gmres_restart(sys_, pt, tol=1e-9, restart=5)
     assert rep.converged
     b = sys_.rhs()
@@ -158,9 +168,9 @@ def test_gmres_short_restart_still_converges():
 
 def test_preconditioning_beats_unpreconditioned():
     sys_ = small_system(n=4)
-    pd = SaddlePreconditioner(sys_, PreconditionerSpec("block_diag"))
+    pd = SaddlePreconditioner(sys_, "block_diag")
     _, rep_pd = minres(sys_, pd, tol=1e-9)
-    pn = SaddlePreconditioner(sys_, PreconditionerSpec("none"))
+    pn = SaddlePreconditioner(sys_, "none")
     _, rep_un = minres(sys_, pn, tol=1e-9, maxit=600)
     assert rep_un.converged  # small singular system, consistent data
     assert rep_pd.iterations < rep_un.iterations / 3
@@ -176,14 +186,6 @@ def test_inconsistent_rhs_stagnates_and_is_flagged():
     sol2 = solve_system(fixed, "minres", tol=1e-9, maxit=300)
     assert sol2.report.converged
     assert not sol2.report.stagnated
-
-
-def test_stop_on_stagnation_cuts_run_short():
-    raw = small_system(n=8, consistent=False)
-    sol = solve_system(raw, "minres", tol=1e-9, maxit=300, stop_on_stagnation=True)
-    assert not sol.report.converged
-    assert sol.report.stagnated
-    assert sol.report.iterations < 300
 
 
 def test_zero_boundary_data_makes_consistency_a_no_op():

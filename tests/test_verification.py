@@ -157,6 +157,29 @@ def test_convergence_study_factors_each_mesh_once(monkeypatch):
     assert built == [build_dofmap(m).n_u for m in meshes]
 
 
+def test_compute_errors_accepts_batch_only_velocity():
+    # rotation u = (y, -x), p = 0, f = 0 is an exact Stokes solution; this
+    # velocity indexes p[:, j], so it only works on (n, d) batches
+    def u(p):
+        return np.stack([p[:, 1], -p[:, 0]], -1)
+
+    def zero_p(p):
+        return np.zeros(len(p))
+
+    def zero_f(p):
+        return np.zeros_like(p)
+
+    batch_only = StokesProblem("rotation", 2, 1.0, u, zero_p, zero_f, u)
+    u_pt = np.vectorize(lambda x: np.array([x[1], -x[0]]), signature="(d)->(d)")
+    pointwise = StokesProblem("rotation", 2, 1.0, u_pt, zero_p, zero_f, u_pt)
+    mesh = structured_simplex_mesh(2, 3)
+    sol = solve_system(build_saddle_system(mesh, batch_only))
+    rep = compute_errors(mesh, batch_only, sol)
+    ref = compute_errors(mesh, pointwise, sol)
+    for name in ("l2_velocity", "superconv", "grad_error", "pressure_error"):
+        assert getattr(rep, name) == pytest.approx(getattr(ref, name), rel=1e-12, abs=1e-15)
+
+
 def test_convergence_study_needs_two_meshes():
     prob = builtin_problem("stokes2d_exp")
     with pytest.raises(ValueError):
@@ -272,6 +295,24 @@ def test_inconsistency_demo_contrasts_raw_and_corrected():
     assert demo.residual_floor is not None
     assert min(demo.report_raw.residuals) >= 0.999 * demo.residual_floor
     assert "alpha_h" in demo.summary()
+
+
+def test_inconsistency_demo_builds_the_system_once(monkeypatch):
+    # raw and corrected systems differ only in which pressure right-hand side
+    # they use, so one assembly serves both
+    import wgstokes.verification as verification
+
+    calls = []
+    real = verification.build_saddle_system
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verification, "build_saddle_system", counting)
+    demo = inconsistency_demo(structured_simplex_mesh(2, 3), builtin_problem("stokes2d_exp"))
+    assert len(calls) == 1
+    assert demo.report_fixed.converged
 
 
 def test_inconsistency_demo_no_op_for_zero_boundary_data():

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from oracles import map_to_physical
 from wgstokes.mesh import Mesh, generate_structured_tet, generate_structured_tri
 from wgstokes.problems import facet_means
-from wgstokes.quadrature import facet_rule, map_to_physical, simplex_rule
+from wgstokes.quadrature import facet_rule, simplex_rule
 from wgstokes.wg_core import (
     facet_projection_rule,
     interpolate_field,
