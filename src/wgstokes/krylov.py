@@ -132,6 +132,7 @@ class StokesSolution:
     pressure: PressureField
     report: SolveReport
     raw: np.ndarray  # rescaled unknowns (mu*u, p) as iterated
+    alpha_h: float  # boundary-flux defect of the system that was solved
 
 
 def minres(
@@ -340,7 +341,7 @@ def _to_solution(system: SaddleSystem, x: np.ndarray, report: SolveReport) -> St
         facet=facet,
         boundary=system.g_boundary.copy(),
     )
-    return StokesSolution(velocity, PressureField(p), report, x)
+    return StokesSolution(velocity, PressureField(p), report, x, system.alpha_h)
 
 
 def solve_system(

@@ -53,6 +53,10 @@ class StokesProblem:
         default=None, repr=False, compare=False
     )
 
+    def __post_init__(self):
+        if not self.mu > 0:
+            raise ValueError("viscosity must be positive")
+
     def with_mu(self, mu: float) -> "StokesProblem":
         """Same exact solution rebuilt with a different viscosity."""
         if self.rebuild is None:
@@ -140,8 +144,6 @@ def builtin_problem(name: str, mu: float = 1.0) -> StokesProblem:
         raise ValueError(
             f"unknown problem {name!r}; built-ins: {', '.join(BUILTIN_PROBLEMS)}"
         ) from None
-    if mu <= 0:
-        raise ValueError("viscosity must be positive")
     return factory(mu)
 
 

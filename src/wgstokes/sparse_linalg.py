@@ -9,7 +9,17 @@ Two structural facts make one sparse LU enough:
   couples only to its own element's facets). Eliminating the interior
   unknowns leaves the Schur complement ``S = F - C^T D^{-1} C`` on the
   interior facets; this is static condensation (Cockburn, Gopalakrishnan &
-  Lazarov, SINUM 2009). ``S`` is factored once with ``splu``.
+  Lazarov, SINUM 2009).
+
+``S`` is symmetric positive definite, as a Schur complement of the SPD
+``A_s``, and is factored once as such: ``splu`` in SuperLU's symmetric mode
+(X. S. Li, ACM TOMS 31, 2005), with a multiple minimum degree ordering of
+``S + S^T`` (J. W. H. Liu, ACM TOMS 11, 1985) and no pivoting, which an SPD
+matrix does not need. ``S`` is stored on its element pattern, one entry for
+every pair of interior facets that share an element, with the exact zeros
+that right-angled elements give kept on purpose: minimum degree orders the
+thinned pattern worse than COLAMD does, while on the element pattern it
+needs about a third of COLAMD's fill on perturbed 3D meshes.
 """
 
 from __future__ import annotations
@@ -47,8 +57,26 @@ class InnerSolver:
         self.ni = ni = int(np.argmax(has_lower))
         self._dinv = 1.0 / a_s.diagonal()[:ni]
         self._c = a_s[:ni, ni:].tocsr()
-        schur = a_s[ni:, ni:] - self._c.T @ sp.diags(self._dinv) @ self._c
-        self._lu = spla.splu(schur.tocsc())
+        # S = F - C^T D^{-1} C summed as triplets, plus a zero for every pair
+        # of facets that share an element: sparse - and @ would drop the
+        # exact cancellations, a pattern MMD orders badly (module docstring)
+        c_abs = abs(self._c)
+        parts = [
+            a_s[ni:, ni:].tocoo(),
+            (-(self._c.T @ sp.diags(self._dinv) @ self._c)).tocoo(),
+            (0.0 * (c_abs.T @ c_abs)).tocoo(),
+        ]
+        data, row, col = (
+            np.concatenate([getattr(m, k) for m in parts]) for k in ("data", "row", "col")
+        )
+        # this constructor sums duplicates and keeps the zeros
+        schur = sp.csc_matrix((data, (row, col)), shape=parts[0].shape)
+        self._lu = spla.splu(
+            schur,
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
         # always 0 for an exact solve; kept because perfbench's traced replay reads it
         self.total_iterations = 0
 

@@ -125,7 +125,7 @@ def compute_errors(mesh: Mesh, problem: StokesProblem, solution: StokesSolution)
         h=float(mesh.elem_diameters.max()),
         num_elements=mesh.num_elements,
         mu=problem.mu,
-        alpha_h=getattr(solution, "alpha_h", 0.0),
+        alpha_h=solution.alpha_h,
         l2_velocity=l2_velocity,
         superconv=superconv,
         grad_error=grad_error,
@@ -235,9 +235,7 @@ def convergence_study(
                 system, method, tol=tol, maxit=maxit, restart=restart,
                 inner_solver=inner,
             )
-            rep = compute_errors(mesh, prob, sol)
-            rep.alpha_h = system.alpha_h
-            reports[(mu, i)] = rep
+            reports[(mu, i)] = compute_errors(mesh, prob, sol)
     return ConvergenceTable(
         problem=problem.name,
         qg_method=qg_method,

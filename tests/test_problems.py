@@ -6,6 +6,7 @@ import pytest
 from wgstokes.mesh import generate_structured_tet, generate_structured_tri
 from wgstokes.problems import (
     BUILTIN_PROBLEMS,
+    StokesProblem,
     boundary_compatibility,
     builtin_problem,
     problem_from_expressions,
@@ -107,3 +108,14 @@ def test_strong_form_residual_flags_wrong_forcing():
     )
     # -mu*Lap(u) alone is pi^2 sin(pi y); zero forcing cannot satisfy it
     assert strong_form_residual(prob) > 1.0
+
+
+def test_viscosity_checked_by_every_constructor():
+    base = builtin_problem("stokes2d_exp")
+    for mu in (-1.0, 0.0, float("nan")):
+        with pytest.raises(ValueError, match="viscosity must be positive"):
+            base.with_mu(mu)
+        with pytest.raises(ValueError, match="viscosity must be positive"):
+            problem_from_expressions(2, ["y", "-x"], "0", mu=mu)
+    with pytest.raises(ValueError, match="viscosity must be positive"):
+        StokesProblem("custom", 2, -1.0, base.velocity, base.pressure, base.forcing, base.boundary)

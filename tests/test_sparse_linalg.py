@@ -1,11 +1,15 @@
 """Exact A-block inverse: Kronecker reduction, static condensation, sparse LU."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from wgstokes import sparse_linalg
 from wgstokes.assembly import assemble_A, build_dofmap
-from wgstokes.mesh import generate_structured_tet, generate_structured_tri
+from wgstokes.mesh import Mesh, generate_structured_tet, generate_structured_tri
 from wgstokes.sparse_linalg import InnerSolver
 
 
@@ -13,8 +17,40 @@ def relres(a, x, r):
     return np.linalg.norm(a @ x - r) / np.linalg.norm(r)
 
 
+def jittered_tet(n, seed):
+    """Structured unit-cube mesh with interior vertices moved by up to 0.1*h."""
+    base = generate_structured_tet(n)
+    vertices = base.vertices.copy()
+    interior = np.all((vertices > 0.0) & (vertices < 1.0), axis=1)
+    step = 0.1 / n
+    rng = np.random.default_rng(seed)
+    vertices[interior] += rng.uniform(-step, step, size=(int(interior.sum()), 3))
+    return Mesh(vertices, base.elements)
+
+
+@pytest.fixture
+def factored(monkeypatch):
+    """Record the matrix InnerSolver hands to splu, and the factor it gets back."""
+    seen = {}
+
+    def splu(m, **kwargs):
+        seen["schur"] = m
+        seen["lu"] = spla.splu(m, **kwargs)
+        return seen["lu"]
+
+    monkeypatch.setattr(sparse_linalg, "spla", SimpleNamespace(splu=splu))
+    return seen
+
+
 @pytest.mark.parametrize(
-    "mesh", [generate_structured_tri(4), generate_structured_tet(2)], ids=["2d-4", "3d-2"]
+    "mesh",
+    [
+        generate_structured_tri(4),
+        generate_structured_tet(2),
+        generate_structured_tet(4),
+        jittered_tet(4, seed=11),
+    ],
+    ids=["2d-4", "3d-2", "3d-4", "3d-4-jittered"],
 )
 def test_inner_solver_reduces_assembled_stiffness(mesh):
     a = assemble_A(mesh)
@@ -46,3 +82,30 @@ def test_inner_solver_rejects_bad_input():
         InnerSolver(sp.csr_matrix(np.array([[2.0, 1.0], [0.0, 2.0]])))
     with pytest.raises(ValueError, match="positive diagonal"):
         InnerSolver(sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 2.0]])))
+
+
+def test_schur_complement_keeps_the_element_pattern(factored):
+    mesh = generate_structured_tet(3)
+    InnerSolver(assemble_A(mesh))
+    schur = factored["schur"].tocoo()
+    # the right angles make some couplings cancel exactly, so dropping the
+    # explicit zeros would thin the pattern
+    assert np.any(schur.data == 0.0)
+    # every ordered pair of interior facets of one element, diagonal included
+    slots = build_dofmap(mesh).facet_slot[mesh.elem_facets]
+    pairs = np.broadcast_arrays(slots[:, :, None], slots[:, None, :])
+    keep = (pairs[0] >= 0) & (pairs[1] >= 0)
+    n = schur.shape[0]
+    expected = np.unique(pairs[0][keep] * n + pairs[1][keep])
+    stored = np.sort(schur.row.astype(np.int64) * n + schur.col)
+    assert np.array_equal(stored, expected)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_symmetric_ordering_cuts_fill_against_unsymmetric_defaults(factored, seed):
+    InnerSolver(assemble_A(jittered_tet(8, seed)))
+    lu = factored["lu"]
+    thinned = factored["schur"].copy()
+    thinned.eliminate_zeros()
+    ref = spla.splu(thinned)  # COLAMD and partial pivoting
+    assert lu.L.nnz + lu.U.nnz <= 0.6 * (ref.L.nnz + ref.U.nnz)

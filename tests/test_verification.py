@@ -52,7 +52,7 @@ def projected_solution(mesh, problem, degree=4):
         facet=np.zeros((nf, d)),
         boundary=np.zeros((nb, d)),
     )
-    sol = StokesSolution(field, PressureField(pmeans), dummy_report(), np.zeros(1))
+    sol = StokesSolution(field, PressureField(pmeans), dummy_report(), np.zeros(1), 0.0)
     return sol
 
 
@@ -93,7 +93,7 @@ def test_constant_solution_gives_zero_errors():
     )
     sol = StokesSolution(
         field, PressureField(np.full(mesh.num_elements, 0.7)), dummy_report(),
-        np.zeros(1),
+        np.zeros(1), 0.0,
     )
     rep = compute_errors(mesh, prob, sol)
     assert rep.l2_velocity < 1e-13
@@ -178,6 +178,15 @@ def test_compute_errors_accepts_batch_only_velocity():
     ref = compute_errors(mesh, pointwise, sol)
     for name in ("l2_velocity", "superconv", "grad_error", "pressure_error"):
         assert getattr(rep, name) == pytest.approx(getattr(ref, name), rel=1e-12, abs=1e-15)
+
+
+def test_compute_errors_reports_the_systems_alpha_h():
+    mesh = structured_simplex_mesh(2, 4)
+    prob = builtin_problem("stokes2d_exp")
+    system = build_saddle_system(mesh, prob)
+    assert system.alpha_h != 0.0
+    rep = compute_errors(mesh, prob, solve_system(system))
+    assert rep.alpha_h == system.alpha_h
 
 
 def test_convergence_study_needs_two_meshes():
