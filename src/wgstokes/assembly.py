@@ -32,6 +32,7 @@ import scipy.sparse as sp
 
 from .mesh import Mesh
 from .problems import StokesProblem, boundary_compatibility, evaluate_batch, facet_means
+from .quadrature import simplex_rule
 from .wg_core import facet_projection_rule, lifting_matrix
 
 __all__ = [
@@ -166,7 +167,7 @@ def _local_boundary_values(mesh: Mesh, g_proj: np.ndarray) -> np.ndarray:
     return g[mesh.elem_facets]  # (ne, d+1, d)
 
 
-_FORCING_AXIS_POINTS = 6  # Gauss points per axis of the collapsed forcing rule
+_FORCING_DEGREE = 7  # exactness degree of the forcing rule
 _FORCING_CHUNK = 1024  # elements per forcing evaluation; bounds the temporaries
 
 
@@ -174,21 +175,21 @@ def _forcing_moments(mesh: Mesh, problem: StokesProblem) -> tuple[np.ndarray, np
     """Per-element integral of f and of f.(x - x_K).
 
     These two moments determine (f, w)_K for every w = a + b*(x - x_K), which
-    is all the load assembly needs. A collapsed tensor rule with six points
-    per axis keeps the quadrature error far below the discretization error;
-    a low-order rule here would leak a pressure-dependent perturbation into
-    the velocity at small viscosities. Evaluating the forcing one chunk of
-    elements at a time keeps the point arrays at a few MB on any mesh.
+    is all the load assembly needs. A degree-7 rule (16 points per triangle,
+    64 per tetrahedron) keeps the quadrature error far below the
+    discretization error. A lower degree leaks a pressure-dependent
+    perturbation into the velocity at small viscosities: on jittered 3D
+    meshes with n = 4, 6, degree 5 raises the relative difference between
+    the mu=1 and mu=1e-4 velocity errors from about 6e-7 to about 2e-6.
+    Evaluating the forcing one chunk of elements at a time keeps the point
+    arrays at a few MB on any mesh.
     """
-    from .quadrature import duffy_rule
-
-    bary, w = duffy_rule(mesh.dim, _FORCING_AXIS_POINTS)
+    bary, w = simplex_rule(mesh.dim, _FORCING_DEGREE)
     f0 = np.empty((mesh.num_elements, mesh.dim))
     f1 = np.empty(mesh.num_elements)
     for lo in range(0, mesh.num_elements, _FORCING_CHUNK):
         k = slice(lo, lo + _FORCING_CHUNK)
-        # physical quadrature points of the chunk's elements: (nk, nq, d)
-        pts = np.einsum("qj,njd->nqd", bary, mesh.vertices[mesh.elements[k]])
+        pts = bary @ mesh.vertices[mesh.elements[k]]  # (nk, nq, d)
         fvals = evaluate_batch(problem.forcing, pts, "forcing")
         rel = pts - mesh.elem_centroids[k, None, :]
         f0[k] = mesh.elem_volumes[k, None] * np.einsum("q,nqd->nd", w, fvals)

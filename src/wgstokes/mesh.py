@@ -101,6 +101,15 @@ class Mesh:
         d = vertices.shape[1]
         if elements.ndim != 2 or elements.shape[1] != d + 1:
             raise MeshError(f"elements must be (ne, {d + 1}) for dim {d}")
+        # numpy would wrap a negative index to a real vertex and fail later
+        # on one past the end, so check the range before any indexing
+        outside = np.any((elements < 0) | (elements >= len(vertices)), axis=1)
+        if np.any(outside):
+            bad = int(np.argmax(outside))
+            raise MeshError(
+                f"element {bad} has vertex indices {elements[bad].tolist()} outside "
+                f"[0, {len(vertices)})"
+            )
         self.dim = d
         self.vertices = vertices
         self.elements = elements
@@ -367,8 +376,10 @@ def _load_gmsh(text: str) -> Mesh:
             cell_type = etype
         elif cell_type != etype:
             raise UnsupportedCellError("mixed triangle/tetrahedron gmsh file")
-        conn = [ids[int(p)] for p in parts[3 + ntags :]]
-        cells.append(conn)
+        try:
+            cells.append([ids[int(p)] for p in parts[3 + ntags :]])
+        except KeyError as exc:
+            raise MeshError(f"gmsh element {parts[0]} names unknown node {exc.args[0]}") from None
     if cell_type is None:
         raise MeshError("gmsh file contains no elements")
     dim = 2 if cell_type == 2 else 3

@@ -1,9 +1,10 @@
 """Manufactured Stokes problems: -mu*Lap(u) + grad p = f, div u = 0, u = g on the boundary.
 
 Two built-in solutions on the unit square/cube, plus custom problems given
-as expression strings (velocity and pressure; the forcing is derived
-symbolically when not supplied). All problems are checked against the
-strong form by centered finite differences at random interior points.
+as expression strings (velocity and pressure; the forcing and the velocity
+gradient are derived symbolically). `strong_form_residual` is a check
+callers can run: it compares a problem with the strong form by centered
+finite differences at random interior points.
 
 Problem callables evaluate batches; see `StokesProblem`.
 """
@@ -35,11 +36,16 @@ class StokesProblem:
     """A Stokes problem with known exact solution.
 
     Batch contract: `velocity`, `forcing` and `boundary` take an (n, d)
-    array of points and return (n, d) values; `pressure` returns (n,).
-    The library calls each one once on all the points it needs and checks
-    the shape of the result (`evaluate_batch`), raising a ValueError that
-    names the callable. Wrap a point-wise function once, visibly, with
-    `np.vectorize(f, signature="(d)->(d)")` (`"(d)->()"` for the pressure).
+    array of points and return (n, d) values; `pressure` returns (n,);
+    `velocity_gradient` returns (n, d, d) with [i, r, c] = du_r/dx_c at
+    point i. The library calls each one once on all the points it needs
+    and checks the shape of the result (`evaluate_batch`), raising a
+    ValueError that names the callable. Wrap a point-wise function once,
+    visibly, with `np.vectorize(f, signature="(d)->(d)")` (`"(d)->()"` for
+    the pressure, `"(d)->(d,d)"` for the gradient).
+
+    The gradient is needed only by `compute_errors`; a problem without one
+    can be assembled and solved.
     """
 
     name: str
@@ -49,6 +55,7 @@ class StokesProblem:
     pressure: Callable[[np.ndarray], float]
     forcing: Vec
     boundary: Vec  # trace of the velocity; kept separate for clarity at call sites
+    velocity_gradient: Callable[[np.ndarray], np.ndarray] | None = None
     rebuild: Callable[[float], "StokesProblem"] | None = field(
         default=None, repr=False, compare=False
     )
@@ -82,13 +89,23 @@ def _problem_2d(mu: float) -> StokesProblem:
         x, y = p[..., 0], p[..., 1]
         return 2.0 * np.exp(x) * np.sin(y)
 
+    def grad(p):
+        p = np.asarray(p, dtype=float)
+        x, y = p[..., 0], p[..., 1]
+        ex, sy, cy = np.exp(x), np.sin(y), np.cos(y)
+        rows = [
+            [-ex * (y * cy + sy), -ex * (2.0 * cy - y * sy)],
+            [ex * y * sy, ex * (sy + y * cy)],
+        ]
+        return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
+
     def f(p):
         p = np.asarray(p, dtype=float)
         x, y = p[..., 0], p[..., 1]
         c = 2.0 * (1.0 - mu) * np.exp(x)
         return np.stack([c * np.sin(y), c * np.cos(y)], axis=-1)
 
-    return StokesProblem("stokes2d_exp", 2, mu, u, pres, f, u, rebuild=_problem_2d)
+    return StokesProblem("stokes2d_exp", 2, mu, u, pres, f, u, grad, rebuild=_problem_2d)
 
 
 def _problem_3d(mu: float) -> StokesProblem:
@@ -105,6 +122,18 @@ def _problem_3d(mu: float) -> StokesProblem:
             ],
             axis=-1,
         )
+
+    def grad(p):
+        p = np.asarray(p, dtype=float)
+        x, y, z = p[..., 0], p[..., 1], p[..., 2]
+        sx, cx = np.sin(pi * x), np.cos(pi * x)
+        zero = np.zeros_like(x)
+        rows = [
+            [2.0 * pi * cx, zero, zero],
+            [pi**2 * y * sx, -pi * cx, zero],
+            [pi**2 * z * sx, zero, -pi * cx],
+        ]
+        return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
 
     def pres(p):
         p = np.asarray(p, dtype=float)
@@ -126,7 +155,7 @@ def _problem_3d(mu: float) -> StokesProblem:
             axis=-1,
         )
 
-    return StokesProblem("stokes3d_trig", 3, mu, u, pres, f, u, rebuild=_problem_3d)
+    return StokesProblem("stokes3d_trig", 3, mu, u, pres, f, u, grad, rebuild=_problem_3d)
 
 
 _BUILTIN_FACTORIES = {
@@ -161,7 +190,8 @@ def problem_from_expressions(
     """Build a problem from expression strings in x, y(, z), pi, exp, sin, cos.
 
     When forcing_exprs is omitted, f = -mu*Lap(u) + grad p is derived
-    symbolically, so the supplied pair (u, p) is the exact solution.
+    symbolically, so the supplied pair (u, p) is the exact solution. The
+    velocity gradient is always derived symbolically.
     """
     import sympy as sp
 
@@ -199,6 +229,7 @@ def problem_from_expressions(
 
     u_fns = [sp.lambdify(coords, e, "numpy") for e in u_sym]
     f_fns = [sp.lambdify(coords, e, "numpy") for e in f_sym]
+    grad_fns = [[sp.lambdify(coords, sp.diff(e, c), "numpy") for c in coords] for e in u_sym]
     p_fn = sp.lambdify(coords, p_sym, "numpy")
 
     def vec(fns):
@@ -221,13 +252,17 @@ def problem_from_expressions(
 
     u = vec(u_fns)
     f = vec(f_fns)
+    grad_rows = [vec(row) for row in grad_fns]
+
+    def grad(pt):
+        return np.stack([row(pt) for row in grad_rows], axis=-2)
 
     def again(new_mu):
         return problem_from_expressions(
             dim, velocity_exprs, pressure_expr, new_mu, forcing_exprs, name
         )
 
-    return StokesProblem(name, dim, mu, u, pres, f, u, rebuild=again)
+    return StokesProblem(name, dim, mu, u, pres, f, u, grad, rebuild=again)
 
 
 def strong_form_residual(
@@ -252,22 +287,23 @@ def strong_form_residual(
         um = evaluate_batch(problem.velocity, pts - e, "velocity")
         lap += (up - 2.0 * u0 + um) / step**2
         grad_p[:, j] = (
-            evaluate_batch(problem.pressure, pts + e, "pressure", vector=False)
-            - evaluate_batch(problem.pressure, pts - e, "pressure", vector=False)
+            evaluate_batch(problem.pressure, pts + e, "pressure", rank=0)
+            - evaluate_batch(problem.pressure, pts - e, "pressure", rank=0)
         ) / (2.0 * step)
         div += (up[:, j] - um[:, j]) / (2.0 * step)
     resid = -problem.mu * lap + grad_p - evaluate_batch(problem.forcing, pts, "forcing")
     return max(float(np.max(np.abs(resid))), float(np.max(np.abs(div))))
 
 
-def evaluate_batch(fn, points: np.ndarray, name: str, vector: bool = True) -> np.ndarray:
+def evaluate_batch(fn, points: np.ndarray, name: str, rank: int = 1) -> np.ndarray:
     """Call fn once on a (..., d) array of points and check the result.
 
-    Returns (..., d) values for a vector field, (...) for a scalar one. A
-    result of any other shape raises a ValueError that names the callable.
+    Returns (...) values for a scalar field (rank 0), (..., d) for a vector
+    field (rank 1) and (..., d, d) for a matrix field (rank 2). A result of
+    any other shape raises a ValueError that names the callable.
     """
     flat = points.reshape(-1, points.shape[-1])
-    expected = flat.shape if vector else flat.shape[:1]
+    expected = flat.shape[:1] + flat.shape[1:] * rank
     vals = np.asarray(fn(flat), dtype=float)
     if vals.shape != expected:
         raise ValueError(

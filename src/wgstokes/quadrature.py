@@ -5,9 +5,11 @@ one, so that
 
     integral_K f dx  ~=  |K| * sum_q w_q f(x_q),   x_q = sum_i bary[q, i] * v_i.
 
-Short fixed-degree rules cover the assembly paths; a collapsed tensor
-Gauss-Legendre rule (Duffy transform) provides arbitrary-order rules for
-oracles, load integration and error norms.
+Short fixed-degree rules cover the assembly paths. Every other degree gets a
+conical product rule (Stroud 1971, ch. 2): a tensor Gauss-Jacobi rule on the
+unit cube collapsed onto the simplex, with the Jacobian of the collapse
+absorbed into the Jacobi weights. With m points per axis it is exact to
+degree 2m - 1 and all its weights are positive.
 """
 
 from __future__ import annotations
@@ -19,8 +21,9 @@ from numpy.polynomial.legendre import leggauss
 
 __all__ = [
     "gauss_legendre_01",
+    "gauss_jacobi_01",
+    "conical_rule",
     "simplex_rule",
-    "duffy_rule",
     "facet_rule",
 ]
 
@@ -29,6 +32,31 @@ def gauss_legendre_01(npts: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on the unit interval (0, 1)."""
     x, w = leggauss(npts)
     return 0.5 * (x + 1.0), 0.5 * w
+
+
+def gauss_jacobi_01(npts: int, alpha: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss nodes and weights on (0, 1) for the weight (1 - u)^alpha.
+
+    The nodes are the eigenvalues of the Jacobi matrix of the monic Jacobi
+    recurrence with beta = 0 (Golub-Welsch), on (-1, 1) with x = 2u - 1.
+    Each weight is the Christoffel number 1 / sum_k p_k(x)^2 of the
+    orthonormal polynomials, times the weight's mass 1 / (alpha + 1). This
+    equals Golub-Welsch's squared first eigenvector components, and needs
+    only `eigvalsh`, the LAPACK routine `leggauss` already loads.
+    """
+    k = np.arange(1.0, npts)
+    s = 2.0 * k + alpha
+    # a_0 is written apart: the general term is 0/0 at n = alpha = 0
+    diag = np.concatenate([[-alpha / (alpha + 2.0)], -(alpha**2) / (s * (s + 2.0))])
+    off = np.sqrt(4.0 * k**2 * (k + alpha) ** 2 / (s**2 * (s + 1.0) * (s - 1.0)))
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    p_prev, p = np.zeros_like(x), np.ones_like(x)
+    total = np.ones_like(x)
+    for j in range(npts - 1):
+        below = off[j - 1] * p_prev if j else 0.0
+        p_prev, p = p, ((x - diag[j]) * p - below) / off[j]
+        total += p**2
+    return 0.5 * (x + 1.0), 1.0 / ((alpha + 1.0) * total)
 
 
 # Triangle, degree 2, 3 points (midpoint-family rule).
@@ -70,36 +98,20 @@ _TET_DEG2_BARY = np.array(
 _TET_DEG2_W = np.full(4, 0.25)
 
 
-def duffy_rule(dim: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Collapsed tensor Gauss rule on the unit simplex.
+def conical_rule(dim: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Conical product rule on the unit dim-simplex, exact to degree 2*m - 1.
 
-    Uses the Duffy transform of the m^dim tensor Gauss-Legendre rule.
-    Exact for polynomials of total degree <= 2*m - dim.
-
-    Returns (bary, w) with bary of shape (m**dim, dim+1), weights sum to 1.
+    Axis k (0-based) carries m Gauss-Jacobi points for the weight
+    (1 - u_k)^(dim - 1 - k), the Jacobian of the collapse
+    x_k = u_k * prod_{j<k} (1 - u_j). Returns (bary, w) with bary of shape
+    (m**dim, dim+1); the weights are positive and sum to one.
     """
-    if dim not in (2, 3):
-        raise ValueError(f"dim must be 2 or 3, got {dim}")
-    x1, w1 = gauss_legendre_01(m)
-    if dim == 2:
-        u, v = np.meshgrid(x1, x1, indexing="ij")
-        wu, wv = np.meshgrid(w1, w1, indexing="ij")
-        x = u.ravel()
-        y = (v * (1.0 - u)).ravel()
-        # Jacobian of (u,v) -> (x,y) is (1-u); reference triangle area 1/2.
-        w = (wu * wv * (1.0 - u)).ravel()
-        bary = np.column_stack([1.0 - x - y, x, y])
-        return bary, w / 0.5
-    u, v, s = np.meshgrid(x1, x1, x1, indexing="ij")
-    wu, wv, ws = np.meshgrid(w1, w1, w1, indexing="ij")
-    x = u
-    y = v * (1.0 - u)
-    z = s * (1.0 - u) * (1.0 - v)
-    w = wu * wv * ws * (1.0 - u) ** 2 * (1.0 - v)
-    bary = np.column_stack(
-        [(1.0 - x - y - z).ravel(), x.ravel(), y.ravel(), z.ravel()]
-    )
-    return bary, w.ravel() / (1.0 / 6.0)
+    axes = [gauss_jacobi_01(m, dim - 1 - k) for k in range(dim)]
+    u = np.stack(np.meshgrid(*(x for x, _ in axes), indexing="ij"), axis=-1).reshape(-1, dim)
+    w = np.prod(np.meshgrid(*(wk for _, wk in axes), indexing="ij"), axis=0).ravel()
+    rest = np.cumprod(1.0 - u, axis=1)  # rest[:, k] = prod_{j<=k} (1 - u_j)
+    x = u * np.column_stack([np.ones(len(u)), rest[:, :-1]])
+    return np.column_stack([rest[:, -1], x]), math.factorial(dim) * w
 
 
 def simplex_rule(dim: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
@@ -115,13 +127,13 @@ def simplex_rule(dim: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
             return _TRI_DEG2_BARY.copy(), _TRI_DEG2_W.copy()
         if degree <= 4:
             return _TRI_DEG4_BARY.copy(), _TRI_DEG4_W.copy()
-        return duffy_rule(2, (degree + 3) // 2)
+        return conical_rule(2, (degree + 2) // 2)
     if dim == 3:
         if degree <= 1:
             return np.array([[1.0, 1.0, 1.0, 1.0]]) / 4.0, np.array([1.0])
         if degree == 2:
             return _TET_DEG2_BARY.copy(), _TET_DEG2_W.copy()
-        return duffy_rule(3, (degree + 4) // 2)
+        return conical_rule(3, (degree + 2) // 2)
     raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
 
 

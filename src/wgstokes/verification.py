@@ -70,34 +70,23 @@ ERROR_FIELDS = ("l2_velocity", "superconv", "grad_error", "pressure_error")
 ERROR_DEGREE = 4  # exactness degree of the quadrature rule in compute_errors
 
 
-def _exact_gradient(problem: StokesProblem, pts: np.ndarray) -> np.ndarray:
-    """Jacobian of the exact velocity at each point, (n, d, d).
-
-    Centered differences, one batch call per axis and sign; the differencing
-    error (~1e-10) is negligible against the O(h) broken-norm error being
-    measured.
-    """
-    d = problem.dim
-    step = 1e-6
-    out = np.empty((len(pts), d, d))
-    for c in range(d):
-        e = np.zeros(d)
-        e[c] = step
-        up = evaluate_batch(problem.velocity, pts + e, "velocity")
-        um = evaluate_batch(problem.velocity, pts - e, "velocity")
-        out[:, :, c] = (up - um) / (2.0 * step)
-    return out
-
-
 def compute_errors(mesh: Mesh, problem: StokesProblem, solution: StokesSolution) -> ErrorReport:
-    """Broken-norm errors of a solved field against the exact solution."""
-    d = mesh.dim
-    bary, w = simplex_rule(d, ERROR_DEGREE)
-    pts = np.einsum("qj,njd->nqd", bary, mesh.vertices[mesh.elements])
+    """Broken-norm errors of a solved field against the exact solution.
+
+    Needs the problem's exact `velocity_gradient`; a problem without one
+    raises a ValueError.
+    """
+    if problem.velocity_gradient is None:
+        raise ValueError(
+            f"problem {problem.name!r} has no velocity_gradient; compute_errors "
+            f"needs the exact gradient for the broken-norm error"
+        )
+    bary, w = simplex_rule(mesh.dim, ERROR_DEGREE)
+    pts = bary @ mesh.vertices[mesh.elements]  # (ne, nq, d)
     vols = mesh.elem_volumes
-    flat = pts.reshape(-1, d)
     uex = evaluate_batch(problem.velocity, pts, "velocity")  # (ne, nq, d)
-    pex = evaluate_batch(problem.pressure, pts, "pressure", vector=False)  # (ne, nq)
+    pex = evaluate_batch(problem.pressure, pts, "pressure", rank=0)  # (ne, nq)
+    jac = evaluate_batch(problem.velocity_gradient, pts, "velocity_gradient", rank=2)
 
     ui = solution.velocity.interior  # (ne, d)
     diff = uex - ui[:, None, :]
@@ -110,7 +99,6 @@ def compute_errors(mesh: Mesh, problem: StokesProblem, solution: StokesSolution)
     a, b = field_weak_gradients(mesh, solution.velocity)  # (ne, d, d), (ne, d)
     rel = pts - mesh.elem_centroids[:, None, :]
     gw = a[:, None, :, :] + b[:, None, :, None] * rel[:, :, None, :]
-    jac = _exact_gradient(problem, flat).reshape(pts.shape[0], pts.shape[1], d, d)
     gdiff = jac - gw
     grad_error = math.sqrt(float(np.einsum("q,nqrc,nqrc,n->", w, gdiff, gdiff, vols)))
 

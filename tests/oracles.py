@@ -7,8 +7,10 @@ from vertex coordinates.
 """
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from wgstokes.assembly import build_dofmap
+from wgstokes.mesh import Mesh, generate_structured_tet
 from wgstokes.quadrature import simplex_rule
 from wgstokes.wg_core import (
     weak_gradient_facet_basis,
@@ -19,6 +21,49 @@ from wgstokes.wg_core import (
 def map_to_physical(vertices, bary):
     """Barycentric points -> physical coordinates of the simplex with these vertices."""
     return np.asarray(bary) @ np.asarray(vertices)
+
+
+def duffy_rule(dim, m):
+    """Collapsed tensor Gauss rule on the unit simplex.
+
+    Uses the Duffy transform of the m^dim tensor Gauss-Legendre rule, with
+    the Jacobian of the collapse multiplied into the weights. Exact for
+    polynomials of total degree <= 2*m - dim.
+
+    Returns (bary, w) with bary of shape (m**dim, dim+1), weights sum to 1.
+    """
+    x1, w1 = leggauss(m)
+    x1, w1 = 0.5 * (x1 + 1.0), 0.5 * w1
+    if dim == 2:
+        u, v = np.meshgrid(x1, x1, indexing="ij")
+        wu, wv = np.meshgrid(w1, w1, indexing="ij")
+        x = u.ravel()
+        y = (v * (1.0 - u)).ravel()
+        # Jacobian of (u,v) -> (x,y) is (1-u); reference triangle area 1/2.
+        w = (wu * wv * (1.0 - u)).ravel()
+        bary = np.column_stack([1.0 - x - y, x, y])
+        return bary, w / 0.5
+    u, v, s = np.meshgrid(x1, x1, x1, indexing="ij")
+    wu, wv, ws = np.meshgrid(w1, w1, w1, indexing="ij")
+    x = u
+    y = v * (1.0 - u)
+    z = s * (1.0 - u) * (1.0 - v)
+    w = wu * wv * ws * (1.0 - u) ** 2 * (1.0 - v)
+    bary = np.column_stack(
+        [(1.0 - x - y - z).ravel(), x.ravel(), y.ravel(), z.ravel()]
+    )
+    return bary, w.ravel() / (1.0 / 6.0)
+
+
+def jittered_tet(n, seed):
+    """Structured unit-cube mesh with interior vertices moved by up to 0.1*h."""
+    base = generate_structured_tet(n)
+    vertices = base.vertices.copy()
+    interior = np.all((vertices > 0.0) & (vertices < 1.0), axis=1)
+    step = 0.1 / n
+    rng = np.random.default_rng(seed)
+    vertices[interior] += rng.uniform(-step, step, size=(int(interior.sum()), 3))
+    return Mesh(vertices, base.elements)
 
 
 def dense_A_oracle(mesh, degree=4):

@@ -5,7 +5,8 @@ import pytest
 import scipy.io
 import scipy.linalg
 
-from oracles import dense_A_oracle, dense_B_oracle, map_to_physical
+from oracles import dense_A_oracle, dense_B_oracle, duffy_rule, jittered_tet, map_to_physical
+from wgstokes import assembly
 from wgstokes.assembly import (
     assemble_A,
     assemble_B,
@@ -22,7 +23,6 @@ from wgstokes.assembly import (
 )
 from wgstokes.mesh import Mesh, generate_structured_tet, generate_structured_tri
 from wgstokes.problems import StokesProblem, builtin_problem
-from wgstokes.quadrature import duffy_rule
 from wgstokes.wg_core import lifting_apply, lifting_matrix, weak_divergence
 
 # problem callables take (n, d) point batches: vectors -> (n, d), pressure -> (n,)
@@ -229,6 +229,25 @@ def test_b1_constant_forcing_against_lifting_quadrature():
                 w @ np.array([fconst @ rt(p) for p in pts])
             )
         assert b1[dof.facet_dof(f, r)] == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "make_mesh,name,mu,bound",
+    [
+        (lambda: jittered_tet(4, seed=11), "stokes3d_trig", 1.0, 1e-9),
+        (lambda: generate_structured_tri(8), "stokes2d_exp", 1e-4, 1e-12),
+    ],
+    ids=["3d-4-jittered", "2d-8-small-mu"],
+)
+def test_b1_forcing_rule_against_dense_rule(monkeypatch, make_mesh, name, mu, bound):
+    # Each bound sits between the difference at the forcing rule's degree 7
+    # and at degree 5: 1.7e-10 and 2.5e-8 in 3D, 3.9e-15 and 8.9e-11 in 2D.
+    mesh = make_mesh()
+    prob = builtin_problem(name, mu)
+    b1 = assemble_b1(mesh, prob)
+    monkeypatch.setattr(assembly, "simplex_rule", lambda dim, degree: duffy_rule(dim, 8))
+    dense = assemble_b1(mesh, prob)
+    assert np.abs(b1 - dense).max() <= bound * np.abs(dense).max()
 
 
 def test_b1_boundary_term_linear_in_mu():

@@ -211,3 +211,15 @@ def test_mesh_file_input(tmp_path):
     assert code == 0
     meta = json.loads((tmp_path / "system_meta.json").read_text())
     assert meta["num_elements"] == 8
+
+
+def test_mesh_file_with_index_zero_is_config_error(tmp_path, capsys):
+    # the native format is 1-based; a 0 must not wrap to the last vertex,
+    # which here would give a valid unit square
+    path = tmp_path / "m.mesh"
+    path.write_text("2 4 2\n0 0\n1 0\n1 1\n0 1\n1 2 3\n1 3 0\n")
+    code = cli.main(
+        ["export-system", "--mesh-file", str(path), "--out", str(tmp_path)]
+    )
+    assert code == 2
+    assert "outside" in capsys.readouterr().err

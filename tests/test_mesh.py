@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import map_to_physical
+from oracles import duffy_rule, map_to_physical
 from wgstokes.mesh import (
     DisconnectedMeshError,
     DuplicateElementError,
@@ -18,7 +18,6 @@ from wgstokes.mesh import (
     load_mesh,
     write_mesh,
 )
-from wgstokes.quadrature import duffy_rule
 
 
 def test_tri_n1_counts():
@@ -142,6 +141,16 @@ def test_disconnected_mesh_rejected():
         Mesh(verts, np.array([[0, 1, 2], [3, 4, 5]]))
 
 
+@pytest.mark.parametrize(
+    "elements", [[[0, 1, 2], [0, 2, 4]], [[0, 1, 2], [0, 2, -1]]], ids=["past-end", "negative"]
+)
+def test_vertex_index_out_of_range_rejected(elements):
+    # -1 would wrap to vertex 3 and give a valid unit square
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(MeshError, match="outside"):
+        Mesh(verts, np.array(elements))
+
+
 def test_native_roundtrip(tmp_path):
     m = generate_structured_tri(2)
     path = tmp_path / "mesh.txt"
@@ -204,6 +213,29 @@ $EndElements
     path = tmp_path / "line.msh"
     path.write_text(content)
     with pytest.raises(UnsupportedCellError):
+        load_mesh(path)
+
+
+def test_gmsh_unknown_node_rejected(tmp_path):
+    content = """$MeshFormat
+2.2 0 8
+$EndMeshFormat
+$Nodes
+4
+1 0 0 0
+2 1 0 0
+3 1 1 0
+4 0 1 0
+$EndNodes
+$Elements
+2
+1 2 2 0 1 1 2 3
+2 2 2 0 1 1 3 7
+$EndElements
+"""
+    path = tmp_path / "square.msh"
+    path.write_text(content)
+    with pytest.raises(MeshError, match="unknown node 7"):
         load_mesh(path)
 
 

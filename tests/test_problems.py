@@ -22,6 +22,34 @@ def test_builtins_satisfy_strong_form(name, mu):
     assert strong_form_residual(prob, step=1e-4) < 1e-5
 
 
+def centered_gradient(velocity, pts, step=1e-6):
+    """(n, d, d) centred differences of a batch velocity, [i, r, c] = du_r/dx_c."""
+    cols = []
+    for e in step * np.eye(pts.shape[1]):
+        cols.append((velocity(pts + e) - velocity(pts - e)) / (2.0 * step))
+    return np.stack(cols, axis=-1)
+
+
+@pytest.mark.parametrize(
+    "prob",
+    [
+        builtin_problem("stokes2d_exp"),
+        builtin_problem("stokes3d_trig", 1e-4),
+        problem_from_expressions(2, ["x + y**2", "x*sin(y) - 2"], "x*y"),
+        problem_from_expressions(
+            3, ["sin(pi*x)*exp(y)", "3", "x*y*cos(z)"], "0", forcing_exprs=["0", "0", "0"]
+        ),
+    ],
+    ids=["stokes2d_exp", "stokes3d_trig", "custom-2d", "custom-3d-constant-row"],
+)
+def test_velocity_gradient_matches_centered_differences(prob):
+    pts = 0.1 + 0.8 * np.random.default_rng(4).random((20, prob.dim))
+    grad = prob.velocity_gradient(pts)
+    assert grad.shape == (20, prob.dim, prob.dim)
+    # step 1e-6: truncation and round-off both stay below 1e-9 here
+    assert np.abs(grad - centered_gradient(prob.velocity, pts)).max() <= 1e-8
+
+
 @pytest.mark.parametrize(
     "name,mesh",
     [

@@ -11,10 +11,13 @@ import math
 import numpy as np
 import pytest
 
-from oracles import map_to_physical
+import scipy.special
+
+from oracles import duffy_rule, map_to_physical
 from wgstokes.quadrature import (
-    duffy_rule,
+    conical_rule,
     facet_rule,
+    gauss_jacobi_01,
     gauss_legendre_01,
     simplex_rule,
 )
@@ -44,10 +47,40 @@ def check_rule_exactness(bary, w, dim, degree, tol=1e-13):
         assert approx == pytest.approx(exact, abs=tol, rel=tol), (alpha, dim, degree)
 
 
-@pytest.mark.parametrize("dim,degree", [(2, 1), (2, 2), (2, 4), (3, 1), (3, 2), (3, 4)])
+@pytest.mark.parametrize(
+    "dim,degree", [(2, 1), (2, 2), (2, 4), (2, 7), (3, 1), (3, 2), (3, 4), (3, 7)]
+)
 def test_simplex_rules_exact(dim, degree):
     bary, w = simplex_rule(dim, degree)
     check_rule_exactness(bary, w, dim, degree)
+
+
+@pytest.mark.parametrize(
+    "dim,degree,npts", [(2, 4, 6), (2, 5, 9), (2, 7, 16), (3, 3, 8), (3, 4, 27), (3, 7, 64)]
+)
+def test_simplex_rule_sizes(dim, degree, npts):
+    # the load (degree 7) and the error norms (degree 4) pay per point
+    assert simplex_rule(dim, degree)[0].shape == (npts, dim + 1)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_conical_rules_exact(dim, m):
+    bary, w = conical_rule(dim, m)
+    assert bary.shape == (m**dim, dim + 1)
+    assert np.all(w > 0.0)
+    assert np.all(bary >= 0.0)
+    check_rule_exactness(bary, w, dim, 2 * m - 1)
+
+
+@pytest.mark.parametrize("alpha", [0, 1, 2])
+@pytest.mark.parametrize("npts", [1, 2, 3, 4, 5, 6, 8])
+def test_gauss_jacobi_matches_scipy(alpha, npts):
+    x, w = gauss_jacobi_01(npts, alpha)
+    # scipy: nodes on (-1, 1) for the weight (1 - t)^alpha; t = 2u - 1
+    t, wt = scipy.special.roots_jacobi(npts, alpha, 0.0)
+    assert np.allclose(x, 0.5 * (t + 1.0), rtol=0.0, atol=1e-14)
+    assert np.allclose(w, wt / 2.0 ** (alpha + 1), rtol=0.0, atol=1e-14)
 
 
 @pytest.mark.parametrize("dim", [2, 3])

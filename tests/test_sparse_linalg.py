@@ -7,25 +7,15 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from oracles import jittered_tet
 from wgstokes import sparse_linalg
 from wgstokes.assembly import assemble_A, build_dofmap
-from wgstokes.mesh import Mesh, generate_structured_tet, generate_structured_tri
+from wgstokes.mesh import generate_structured_tet, generate_structured_tri
 from wgstokes.sparse_linalg import InnerSolver
 
 
 def relres(a, x, r):
     return np.linalg.norm(a @ x - r) / np.linalg.norm(r)
-
-
-def jittered_tet(n, seed):
-    """Structured unit-cube mesh with interior vertices moved by up to 0.1*h."""
-    base = generate_structured_tet(n)
-    vertices = base.vertices.copy()
-    interior = np.all((vertices > 0.0) & (vertices < 1.0), axis=1)
-    step = 0.1 / n
-    rng = np.random.default_rng(seed)
-    vertices[interior] += rng.uniform(-step, step, size=(int(interior.sum()), 3))
-    return Mesh(vertices, base.elements)
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 """Error measurement, convergence rates, spectral checks, residual bounds."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -83,6 +84,7 @@ def test_constant_solution_gives_zero_errors():
         lambda p: 0.7 * np.ones(np.shape(p)[:-1])[()],
         lambda p: np.zeros(np.shape(p)),
         lambda p: np.broadcast_to(c, np.shape(p)),
+        lambda p: np.zeros(np.shape(p) + np.shape(p)[-1:]),
     )
     nf, nb = len(mesh.interior_facets), len(mesh.boundary_facets)
     field = WGField(
@@ -98,7 +100,7 @@ def test_constant_solution_gives_zero_errors():
     rep = compute_errors(mesh, prob, sol)
     assert rep.l2_velocity < 1e-13
     assert rep.superconv < 1e-13
-    assert rep.grad_error < 1e-9  # finite-difference gradient fallback noise
+    assert rep.grad_error < 1e-13
     assert rep.pressure_error < 1e-13
 
 
@@ -169,15 +171,34 @@ def test_compute_errors_accepts_batch_only_velocity():
     def zero_f(p):
         return np.zeros_like(p)
 
-    batch_only = StokesProblem("rotation", 2, 1.0, u, zero_p, zero_f, u)
+    rotation = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+    def grad(p):
+        return np.broadcast_to(rotation, (len(p), 2, 2))
+
+    batch_only = StokesProblem("rotation", 2, 1.0, u, zero_p, zero_f, u, grad)
     u_pt = np.vectorize(lambda x: np.array([x[1], -x[0]]), signature="(d)->(d)")
-    pointwise = StokesProblem("rotation", 2, 1.0, u_pt, zero_p, zero_f, u_pt)
+    grad_pt = np.vectorize(lambda x: rotation, signature="(d)->(d,d)")
+    pointwise = StokesProblem("rotation", 2, 1.0, u_pt, zero_p, zero_f, u_pt, grad_pt)
     mesh = structured_simplex_mesh(2, 3)
     sol = solve_system(build_saddle_system(mesh, batch_only))
     rep = compute_errors(mesh, batch_only, sol)
     ref = compute_errors(mesh, pointwise, sol)
     for name in ("l2_velocity", "superconv", "grad_error", "pressure_error"):
         assert getattr(rep, name) == pytest.approx(getattr(ref, name), rel=1e-12, abs=1e-15)
+
+
+def test_compute_errors_needs_the_velocity_gradient():
+    mesh = structured_simplex_mesh(2, 2)
+    prob = builtin_problem("stokes2d_exp")
+    sol = solve_system(build_saddle_system(mesh, prob))
+    no_gradient = replace(prob, name="gradient-free", velocity_gradient=None)
+    with pytest.raises(ValueError, match="'gradient-free' has no velocity_gradient"):
+        compute_errors(mesh, no_gradient, sol)
+    # one row per point, as the velocity returns, is not a gradient
+    flat = replace(prob, velocity_gradient=prob.velocity)
+    with pytest.raises(ValueError, match=r"velocity_gradient returned shape \(\d+, 2\)"):
+        compute_errors(mesh, flat, sol)
 
 
 def test_compute_errors_reports_the_systems_alpha_h():
