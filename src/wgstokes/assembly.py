@@ -68,14 +68,6 @@ class DofMap:
     def n_u(self) -> int:
         return self.n_interior + self.n_facet
 
-    def interior_dof(self, k: int, r: int) -> int:
-        return k * self.dim + r
-
-    def facet_dof(self, f: int, r: int) -> int:
-        slot = self.facet_slot[f]
-        assert slot >= 0, "boundary facet carries no unknown"
-        return self.n_interior + slot * self.dim + r
-
 
 def build_dofmap(mesh: Mesh) -> DofMap:
     d, ne = mesh.dim, mesh.num_elements

@@ -10,20 +10,18 @@ vertex i), volumes, centroids, and the centroid second moment
     m_K = integral_K |x - x_K|^2 dx
 
 in closed form, together with the derived constant d*|K|/m_K that scales the
-piecewise weak-gradient basis. `element_geometry(k)` is a view of one row.
+piecewise weak-gradient basis.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 __all__ = [
     "Mesh",
-    "ElementGeometry",
     "MeshError",
     "DuplicateElementError",
     "InvertedElementError",
@@ -57,27 +55,6 @@ class UnsupportedCellError(MeshError):
     pass
 
 
-@dataclass(frozen=True)
-class ElementGeometry:
-    """Geometric data of one element, read from the mesh's per-element arrays.
-
-    normals[i] is the outward unit normal of the facet opposite local
-    vertex i; facet_measures and facet_barycenters follow the same local
-    numbering. grad_scale is d*volume/second_moment.
-    """
-
-    dim: int
-    vertices: np.ndarray  # (d+1, d)
-    centroid: np.ndarray  # vertex average
-    volume: float
-    diameter: float
-    second_moment: float
-    grad_scale: float
-    normals: np.ndarray  # (d+1, d), outward
-    facet_measures: np.ndarray  # (d+1,)
-    facet_barycenters: np.ndarray  # (d+1, d)
-
-
 def _signed_volumes(vertices: np.ndarray, elements: np.ndarray) -> np.ndarray:
     d = vertices.shape[1]
     v = vertices[elements]
@@ -88,9 +65,9 @@ def _signed_volumes(vertices: np.ndarray, elements: np.ndarray) -> np.ndarray:
 class Mesh:
     """Conforming simplicial mesh of a connected domain in 2D or 3D.
 
-    Stores struct-of-arrays connectivity and per-element geometry;
-    `element_geometry` returns a per-element view. Construction validates
-    element orientation, conformity, connectedness and nondegeneracy.
+    Stores struct-of-arrays connectivity and per-element geometry.
+    Construction validates element orientation, conformity, connectedness
+    and nondegeneracy.
     """
 
     def __init__(self, vertices: np.ndarray, elements: np.ndarray):
@@ -101,6 +78,8 @@ class Mesh:
         d = vertices.shape[1]
         if elements.ndim != 2 or elements.shape[1] != d + 1:
             raise MeshError(f"elements must be (ne, {d + 1}) for dim {d}")
+        if len(elements) == 0:
+            raise MeshError("mesh has no elements")
         # numpy would wrap a negative index to a real vertex and fail later
         # on one past the end, so check the range before any indexing
         outside = np.any((elements < 0) | (elements >= len(vertices)), axis=1)
@@ -241,20 +220,6 @@ class Mesh:
     def num_facets(self) -> int:
         return len(self.facets)
 
-    def element_geometry(self, k: int) -> ElementGeometry:
-        return ElementGeometry(
-            dim=self.dim,
-            vertices=self.vertices[self.elements[k]],
-            centroid=self.elem_centroids[k],
-            volume=float(self.elem_volumes[k]),
-            diameter=float(self.elem_diameters[k]),
-            second_moment=float(self.elem_second_moments[k]),
-            grad_scale=float(self.elem_grad_scales[k]),
-            normals=self.elem_normals[k],
-            facet_measures=self.elem_facet_measures[k],
-            facet_barycenters=self.facet_barycenters[self.elem_facets[k]],
-        )
-
 
 # ---- generators ----------------------------------------------------------
 
@@ -330,8 +295,11 @@ def _load_native(tokens: list[str]) -> Mesh:
     try:
         dim, nv, ne = (int(t) for t in tokens[:3])
         end = 3 + nv * dim + ne * (dim + 1)
-        if len(tokens) < end:
-            raise ValueError(f"expected {end} tokens, found {len(tokens)}")
+        if len(tokens) != end:
+            raise ValueError(
+                f"header gives {nv} vertices and {ne} elements in {dim}D, "
+                f"so {end} tokens, but the file has {len(tokens)}"
+            )
         vertices = np.array(tokens[3 : 3 + nv * dim], dtype=float).reshape(nv, dim)
         elements = np.array(tokens[3 + nv * dim : end], dtype=np.int64).reshape(ne, dim + 1)
     except ValueError as exc:
@@ -348,28 +316,44 @@ def _load_gmsh(text: str) -> Mesh:
             b = lines.index(f"$End{name}")
         except ValueError as exc:
             raise MeshError(f"gmsh file missing ${name} section") from exc
-        return lines[a + 1 : b]
+        return a + 1, lines[a + 1 : b]
 
-    fmt = section("MeshFormat")[0].split()
+    def malformed(start, row, exc):
+        # start is the index of the section's first line, so +1 is 1-based
+        return MeshError(
+            f"malformed gmsh line {start + row + 1}: {lines[start + row]!r} ({exc})"
+        )
+
+    fmt = section("MeshFormat")[1][0].split()
     if not fmt[0].startswith("2.2"):
         raise MeshError(f"unsupported gmsh format version {fmt[0]}")
 
-    node_lines = section("Nodes")
-    nn = int(node_lines[0])
-    coords = np.empty((nn, 3))
-    ids = {}
-    for row, ln in enumerate(node_lines[1 : 1 + nn]):
-        parts = ln.split()
-        ids[int(parts[0])] = row
-        coords[row] = [float(p) for p in parts[1:4]]
+    start, node_lines = section("Nodes")
+    row = 0
+    try:
+        nn = int(node_lines[0])
+        coords = np.empty((nn, 3))
+        ids = {}
+        for row, ln in enumerate(node_lines[1 : 1 + nn], 1):
+            parts = ln.split()
+            ids[int(parts[0])] = row - 1
+            coords[row - 1] = [float(p) for p in parts[1:4]]
+    except (ValueError, IndexError) as exc:
+        raise malformed(start, row, exc) from exc
 
-    elem_lines = section("Elements")
-    ne = int(elem_lines[0])
+    start, elem_lines = section("Elements")
+    row = 0
+    try:
+        ne = int(elem_lines[0])
+        parsed = []
+        for row, ln in enumerate(elem_lines[1 : 1 + ne], 1):
+            parts = [int(p) for p in ln.split()]
+            parsed.append((parts[0], parts[1], parts[3 + parts[2] :]))
+    except (ValueError, IndexError) as exc:
+        raise malformed(start, row, exc) from exc
     cells = []
     cell_type = None
-    for ln in elem_lines[1 : 1 + ne]:
-        parts = ln.split()
-        etype, ntags = int(parts[1]), int(parts[2])
+    for num, etype, nodes in parsed:
         if etype not in (2, 4):
             raise UnsupportedCellError(f"gmsh element type {etype} not supported")
         if cell_type is None:
@@ -377,9 +361,9 @@ def _load_gmsh(text: str) -> Mesh:
         elif cell_type != etype:
             raise UnsupportedCellError("mixed triangle/tetrahedron gmsh file")
         try:
-            cells.append([ids[int(p)] for p in parts[3 + ntags :]])
+            cells.append([ids[n] for n in nodes])
         except KeyError as exc:
-            raise MeshError(f"gmsh element {parts[0]} names unknown node {exc.args[0]}") from None
+            raise MeshError(f"gmsh element {num} names unknown node {exc.args[0]}") from None
     if cell_type is None:
         raise MeshError("gmsh file contains no elements")
     dim = 2 if cell_type == 2 else 3

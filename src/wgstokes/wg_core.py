@@ -12,9 +12,9 @@ maps facet values to the unique RT0(K) field whose facet-mean normal traces
 match; it feeds the load term and makes the velocity error independent of
 the pressure.
 
-The single-element functions take an `ElementGeometry`; `lifting_matrix`
-also takes the mesh's per-element arrays, and `field_weak_gradients` and
-`interpolate_field` work on every element at once.
+Everything here works on every element at once from the mesh's per-element
+arrays: the weak gradients of a field, the lifting system, interpolation
+into the discrete space and the facet rules of the boundary projection.
 """
 
 from __future__ import annotations
@@ -23,42 +23,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import ElementGeometry, Mesh
+from .mesh import Mesh
 from .problems import evaluate_batch, facet_means
 from .quadrature import facet_rule, simplex_rule
 
 __all__ = [
-    "RT0Function",
     "WGField",
     "PressureField",
-    "weak_gradient_interior_basis",
-    "weak_gradient_facet_basis",
-    "weak_gradient_scalar",
     "field_weak_gradients",
-    "weak_divergence",
     "lifting_matrix",
-    "lifting_apply",
     "facet_projection_rule",
     "interpolate_field",
 ]
-
-
-@dataclass(frozen=True)
-class RT0Function:
-    """a + b*(x - centroid) on one element; a may be a scalar-field gradient (d,)
-    or, for vector fields, still a (d,) array with scalar b."""
-
-    a: np.ndarray
-    b: float
-    centroid: np.ndarray
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return self.a + self.b * (x - self.centroid)
-
-    @property
-    def divergence(self) -> float:
-        return len(self.centroid) * self.b
 
 
 @dataclass
@@ -85,36 +61,6 @@ class PressureField:
     values: np.ndarray  # one constant per element
 
 
-def weak_gradient_interior_basis(geom: ElementGeometry, x: np.ndarray) -> np.ndarray:
-    """Weak gradient of the interior basis function at point(s) x."""
-    x = np.asarray(x, dtype=float)
-    return -geom.grad_scale * (x - geom.centroid)
-
-
-def weak_gradient_facet_basis(
-    geom: ElementGeometry, i: int, x: np.ndarray
-) -> np.ndarray:
-    """Weak gradient of the basis function of facet i (opposite local vertex i)."""
-    x = np.asarray(x, dtype=float)
-    d = geom.dim
-    radial = geom.grad_scale / (d + 1) * (x - geom.centroid)
-    shift = (geom.facet_measures[i] / geom.volume) * geom.normals[i]
-    return radial + shift
-
-
-def weak_gradient_scalar(
-    geom: ElementGeometry, interior: float, facet_values: np.ndarray
-) -> RT0Function:
-    """Weak gradient of a scalar unknown with the given interior/facet values."""
-    facet_values = np.asarray(facet_values, dtype=float)
-    d = geom.dim
-    a = (geom.facet_measures[:, None] * geom.normals * facet_values[:, None]).sum(
-        axis=0
-    ) / geom.volume
-    b = geom.grad_scale * (facet_values.sum() / (d + 1) - interior)
-    return RT0Function(a=a, b=float(b), centroid=geom.centroid)
-
-
 def field_weak_gradients(mesh: Mesh, field: WGField) -> tuple[np.ndarray, np.ndarray]:
     """Weak-gradient coefficients of a velocity field on every element at once.
 
@@ -135,44 +81,15 @@ def field_weak_gradients(mesh: Mesh, field: WGField) -> tuple[np.ndarray, np.nda
     return a, b
 
 
-def weak_divergence(geom: ElementGeometry, facet_values: np.ndarray) -> float:
-    """Constant value of the weak divergence from facet vectors ((d+1, d) array).
-
-    Depends on facet values only; the interior value drops out.
-    """
-    facet_values = np.asarray(facet_values, dtype=float)
-    flux = np.einsum("i,id,id->", geom.facet_measures, facet_values, geom.normals)
-    return float(flux / geom.volume)
-
-
 def lifting_matrix(normals: np.ndarray, facet_measures: np.ndarray, volume) -> np.ndarray:
     """Rows [n_i^T, delta_i] of the local lifting system, (..., d+1, d+1).
 
     delta_i = d|K|/((d+1)|e_i|) is the constant value of (x - x_K).n_i on
-    facet i. Leading axes broadcast: pass one element's geometry or the
-    mesh's per-element arrays.
+    facet i. Leading axes broadcast over elements.
     """
     d = normals.shape[-1]
     delta = d * np.asarray(volume)[..., None] / ((d + 1) * facet_measures)
     return np.concatenate([normals, delta[..., None]], axis=-1)
-
-
-def lifting_apply(geom: ElementGeometry, facet_values: np.ndarray) -> RT0Function:
-    """RT0(K) field whose facet-mean normal traces equal those of the facet data.
-
-    Solves the (d+1)x(d+1) system  a.n_i + b*delta_i = v_i.n_i  where
-    delta_i is the constant value of (x - x_K).n_i on facet i. The output
-    depends on facet values only.
-    """
-    facet_values = np.asarray(facet_values, dtype=float)
-    d = geom.dim
-    m = lifting_matrix(geom.normals, geom.facet_measures, geom.volume)
-    rhs = np.einsum("id,id->i", facet_values, geom.normals)
-    try:
-        coef = np.linalg.solve(m, rhs)
-    except np.linalg.LinAlgError as exc:  # unreachable for nondegenerate K
-        raise RuntimeError(f"singular lifting system on element: {exc}") from exc
-    return RT0Function(a=coef[:d], b=float(coef[d]), centroid=geom.centroid)
 
 
 FACET_METHODS = ("barycenter", "gauss2", "gauss3")

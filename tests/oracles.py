@@ -1,21 +1,28 @@
 """Independent brute-force oracles used by unit and acceptance tests.
 
-Everything here avoids the closed-form Gram/lifting shortcuts of the
-library: stiffness entries come from pointwise basis evaluation under a
-quadrature rule, divergence entries from raw facet geometry recomputed
-from vertex coordinates.
+The oracles compute from raw vertex coordinates and quadrature alone. They
+read the mesh's connectivity (vertices, elements, facets, interior facets),
+never its per-element geometry arrays, and nothing from `wgstokes.wg_core`:
+
+- each weak gradient is solved from its defining relation
+  (grad_w v, q)_K = -(v_0, div q)_K + <v_b, q.n>_dK for all q in RT0(K),
+  with the Gram matrix of the RT0 basis {e_1, ..., e_d, x - V[0]} by volume
+  quadrature and the facet terms by facet quadrature;
+- the lifting solves its trace conditions with facet means computed by
+  quadrature, not with the closed-form constant (x - x_K).n_i;
+- facet normals and measures are recomputed from each element's vertices.
+
+Dofs are numbered from the ordering documented in `wgstokes.assembly`:
+interior values element-major, then interior-facet values in
+`mesh.interior_facets` order, component-minor.
 """
+
+import math
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from wgstokes.assembly import build_dofmap
 from wgstokes.mesh import Mesh, generate_structured_tet
-from wgstokes.quadrature import simplex_rule
-from wgstokes.wg_core import (
-    weak_gradient_facet_basis,
-    weak_gradient_interior_basis,
-)
 
 
 def map_to_physical(vertices, bary):
@@ -66,56 +73,159 @@ def jittered_tet(n, seed):
     return Mesh(vertices, base.elements)
 
 
-def dense_A_oracle(mesh, degree=4):
-    """Assemble the velocity stiffness densely by quadrature of basis products."""
-    dof = build_dofmap(mesh)
+def simplex_volume(V):
+    """Volume of the simplex with vertex rows V."""
+    d = V.shape[1]
+    return abs(np.linalg.det(V[1:] - V[0])) / math.factorial(d)
+
+
+def facet_geometry(V):
+    """Outward unit normals and measures of the facets of the simplex V.
+
+    Facet i is the one opposite vertex i.
+    """
+    d = V.shape[1]
+    normals, measures = np.empty((d + 1, d)), np.empty(d + 1)
+    for i in range(d + 1):
+        fv = np.delete(V, i, axis=0)
+        if d == 2:
+            t = fv[1] - fv[0]
+            n = np.array([t[1], -t[0]])
+            measures[i] = np.linalg.norm(t)
+        else:
+            n = np.cross(fv[1] - fv[0], fv[2] - fv[0])
+            measures[i] = 0.5 * np.linalg.norm(n)
+        n /= np.linalg.norm(n)
+        normals[i] = n if n @ (fv.mean(axis=0) - V[i]) > 0 else -n
+    return normals, measures
+
+
+def facet_points(V, i):
+    """Gauss points and weights (summing to 1) on the facet opposite vertex i;
+    exact to degree 7 on edges and 6 on triangles."""
+    fv = np.delete(V, i, axis=0)
+    if V.shape[1] == 2:
+        x, w = leggauss(4)
+        return np.outer(0.5 * (1.0 - x), fv[0]) + np.outer(0.5 * (1.0 + x), fv[1]), 0.5 * w
+    bary, w = duffy_rule(2, 4)
+    return map_to_physical(fv, bary), w
+
+
+def rt0_basis(V, x):
+    """Values (n, d+1, d) at the points x of the RT0 basis e_1, ..., e_d, x - V[0]."""
+    d = V.shape[1]
+    return np.concatenate([np.broadcast_to(np.eye(d), (len(x), d, d)), (x - V[0])[:, None]], axis=1)
+
+
+def local_weak_gradients(V):
+    """Weak gradients of the d+2 local basis functions of one scalar unknown.
+
+    Basis 0 is the interior function (v_0 = 1, v_b = 0), basis 1 + i the
+    function of facet i (v_0 = 0, v_b = 1 on facet i). Returns (C, G): row p
+    of C holds the coefficients of grad_w of basis p in `rt0_basis`, and G
+    is the Gram matrix (q_j, q_k)_K of that basis.
+    """
+    d = V.shape[1]
+    bary, w = duffy_rule(d, 4)
+    pts = map_to_physical(V, bary)
+    w = simplex_volume(V) * w
+    q = rt0_basis(V, pts)
+    gram = np.einsum("p,pjc,pkc->jk", w, q, q)
+    div_q = np.append(np.zeros(d), float(d))
+    rhs = np.empty((d + 2, d + 1))
+    rhs[0] = -(w.sum() * div_q)  # -(1, div q_j)_K
+    normals, measures = facet_geometry(V)
+    for i in range(d + 1):
+        fpts, fw = facet_points(V, i)
+        rhs[1 + i] = measures[i] * (fw @ (rt0_basis(V, fpts) @ normals[i]))  # <1, q_j.n_i>_{e_i}
+    return np.linalg.solve(gram, rhs.T).T, gram
+
+
+def _facet_dofs(mesh):
+    """Component-0 dof of every interior facet, keyed by its sorted vertex tuple."""
+    first = mesh.num_elements * mesh.dim
+    return {
+        tuple(mesh.facets[f]): first + s * mesh.dim
+        for s, f in enumerate(mesh.interior_facets)
+    }
+
+
+def _local_dofs(mesh, facet_dofs, k):
+    """Component-0 dofs of the local basis of element k; None on boundary facets."""
+    e = mesh.elements[k]
+    facets = [tuple(sorted(np.delete(e, i))) for i in range(mesh.dim + 1)]
+    return [k * mesh.dim] + [facet_dofs.get(f) for f in facets]
+
+
+def dense_A_oracle(mesh):
+    """Assemble the velocity stiffness densely from weak gradients solved per element."""
     d = mesh.dim
-    a = np.zeros((dof.n_u, dof.n_u))
-    bary, w = simplex_rule(d, degree)
+    facet_dofs = _facet_dofs(mesh)
+    n_u = d * (mesh.num_elements + len(mesh.interior_facets))
+    a = np.zeros((n_u, n_u))
     for k in range(mesh.num_elements):
-        g = mesh.element_geometry(k)
-        pts = map_to_physical(g.vertices, bary)
-        # basis gradient values at quadrature points: index 0 interior, 1..d+1 facets
-        vals = [np.array([weak_gradient_interior_basis(g, p) for p in pts])]
-        for i in range(d + 1):
-            vals.append(np.array([weak_gradient_facet_basis(g, i, p) for p in pts]))
-        base = [dof.interior_dof(k, 0)]
-        for f in mesh.elem_facets[k]:
-            base.append(None if dof.facet_slot[f] < 0 else dof.facet_dof(f, 0))
+        coef, gram = local_weak_gradients(mesh.vertices[mesh.elements[k]])
+        local = coef @ gram @ coef.T  # (grad_w phi_p, grad_w phi_q)_K
+        base = _local_dofs(mesh, facet_dofs, k)
         for p, bp in enumerate(base):
-            if bp is None:
-                continue
             for q, bq in enumerate(base):
-                if bq is None:
-                    continue
-                entry = g.volume * float(w @ np.einsum("qd,qd->q", vals[p], vals[q]))
-                for r in range(d):
-                    a[bp + r, bq + r] += entry
+                if bp is not None and bq is not None:
+                    for r in range(d):
+                        a[bp + r, bq + r] += local[p, q]
     return a
 
 
 def dense_B_oracle(mesh):
     """Assemble the divergence block from raw facet vertex coordinates."""
-    dof = build_dofmap(mesh)
     d = mesh.dim
-    b = np.zeros((mesh.num_elements, dof.n_u))
+    facet_dofs = _facet_dofs(mesh)
+    n_u = d * (mesh.num_elements + len(mesh.interior_facets))
+    b = np.zeros((mesh.num_elements, n_u))
     for k in range(mesh.num_elements):
-        centroid = mesh.vertices[mesh.elements[k]].mean(axis=0)
-        for i in range(d + 1):
-            f = mesh.elem_facets[k, i]
-            if dof.facet_slot[f] < 0:
-                continue
-            fv = mesh.vertices[mesh.facets[f]]
-            if d == 2:
-                t = fv[1] - fv[0]
-                measure = np.linalg.norm(t)
-                n = np.array([t[1], -t[0]]) / measure
-            else:
-                c = np.cross(fv[1] - fv[0], fv[2] - fv[0])
-                measure = 0.5 * np.linalg.norm(c)
-                n = c / np.linalg.norm(c)
-            if n @ (fv.mean(axis=0) - centroid) < 0:
-                n = -n
-            for r in range(d):
-                b[k, dof.facet_dof(f, r)] += measure * n[r]
+        normals, measures = facet_geometry(mesh.vertices[mesh.elements[k]])
+        for i, base in enumerate(_local_dofs(mesh, facet_dofs, k)[1:]):
+            if base is not None:
+                b[k, base : base + d] += measures[i] * normals[i]
     return b
+
+
+def lifting_oracle(V, vals):
+    """RT0 field on the simplex V whose facet-mean normal traces equal vals[i].n_i.
+
+    Returns (a, b) of the field a + b*(x - c), c the vertex average of V.
+    The (d+1)x(d+1) trace system is set up with facet quadrature.
+    """
+    d = V.shape[1]
+    normals, _ = facet_geometry(V)
+    c = V.mean(axis=0)
+    system = np.empty((d + 1, d + 1))
+    for i in range(d + 1):
+        fpts, fw = facet_points(V, i)
+        system[i] = np.append(normals[i], fw @ ((fpts - c) @ normals[i]))
+    coef = np.linalg.solve(system, np.einsum("id,id->i", vals, normals))
+    return coef[:d], coef[d]
+
+
+def lifted_load_oracle(mesh, forcing):
+    """Load (f, lifting of each facet test function) for every velocity dof.
+
+    forcing maps (n, d) points to (n, d) values; the volume integrals use
+    duffy_rule(d, 6) on each element. Interior dofs receive no load.
+    """
+    d = mesh.dim
+    bary, w = duffy_rule(d, 6)
+    facet_dofs = _facet_dofs(mesh)
+    load = np.zeros(d * (mesh.num_elements + len(mesh.interior_facets)))
+    for k in range(mesh.num_elements):
+        V = mesh.vertices[mesh.elements[k]]
+        pts = map_to_physical(V, bary)
+        fw = simplex_volume(V) * w[:, None] * forcing(pts)
+        for i, base in enumerate(_local_dofs(mesh, facet_dofs, k)[1:]):
+            if base is None:
+                continue
+            for r in range(d):
+                vals = np.zeros((d + 1, d))
+                vals[i, r] = 1.0
+                a, b_rad = lifting_oracle(V, vals)
+                load[base + r] += np.sum(fw * (a + b_rad * (pts - V.mean(axis=0))))
+    return load

@@ -25,7 +25,7 @@ from wgstokes.verification import (
     residual_bound_check,
     spectral_report,
 )
-from wgstokes.wg_core import lifting_apply, weak_gradient_scalar
+from wgstokes.wg_core import WGField, field_weak_gradients, lifting_matrix
 
 _C = {}
 
@@ -319,37 +319,54 @@ def test_a9_operator_oracles_and_wg_calculus():
         worst_b = max(worst_b, np.abs(assemble_B(m).toarray() - dense_B_oracle(m)).max())
     oracle_ok = worst_a < 1e-12 and worst_b < 1e-12
 
-    geoms = [mesh(2, 1).element_geometry(0), mesh(3, 1).element_geometry(2)]
+    # the batched weak-gradient calculus and lifting system on every element
+    # of the coarsest meshes, against exact integrals from the mesh arrays
     rng = np.random.default_rng(7)
     calculus_ok = True
-    for geom in geoms:
-        d = geom.dim
+    for m in (mesh(2, 1), mesh(3, 1)):
+        d, ne = m.dim, m.num_elements
+        vol, moment = m.elem_volumes, m.elem_second_moments
+        meas, nrm = m.elem_facet_measures, m.elem_normals
         # constant facet and interior values are in the weak-gradient kernel
-        rt = weak_gradient_scalar(geom, 3.7, np.full(d + 1, 3.7))
-        calculus_ok &= np.linalg.norm(rt.a) < 1e-11 and abs(rt.b) < 1e-11
+        const = np.full((m.num_facets, d), 3.7)
+        a, b = field_weak_gradients(
+            m, WGField(d, np.full((ne, d), 3.7), const[m.interior_facets], const[m.boundary_facets])
+        )
+        calculus_ok &= np.linalg.norm(a, axis=2).max() < 1e-11 and np.abs(b).max() < 1e-11
         # defining relation against exact integrals for random data
-        delta = d * geom.volume / ((d + 1) * geom.facet_measures)
+        delta = d * vol[:, None] / ((d + 1) * meas)
         for _ in range(5):
-            u0 = rng.normal()
-            ub = rng.normal(size=d + 1)
-            rt = weak_gradient_scalar(geom, u0, ub)
-            for c, e in [(np.eye(d)[j], 0.0) for j in range(d)] + [(np.zeros(d), 1.0)]:
-                lhs = rt.a @ c * geom.volume + rt.b * e * geom.second_moment
-                bnd = sum(
-                    ub[i] * geom.facet_measures[i] * (c @ geom.normals[i] + e * delta[i])
-                    for i in range(d + 1)
+            u0 = rng.normal(size=(ne, d))
+            uf = rng.normal(size=(m.num_facets, d))
+            a, b = field_weak_gradients(
+                m, WGField(d, u0, uf[m.interior_facets], uf[m.boundary_facets])
+            )
+            ub = uf[m.elem_facets]  # (ne, d+1, d)
+            # tested with q = e_c, then with q = x - x_K
+            pairs = [
+                (a * vol[:, None, None], np.einsum("nir,ni,nic->nrc", ub, meas, nrm)),
+                (
+                    b * moment[:, None],
+                    np.einsum("nir,ni->nr", ub, meas * delta) - u0 * d * vol[:, None],
+                ),
+            ]
+            for lhs, rhs in pairs:
+                calculus_ok &= bool(
+                    np.all(np.abs(lhs - rhs) <= 1e-11 * np.maximum(1.0, np.abs(rhs)))
                 )
-                rhs = bnd - u0 * d * e * geom.volume
-                calculus_ok &= abs(lhs - rhs) <= 1e-11 * max(1.0, abs(rhs))
         # the lifting reproduces facet-mean normal traces
-        vals = rng.normal(size=(d + 1, d))
-        rt = lifting_apply(geom, vals)
-        bary, w = facet_rule(d, 6)
-        for i in range(d + 1):
-            fverts = np.delete(geom.vertices, i, axis=0)
-            pts = map_to_physical(fverts, bary)
-            mean = w @ np.array([rt(p) @ geom.normals[i] for p in pts])
-            calculus_ok &= abs(mean - vals[i] @ geom.normals[i]) < 1e-12
+        vals = rng.normal(size=(ne, d + 1, d))
+        coef = np.linalg.solve(
+            lifting_matrix(nrm, meas, vol), np.einsum("nid,nid->ni", vals, nrm)[..., None]
+        )[..., 0]
+        fbary, fw = facet_rule(d, 6)
+        for k in range(ne):
+            verts = m.vertices[m.elements[k]]
+            for i in range(d + 1):
+                pts = map_to_physical(np.delete(verts, i, axis=0), fbary)
+                lifted = coef[k, :d] + coef[k, d] * (pts - m.elem_centroids[k])
+                mean = fw @ (lifted @ nrm[k, i])
+                calculus_ok &= abs(mean - vals[k, i] @ nrm[k, i]) < 1e-12
 
     # divergence theorem at the assembled level: interior facet fields have
     # zero total weak divergence, i.e. ones^T B = 0

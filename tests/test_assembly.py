@@ -5,7 +5,15 @@ import pytest
 import scipy.io
 import scipy.linalg
 
-from oracles import dense_A_oracle, dense_B_oracle, duffy_rule, jittered_tet, map_to_physical
+from oracles import (
+    dense_A_oracle,
+    dense_B_oracle,
+    duffy_rule,
+    jittered_tet,
+    lifted_load_oracle,
+    lifting_oracle,
+    local_weak_gradients,
+)
 from wgstokes import assembly
 from wgstokes.assembly import (
     assemble_A,
@@ -23,7 +31,7 @@ from wgstokes.assembly import (
 )
 from wgstokes.mesh import Mesh, generate_structured_tet, generate_structured_tri
 from wgstokes.problems import StokesProblem, builtin_problem
-from wgstokes.wg_core import lifting_apply, lifting_matrix, weak_divergence
+from wgstokes.wg_core import WGField, field_weak_gradients, lifting_matrix
 
 # problem callables take (n, d) point batches: vectors -> (n, d), pressure -> (n,)
 zeros_vec = np.zeros_like
@@ -35,6 +43,10 @@ def zeros_scalar(p):
 
 def zero_problem(dim, mu=1.0):
     return StokesProblem("zero", dim, mu, zeros_vec, zeros_scalar, zeros_vec, zeros_vec)
+
+
+def linear_forcing(p):
+    return np.column_stack([p[:, 0] + 0.3, 2.0 * p[:, 1] - p[:, 0]])
 
 
 def linear_problem(mu=1.0, scale=1.0):
@@ -78,6 +90,15 @@ def test_A_matches_dense_oracle_3d():
         assert np.max(np.abs(a - oracle)) < 1e-12
 
 
+@pytest.mark.parametrize("dim,n", [(2, 3), (3, 2)], ids=["2d-jittered-3", "3d-jittered-2"])
+def test_A_oracle_ignores_mesh_geometry_arrays(dim, n):
+    # the oracle recomputes the geometry from the vertices, so it must see a
+    # corrupted scale that the assembly reads
+    mesh = oracle_mesh(dim, n, True)
+    mesh.elem_grad_scales *= 1.01
+    assert np.max(np.abs(assemble_A(mesh).toarray() - dense_A_oracle(mesh))) > 1e-3
+
+
 @oracle_inputs_2d
 def test_B_matches_dense_oracle_2d(n, jitter):
     mesh = oracle_mesh(2, n, jitter)
@@ -106,20 +127,13 @@ def test_A_symmetric_positive_definite():
 
 def test_local_gram_against_quadrature():
     mesh = generate_structured_tri(1)
-    g = mesh.element_geometry(0)
     gram = local_gram_matrices(mesh)[0]
-    from wgstokes.quadrature import simplex_rule
-    from wgstokes.wg_core import weak_gradient_facet_basis, weak_gradient_interior_basis
-
-    bary, w = simplex_rule(2, 2)
-    pts = map_to_physical(g.vertices, bary)
-    vals = [np.array([weak_gradient_interior_basis(g, p) for p in pts])]
-    for i in range(3):
-        vals.append(np.array([weak_gradient_facet_basis(g, i, p) for p in pts]))
+    # weak gradients solved from the defining relation, products by quadrature
+    coef, rt0_gram = local_weak_gradients(mesh.vertices[mesh.elements[0]])
+    oracle = coef @ rt0_gram @ coef.T
     for p in range(4):
         for q in range(4):
-            oracle = g.volume * float(w @ np.einsum("qd,qd->q", vals[p], vals[q]))
-            assert gram[p, q] == pytest.approx(oracle, abs=1e-12)
+            assert gram[p, q] == pytest.approx(oracle[p, q], abs=1e-12)
 
 
 def test_constant_field_has_zero_energy():
@@ -145,14 +159,11 @@ def test_B_closed_surface_row_identity():
     b = assemble_B(mesh)
     c = np.array([0.8, -0.3])
     u = np.zeros(dof.n_u)
-    for f in mesh.interior_facets:
-        for r in range(2):
-            u[dof.facet_dof(f, r)] = c[r]
+    u[dof.n_interior :] = np.tile(c, len(mesh.interior_facets))
     interior_part = b @ u
     for k in range(mesh.num_elements):
-        g = mesh.element_geometry(k)
         bnd = sum(
-            g.facet_measures[i] * (c @ g.normals[i])
+            mesh.elem_facet_measures[k, i] * (c @ mesh.elem_normals[k, i])
             for i in range(3)
             if dof.facet_slot[mesh.elem_facets[k, i]] < 0
         )
@@ -166,17 +177,16 @@ def test_B_matches_weak_divergence():
     rng = np.random.default_rng(17)
     u = rng.normal(size=dof.n_u)
     bu = b @ u
+    # weak divergence: trace of the constant part of the weak gradient
+    field = WGField(
+        2,
+        u[: dof.n_interior].reshape(-1, 2),
+        u[dof.n_interior :].reshape(-1, 2),
+        np.zeros((len(mesh.boundary_facets), 2)),
+    )
+    div = np.trace(field_weak_gradients(mesh, field)[0], axis1=1, axis2=2)
     for k in range(mesh.num_elements):
-        vals = np.zeros((3, 2))
-        for i in range(3):
-            f = mesh.elem_facets[k, i]
-            if dof.facet_slot[f] >= 0:
-                for r in range(2):
-                    vals[i, r] = u[dof.facet_dof(f, r)]
-        g = mesh.element_geometry(k)
-        assert bu[k] / g.volume == pytest.approx(
-            weak_divergence(g, vals), rel=1e-12, abs=1e-12
-        )
+        assert bu[k] / mesh.elem_volumes[k] == pytest.approx(div[k], rel=1e-12, abs=1e-12)
 
 
 def test_ones_in_left_null_space_of_B():
@@ -205,30 +215,29 @@ def test_b1_interior_dofs_receive_no_load():
 
 
 def test_b1_constant_forcing_against_lifting_quadrature():
-    mesh = generate_structured_tri(2)
+    # A constant forcing cannot see the radial coefficient of the lifting, and
+    # on the structured mesh the radial parts of a facet's two neighbours
+    # cancel; the linear forcing on the jittered mesh sees both.
     fconst = np.array([0.7, -1.2])
-    prob = StokesProblem(
-        "const_f", 2, 1.0,
-        zeros_vec, zeros_scalar,
-        lambda p: np.tile(fconst, (len(p), 1)), zeros_vec,
-    )
-    dof = build_dofmap(mesh)
+    cases = [
+        (generate_structured_tri(2), lambda p: np.tile(fconst, (len(p), 1))),
+        (oracle_mesh(2, 3, True), linear_forcing),
+    ]
+    for mesh, forcing in cases:
+        prob = StokesProblem("f", 2, 1.0, zeros_vec, zeros_scalar, forcing, zeros_vec)
+        dof = build_dofmap(mesh)
+        b1 = assemble_b1(mesh, prob)
+        expected = lifted_load_oracle(mesh, forcing)
+        assert b1[dof.n_interior :] == pytest.approx(expected[dof.n_interior :], rel=1e-12)
+
+
+def test_b1_oracle_ignores_mesh_geometry_arrays():
+    mesh = oracle_mesh(2, 3, True)
+    prob = StokesProblem("f", 2, 1.0, zeros_vec, zeros_scalar, linear_forcing, zeros_vec)
+    mesh.elem_volumes *= 1.01
     b1 = assemble_b1(mesh, prob)
-    bary, w = duffy_rule(2, 6)
-    f = int(mesh.interior_facets[0])
-    for r in range(2):
-        expected = 0.0
-        for k in mesh.facet_elems[f]:
-            g = mesh.element_geometry(int(k))
-            i = list(mesh.elem_facets[int(k)]).index(f)
-            vals = np.zeros((3, 2))
-            vals[i, r] = 1.0
-            rt = lifting_apply(g, vals)
-            pts = map_to_physical(g.vertices, bary)
-            expected += g.volume * float(
-                w @ np.array([fconst @ rt(p) for p in pts])
-            )
-        assert b1[dof.facet_dof(f, r)] == pytest.approx(expected, rel=1e-12)
+    expected = lifted_load_oracle(mesh, linear_forcing)
+    assert np.abs(b1 - expected).max() > 1e-3 * np.abs(expected).max()
 
 
 @pytest.mark.parametrize(
@@ -257,20 +266,19 @@ def test_b1_boundary_term_linear_in_mu():
     assert np.allclose(b1_10, 10.0 * b1_1, rtol=1e-13)
 
 
-def test_lifting_matrix_matches_lifting_apply():
-    # the batched lifting system that assemble_b1 inverts, against the
-    # single-element solve
+def test_lifting_matrix_matches_lifting_oracle():
+    # the batched lifting system that assemble_b1 inverts, against the trace
+    # conditions solved by facet quadrature on the element's vertices
     mesh = generate_structured_tet(1)
-    g = mesh.element_geometry(4)
     minv = np.linalg.inv(
         lifting_matrix(mesh.elem_normals, mesh.elem_facet_measures, mesh.elem_volumes)
     )[4]
     rng = np.random.default_rng(8)
     vals = rng.normal(size=(4, 3))
-    rt = lifting_apply(g, vals)
-    coef = minv @ np.einsum("id,id->i", vals, g.normals)
-    assert np.allclose(coef[:3], rt.a, rtol=1e-12)
-    assert coef[3] == pytest.approx(rt.b, rel=1e-12)
+    a, b = lifting_oracle(mesh.vertices[mesh.elements[4]], vals)
+    coef = minv @ np.einsum("id,id->i", vals, mesh.elem_normals[4])
+    assert np.allclose(coef[:3], a, rtol=1e-12)
+    assert coef[3] == pytest.approx(b, rel=1e-12)
 
 
 def test_b2_zero_datum_and_interior_elements():
@@ -368,14 +376,16 @@ def test_consistency_controls_solvability():
 def test_full_field_divergence_theorem():
     # sum of element divergences weighted by volume equals the boundary flux
     mesh = generate_structured_tet(2)
-    dof = build_dofmap(mesh)
     rng = np.random.default_rng(21)
     facet_vals = rng.normal(size=(mesh.num_facets, 3))
-    total = 0.0
-    for k in range(mesh.num_elements):
-        g = mesh.element_geometry(k)
-        vals = facet_vals[mesh.elem_facets[k]]
-        total += weak_divergence(g, vals) * g.volume
+    field = WGField(
+        3,
+        np.zeros((mesh.num_elements, 3)),
+        facet_vals[mesh.interior_facets],
+        facet_vals[mesh.boundary_facets],
+    )
+    a, _ = field_weak_gradients(mesh, field)
+    total = (np.trace(a, axis1=1, axis2=2) * mesh.elem_volumes).sum()
     flux = sum(
         mesh.facet_measures[f] * (facet_vals[f] @ mesh.facet_normals[f])
         for f in mesh.boundary_facets

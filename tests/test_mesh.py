@@ -63,9 +63,9 @@ def test_tet_boundary_area():
 def test_closed_surface_identity(mesh):
     # sum_i |e_i| n_i = 0 on every element
     for k in range(mesh.num_elements):
-        g = mesh.element_geometry(k)
-        resid = (g.facet_measures[:, None] * g.normals).sum(axis=0)
-        assert np.linalg.norm(resid) < 1e-12 * g.facet_measures.sum()
+        measures = mesh.elem_facet_measures[k]
+        resid = (measures[:, None] * mesh.elem_normals[k]).sum(axis=0)
+        assert np.linalg.norm(resid) < 1e-12 * measures.sum()
 
 
 @pytest.mark.parametrize("mesh", [generate_structured_tri(2), generate_structured_tet(1)])
@@ -98,16 +98,17 @@ def test_element_sign_flip():
 def test_element_geometry_reference_triangle():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     m = Mesh(verts, np.array([[0, 1, 2]]))
-    g = m.element_geometry(0)
-    assert g.centroid == pytest.approx([1.0 / 3.0, 1.0 / 3.0])
-    assert g.volume == pytest.approx(0.5)
+    centroid, volume = m.elem_centroids[0], m.elem_volumes[0]
+    moment = m.elem_second_moments[0]
+    assert centroid == pytest.approx([1.0 / 3.0, 1.0 / 3.0])
+    assert volume == pytest.approx(0.5)
     # second moment against a dense quadrature oracle
     bary, w = duffy_rule(2, 6)
     pts = map_to_physical(verts, bary)
-    oracle = g.volume * float(w @ ((pts - g.centroid) ** 2).sum(axis=1))
-    assert g.second_moment == pytest.approx(oracle, rel=1e-13)
-    assert g.second_moment == pytest.approx(1.0 / 18.0, rel=1e-14)
-    assert g.grad_scale == pytest.approx(2.0 * 0.5 / (1.0 / 18.0), rel=1e-14)
+    oracle = volume * float(w @ ((pts - centroid) ** 2).sum(axis=1))
+    assert moment == pytest.approx(oracle, rel=1e-13)
+    assert moment == pytest.approx(1.0 / 18.0, rel=1e-14)
+    assert m.elem_grad_scales[0] == pytest.approx(2.0 * 0.5 / (1.0 / 18.0), rel=1e-14)
 
 
 def test_second_moment_oracle_tets():
@@ -115,10 +116,9 @@ def test_second_moment_oracle_tets():
     bary, w = duffy_rule(3, 6)
     rng = np.random.default_rng(3)
     for k in rng.choice(m.num_elements, size=5, replace=False):
-        g = m.element_geometry(int(k))
-        pts = map_to_physical(g.vertices, bary)
-        oracle = g.volume * float(w @ ((pts - g.centroid) ** 2).sum(axis=1))
-        assert g.second_moment == pytest.approx(oracle, rel=1e-12)
+        pts = map_to_physical(m.vertices[m.elements[k]], bary)
+        oracle = m.elem_volumes[k] * float(w @ ((pts - m.elem_centroids[k]) ** 2).sum(axis=1))
+        assert m.elem_second_moments[k] == pytest.approx(oracle, rel=1e-12)
 
 
 def test_duplicate_element_rejected():
@@ -151,6 +151,12 @@ def test_vertex_index_out_of_range_rejected(elements):
         Mesh(verts, np.array(elements))
 
 
+def test_mesh_without_elements_rejected():
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(MeshError, match="no elements"):
+        Mesh(verts, np.zeros((0, 3), dtype=int))
+
+
 def test_native_roundtrip(tmp_path):
     m = generate_structured_tri(2)
     path = tmp_path / "mesh.txt"
@@ -171,8 +177,17 @@ def test_native_roundtrip_tet(tmp_path):
     assert np.array_equal(m2.elements, m.elements)
 
 
-def test_gmsh_reader(tmp_path):
-    content = """$MeshFormat
+def test_native_header_must_count_every_token(tmp_path):
+    # a header that undercounts the elements must not load 7 of 8 triangles
+    path = tmp_path / "mesh.txt"
+    write_mesh(generate_structured_tri(2), path)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text(lines[0].replace(" 8", " 7") + "".join(lines[1:]))
+    with pytest.raises(MeshError, match="9 vertices and 7 elements"):
+        load_mesh(path)
+
+
+GMSH_SQUARE = """$MeshFormat
 2.2 0 8
 $EndMeshFormat
 $Nodes
@@ -188,8 +203,11 @@ $Elements
 2 2 2 0 1 1 3 4
 $EndElements
 """
+
+
+def test_gmsh_reader(tmp_path):
     path = tmp_path / "square.msh"
-    path.write_text(content)
+    path.write_text(GMSH_SQUARE)
     m = load_mesh(path)
     assert m.dim == 2
     assert m.num_elements == 2
@@ -236,6 +254,18 @@ $EndElements
     path = tmp_path / "square.msh"
     path.write_text(content)
     with pytest.raises(MeshError, match="unknown node 7"):
+        load_mesh(path)
+
+
+@pytest.mark.parametrize(
+    "good,bad,lineno",
+    [("2 1 0 0", "2 x 0 0", 7), ("2 2 2 0 1 1 3 4", "2 2 2 0 1 1 3 x", 14)],
+    ids=["node", "element"],
+)
+def test_gmsh_malformed_line_named(tmp_path, good, bad, lineno):
+    path = tmp_path / "square.msh"
+    path.write_text(GMSH_SQUARE.replace(good, bad))
+    with pytest.raises(MeshError, match=f"line {lineno}: '{bad}'"):
         load_mesh(path)
 
 
