@@ -25,6 +25,7 @@ scatter per block.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -287,12 +288,20 @@ class SaddleSystem:
         second = self.b2_tilde if self.consistent else self.b2
         return np.concatenate([self.b1, self.mu * second])
 
+    @cached_property
+    def _Bt(self) -> sp.csc_matrix:
+        # a CSR matrix's transpose is a CSC view of the same arrays; kept so
+        # the Krylov loop does not build a new one on every product
+        return self.B.T
+
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Operator product [A, -B^T; -B, 0] x."""
-        xu, xp = x[: self.n_u], x[self.n_u :]
-        return np.concatenate(
-            [self.A @ xu - self.B.T @ xp, -(self.B @ xu)]
-        )
+        n_u = self.n_u
+        xu = x[:n_u]
+        y = np.empty(len(x))
+        np.subtract(self.A @ xu, self._Bt @ x[n_u:], out=y[:n_u])
+        np.negative(self.B @ xu, out=y[n_u:])
+        return y
 
     def dense_operator(self) -> np.ndarray:
         a = self.A.toarray()

@@ -11,6 +11,13 @@ vertex i), volumes, centroids, and the centroid second moment
 
 in closed form, together with the derived constant d*|K|/m_K that scales the
 piecewise weak-gradient basis.
+
+The topology comes from one stable lexicographic sort of the local facets,
+each written as its sorted vertex indices: a run of equal rows is one facet,
+facets are numbered in lexicographic order, and the rows of a run come in
+increasing element order, so the lower-indexed element is the first one.
+Duplicate elements are found the same way, from a sort of the elements'
+sorted vertex indices.
 """
 
 from __future__ import annotations
@@ -62,6 +69,20 @@ def _signed_volumes(vertices: np.ndarray, elements: np.ndarray) -> np.ndarray:
     return np.linalg.det(edges) / math.factorial(d)
 
 
+def _lex_runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stable lexicographic order of the rows, the sorted rows, and a mask
+    that is True where a run of equal rows starts in that order.
+
+    The order is the one `np.unique(rows, axis=0)` gives, and equal rows keep
+    their original order.
+    """
+    order = np.lexsort(rows.T[::-1])  # lexsort keys its last row first
+    ordered = rows[order]
+    starts = np.ones(len(rows), dtype=bool)
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
+    return order, ordered, starts
+
+
 class Mesh:
     """Conforming simplicial mesh of a connected domain in 2D or 3D.
 
@@ -93,9 +114,9 @@ class Mesh:
         self.vertices = vertices
         self.elements = elements
 
-        sorted_elems = np.sort(elements, axis=1)
-        uniq = np.unique(sorted_elems, axis=0)
-        if len(uniq) != len(elements):
+        # a duplicated element would also share every facet three ways, so
+        # this check runs before the facet count's more general complaint
+        if not np.all(_lex_runs(np.sort(elements, axis=1))[2]):
             raise DuplicateElementError("mesh contains duplicate elements")
 
         vols = _signed_volumes(vertices, elements)
@@ -108,8 +129,9 @@ class Mesh:
 
         ev = vertices[elements]  # (ne, d+1, d)
         self.elem_centroids = ev.mean(axis=1)
-        diff = ev[:, :, None, :] - ev[:, None, :, :]
-        self.elem_diameters = np.sqrt((diff**2).sum(-1)).max(axis=(1, 2))
+        i, j = np.triu_indices(d + 1, 1)  # each vertex pair once
+        diff = ev[:, i] - ev[:, j]
+        self.elem_diameters = np.sqrt((diff**2).sum(-1)).max(axis=1)
 
         # reject slivers: grad_scale = d|K|/m_K blows up as the moment vanishes
         hmax = float(self.elem_diameters.max())
@@ -139,29 +161,26 @@ class Mesh:
         d, ne = self.dim, len(self.elements)
         # local facet i consists of the element vertices excluding position i
         keep = np.array([[j for j in range(d + 1) if j != i] for i in range(d + 1)])
-        local = self.elements[:, keep]  # (ne, d+1, d)
-        keys = np.sort(local.reshape(ne * (d + 1), d), axis=1)
-        facets, inverse, counts = np.unique(
-            keys, axis=0, return_inverse=True, return_counts=True
-        )
+        keys = np.sort(self.elements[:, keep].reshape(ne * (d + 1), d), axis=1)
+        # one sort numbers the facets in lexicographic order; row k of keys is
+        # local facet k % (d+1) of element k // (d+1), so inside a run of equal
+        # keys the lower element comes first
+        order, ordered, new = _lex_runs(keys)
+        starts = np.flatnonzero(new)
+        counts = np.diff(starts, append=len(keys))
         if np.any(counts > 2):
             raise MeshError("non-conforming mesh: facet shared by more than 2 elements")
+        facets = ordered[starts]
         self.facets = facets
-        self.elem_facets = inverse.reshape(ne, d + 1)
-        nf = len(facets)
+        elem_facets = np.empty(len(keys), dtype=np.int64)
+        elem_facets[order] = np.cumsum(new) - 1
+        self.elem_facets = elem_facets.reshape(ne, d + 1)
 
-        facet_elems = np.full((nf, 2), -1, dtype=np.int64)
-        elem_ids = np.repeat(np.arange(len(local)), d + 1)
-        order = np.argsort(inverse, kind="stable")
-        sorted_f = inverse[order]
-        sorted_e = elem_ids[order]
-        starts = np.searchsorted(sorted_f, np.arange(nf))
-        facet_elems[:, 0] = sorted_e[starts]
+        # the normal convention keys off the lower-indexed adjacent element
         second = counts == 2
-        facet_elems[second, 1] = sorted_e[starts[second] + 1]
-        # normal convention keys off the lower-indexed adjacent element
-        both = facet_elems[second]
-        facet_elems[second] = np.sort(both, axis=1)
+        facet_elems = np.full((len(facets), 2), -1, dtype=np.int64)
+        facet_elems[:, 0] = order[starts] // (d + 1)
+        facet_elems[second, 1] = order[starts[second] + 1] // (d + 1)
         self.facet_elems = facet_elems
         self.boundary_facets = np.flatnonzero(~second)
         self.interior_facets = np.flatnonzero(second)
@@ -324,29 +343,39 @@ def _load_gmsh(text: str) -> Mesh:
             f"malformed gmsh line {start + row + 1}: {lines[start + row]!r} ({exc})"
         )
 
+    def records(name):
+        # like _load_native, trust no count: it must match the lines present
+        start, body = section(name)
+        try:
+            count = int(body[0])
+        except (ValueError, IndexError) as exc:
+            raise malformed(start, 0, exc) from exc
+        if count != len(body) - 1:
+            raise MeshError(
+                f"gmsh ${name} section: its count line says {count}, but "
+                f"{len(body) - 1} lines follow it"
+            )
+        return start, body[1:]
+
     fmt = section("MeshFormat")[1][0].split()
     if not fmt[0].startswith("2.2"):
         raise MeshError(f"unsupported gmsh format version {fmt[0]}")
 
-    start, node_lines = section("Nodes")
-    row = 0
+    start, node_lines = records("Nodes")
+    coords = np.empty((len(node_lines), 3))
+    ids = {}
     try:
-        nn = int(node_lines[0])
-        coords = np.empty((nn, 3))
-        ids = {}
-        for row, ln in enumerate(node_lines[1 : 1 + nn], 1):
+        for row, ln in enumerate(node_lines, 1):
             parts = ln.split()
             ids[int(parts[0])] = row - 1
             coords[row - 1] = [float(p) for p in parts[1:4]]
     except (ValueError, IndexError) as exc:
         raise malformed(start, row, exc) from exc
 
-    start, elem_lines = section("Elements")
-    row = 0
+    start, elem_lines = records("Elements")
+    parsed = []
     try:
-        ne = int(elem_lines[0])
-        parsed = []
-        for row, ln in enumerate(elem_lines[1 : 1 + ne], 1):
+        for row, ln in enumerate(elem_lines, 1):
             parts = [int(p) for p in ln.split()]
             parsed.append((parts[0], parts[1], parts[3 + parts[2] :]))
     except (ValueError, IndexError) as exc:

@@ -57,13 +57,14 @@ class InnerSolver:
         self.ni = ni = int(np.argmax(has_lower))
         self._dinv = 1.0 / a_s.diagonal()[:ni]
         self._c = a_s[:ni, ni:].tocsr()
+        self._ct = self._c.T  # a view on the arrays of _c, built once
         # S = F - C^T D^{-1} C summed as triplets, plus a zero for every pair
         # of facets that share an element: sparse - and @ would drop the
         # exact cancellations, a pattern MMD orders badly (module docstring)
         c_abs = abs(self._c)
         parts = [
             a_s[ni:, ni:].tocoo(),
-            (-(self._c.T @ sp.diags(self._dinv) @ self._c)).tocoo(),
+            (-(self._ct @ sp.diags(self._dinv) @ self._c)).tocoo(),
             (0.0 * (c_abs.T @ c_abs)).tocoo(),
         ]
         data, row, col = (
@@ -85,6 +86,6 @@ class InnerSolver:
         ni = self.ni
         rs = np.asarray(r, dtype=float).reshape(-1, self.d)
         ri = self._dinv[:, None] * rs[:ni]
-        xf = self._lu.solve(rs[ni:] - self._c.T @ ri)
+        xf = self._lu.solve(rs[ni:] - self._ct @ ri)
         xi = ri - self._dinv[:, None] * (self._c @ xf)
         return np.concatenate([xi, xf]).reshape(-1)

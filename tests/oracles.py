@@ -10,7 +10,9 @@ never its per-element geometry arrays, and nothing from `wgstokes.wg_core`:
   quadrature and the facet terms by facet quadrature;
 - the lifting solves its trace conditions with facet means computed by
   quadrature, not with the closed-form constant (x - x_K).n_i;
-- facet normals and measures are recomputed from each element's vertices.
+- facet normals and measures are recomputed from each element's vertices;
+- the mesh topology is rebuilt from the elements alone, with `np.unique`
+  numbering and the adjacent elements collected facet by facet.
 
 Dofs are numbered from the ordering documented in `wgstokes.assembly`:
 interior values element-major, then interior-facet values in
@@ -22,7 +24,7 @@ import math
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from wgstokes.mesh import Mesh, generate_structured_tet
+from wgstokes.mesh import Mesh, structured_simplex_mesh
 
 
 def map_to_physical(vertices, bary):
@@ -62,15 +64,60 @@ def duffy_rule(dim, m):
     return bary, w.ravel() / (1.0 / 6.0)
 
 
-def jittered_tet(n, seed):
-    """Structured unit-cube mesh with interior vertices moved by up to 0.1*h."""
-    base = generate_structured_tet(n)
+def jittered_mesh(dim, n, seed):
+    """Structured unit-square or unit-cube mesh with interior vertices moved
+    by up to 0.1*h per coordinate."""
+    base = structured_simplex_mesh(dim, n)
     vertices = base.vertices.copy()
     interior = np.all((vertices > 0.0) & (vertices < 1.0), axis=1)
     step = 0.1 / n
     rng = np.random.default_rng(seed)
-    vertices[interior] += rng.uniform(-step, step, size=(int(interior.sum()), 3))
+    vertices[interior] += rng.uniform(-step, step, size=(int(interior.sum()), dim))
     return Mesh(vertices, base.elements)
+
+
+def mesh_topology_oracle(elements, vertices):
+    """Facet topology, facet normals and element diameters, built the way
+    `Mesh` built them before it numbered facets with one lexicographic sort.
+
+    Facets are numbered by `np.unique(..., axis=0)` of the sorted local
+    facets. The elements of each facet are collected facet by facet and
+    ordered by id. Each normal is computed on its own and turned away from
+    the vertex of the facet's first element that is not on the facet. A
+    diameter is the largest of all (d+1)^2 vertex distances of its element.
+    """
+    elements = np.asarray(elements)
+    V = np.asarray(vertices, dtype=float)
+    ne, d = elements.shape[0], elements.shape[1] - 1
+    local = np.array([np.delete(e, i) for e in elements for i in range(d + 1)])
+    facets, inverse = np.unique(np.sort(local, axis=1), axis=0, return_inverse=True)
+    elem_facets = inverse.reshape(ne, d + 1)
+    owners = [[] for _ in facets]
+    for k in range(ne):
+        for f in elem_facets[k]:
+            owners[f].append(k)
+    facet_elems = np.array([sorted(o) + [-1] * (2 - len(o)) for o in owners])
+    normals = np.empty((len(facets), d))
+    for f, (on, k) in enumerate(zip(facets, facet_elems[:, 0])):
+        fv = V[on]
+        t = fv[1:] - fv[0]
+        n = np.array([t[0, 1], -t[0, 0]]) if d == 2 else np.cross(t[0], t[1])
+        n /= np.sqrt((n * n).sum())
+        off = V[np.setdiff1d(elements[k], on)[0]] - fv[0]
+        normals[f] = -n if n @ off > 0 else n
+    ev = V[elements]
+    diameters = np.array(
+        [np.sqrt(((v[:, None] - v[None]) ** 2).sum(-1)).max() for v in ev]
+    )
+    return {
+        "facets": facets,
+        "elem_facets": elem_facets,
+        "facet_elems": facet_elems,
+        "boundary_facets": np.flatnonzero(facet_elems[:, 1] < 0),
+        "interior_facets": np.flatnonzero(facet_elems[:, 1] >= 0),
+        "facet_normals": normals,
+        "elem_diameters": diameters,
+    }
 
 
 def simplex_volume(V):

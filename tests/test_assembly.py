@@ -9,7 +9,7 @@ from oracles import (
     dense_A_oracle,
     dense_B_oracle,
     duffy_rule,
-    jittered_tet,
+    jittered_mesh,
     lifted_load_oracle,
     lifting_oracle,
     local_weak_gradients,
@@ -243,7 +243,7 @@ def test_b1_oracle_ignores_mesh_geometry_arrays():
 @pytest.mark.parametrize(
     "make_mesh,name,mu,bound",
     [
-        (lambda: jittered_tet(4, seed=11), "stokes3d_trig", 1.0, 1e-9),
+        (lambda: jittered_mesh(3, 4, seed=11), "stokes3d_trig", 1.0, 1e-9),
         (lambda: generate_structured_tri(8), "stokes2d_exp", 1e-4, 1e-12),
     ],
     ids=["3d-4-jittered", "2d-8-small-mu"],

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import duffy_rule, map_to_physical
+from oracles import duffy_rule, jittered_mesh, map_to_physical, mesh_topology_oracle
 from wgstokes.mesh import (
     DisconnectedMeshError,
     DuplicateElementError,
@@ -127,6 +127,22 @@ def test_duplicate_element_rejected():
         Mesh(verts, np.array([[0, 1, 2], [2, 1, 0]]))
 
 
+def test_duplicate_element_inside_a_mesh_rejected():
+    # the copy shares every facet three ways as well; the duplicate is reported
+    m = generate_structured_tri(2)
+    elements = np.vstack([m.elements, np.roll(m.elements[3], 1)])
+    with pytest.raises(DuplicateElementError):
+        Mesh(m.vertices, elements)
+
+
+def test_facet_of_three_elements_rejected():
+    # three distinct triangles on the edge 0-1, none a copy of another
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [0.5, 2.0]])
+    with pytest.raises(MeshError, match="non-conforming") as info:
+        Mesh(verts, np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]]))
+    assert not isinstance(info.value, DuplicateElementError)
+
+
 def test_inverted_element_rejected():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(InvertedElementError):
@@ -212,6 +228,23 @@ def test_gmsh_reader(tmp_path):
     assert m.dim == 2
     assert m.num_elements == 2
     assert m.elem_volumes.sum() == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize(
+    "good,bad,match",
+    [
+        ("$Nodes\n4\n", "$Nodes\n5\n", "Nodes section: its count line says 5, but 4 lines"),
+        ("$Elements\n2\n", "$Elements\n1\n", "Elements section: its count line says 1, but 2"),
+        ("$Elements\n2\n", "$Elements\n3\n", "Elements section: its count line says 3, but 2"),
+    ],
+    ids=["node-overcount", "element-undercount", "element-overcount"],
+)
+def test_gmsh_section_count_must_match_its_lines(tmp_path, good, bad, match):
+    # trusting the count would leave unset vertices or drop elements silently
+    path = tmp_path / "square.msh"
+    path.write_text(GMSH_SQUARE.replace(good, bad))
+    with pytest.raises(MeshError, match=match):
+        load_mesh(path)
 
 
 def test_gmsh_unsupported_type(tmp_path):
@@ -312,3 +345,40 @@ def test_structured_generators_match_loop_construction(n):
 def test_tet_mesh_uniform_diameters():
     m = generate_structured_tet(2)
     assert np.allclose(m.elem_diameters, math.sqrt(3.0) / 2.0)
+
+
+def _relabelled(mesh, seed):
+    """The same mesh with permuted vertex labels and shuffled element order."""
+    rng = np.random.default_rng(seed)
+    label = rng.permutation(mesh.num_vertices)  # old vertex i is new vertex label[i]
+    vertices = np.empty_like(mesh.vertices)
+    vertices[label] = mesh.vertices
+    return Mesh(vertices, label[mesh.elements][rng.permutation(mesh.num_elements)])
+
+
+def _gmsh_square(tmp_path):
+    path = tmp_path / "square.msh"
+    path.write_text(GMSH_SQUARE)
+    return load_mesh(path)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda _: generate_structured_tri(3),
+        lambda _: generate_structured_tet(2),
+        lambda _: jittered_mesh(2, 6, 1),
+        lambda _: jittered_mesh(3, 3, 2),
+        lambda _: _relabelled(jittered_mesh(2, 5, 3), 4),
+        lambda _: _relabelled(jittered_mesh(3, 3, 5), 6),
+        _gmsh_square,
+    ],
+    ids=[
+        "tri-3", "tet-2", "tri-jittered-6", "tet-jittered-3",
+        "tri-relabelled", "tet-relabelled", "gmsh-square",
+    ],
+)
+def test_topology_matches_oracle(tmp_path, build):
+    mesh = build(tmp_path)
+    for name, expected in mesh_topology_oracle(mesh.elements, mesh.vertices).items():
+        assert np.array_equal(getattr(mesh, name), expected), name

@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from oracles import jittered_tet
+from oracles import jittered_mesh
 from wgstokes import sparse_linalg
 from wgstokes.assembly import assemble_A, build_dofmap
 from wgstokes.mesh import generate_structured_tet, generate_structured_tri
@@ -38,7 +38,7 @@ def factored(monkeypatch):
         generate_structured_tri(4),
         generate_structured_tet(2),
         generate_structured_tet(4),
-        jittered_tet(4, seed=11),
+        jittered_mesh(3, 4, seed=11),
     ],
     ids=["2d-4", "3d-2", "3d-4", "3d-4-jittered"],
 )
@@ -93,7 +93,7 @@ def test_schur_complement_keeps_the_element_pattern(factored):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_symmetric_ordering_cuts_fill_against_unsymmetric_defaults(factored, seed):
-    InnerSolver(assemble_A(jittered_tet(8, seed)))
+    InnerSolver(assemble_A(jittered_mesh(3, 8, seed)))
     lu = factored["lu"]
     thinned = factored["schur"].copy()
     thinned.eliminate_zeros()
