@@ -17,6 +17,13 @@ then interior-facet values (facet-major, component-minor). Boundary facet
 values are eliminated at assembly time and their stiffness coupling moves
 into b1.
 
+The interior facets are numbered in nested-dissection order (A. George,
+SINUM 10, 1973), not in `mesh.interior_facets` order: `DofMap.facet_slot`
+maps one to the other, and `SaddleSystem.split` maps facet values back. The
+facet Schur complement of A couples only facets that share an element, so
+the facets between two halves of the elements separate its graph exactly;
+`InnerSolver` factors it in this order as given.
+
 Every block is built from the mesh's per-element arrays and the dof map's
 element-to-dof table: local blocks for all elements at once, then one
 scatter per block.
@@ -60,7 +67,7 @@ class DofMap:
 
     dim: int
     num_elements: int
-    facet_slot: np.ndarray  # global facet -> position among interior facets, -1 if boundary
+    facet_slot: np.ndarray  # global facet -> nested-dissection position, -1 if boundary
     elem_dofs: np.ndarray  # (ne, d+2) component-0 dof of local basis 0..d+1, -1 if eliminated
     n_interior: int
     n_facet: int
@@ -70,10 +77,62 @@ class DofMap:
         return self.n_interior + self.n_facet
 
 
+# parts of at most this many elements are not bisected further; 4 to 8 give
+# the least fill at 2D n=64 and 3D n=12, smaller parts only add levels
+_ND_LEAF = 6
+
+
+def _nested_dissection(mesh: Mesh) -> np.ndarray:
+    """Position of each interior facet, in `mesh.interior_facets` order, in a
+    nested-dissection order of the facets.
+
+    The elements are bisected recursively at the median centroid along each
+    part's longest extent. The facets whose two elements land on different
+    sides are that part's separator and come after both halves. Each level
+    is one stable sort of all elements, with no loop over the parts.
+    """
+    ne = mesh.num_elements
+    cent = mesh.elem_centroids
+    # rank of each centroid coordinate among all elements, ties broken by
+    # element id: (part, rank) then packs into one integer key with no ties
+    rank = np.empty(cent.shape, dtype=np.int64)
+    np.put_along_axis(
+        rank, np.argsort(cent, axis=0, kind="stable"), np.arange(ne)[:, None], axis=0
+    )
+    pairs = mesh.facet_elems[mesh.interior_facets]
+    order = np.arange(ne)  # elements, each part in one contiguous run
+    starts = np.zeros(1, dtype=np.int64)  # first position of each part in order
+    side = np.empty(ne, dtype=np.int64)
+    together = np.ones(len(pairs), dtype=bool)
+    # base-3 digits, one per level: 0 or 1 for the half that holds both
+    # elements, 2 once they are apart or their part is a leaf, so each
+    # separator sorts after both of its halves
+    key = np.zeros(len(pairs), dtype=np.int64)
+    while True:
+        sizes = np.diff(starts, append=ne)
+        split = sizes > _ND_LEAF
+        if not split.any():
+            break
+        part = np.repeat(np.arange(len(starts)), sizes)
+        pts = cent[order]
+        extent = np.maximum.reduceat(pts, starts) - np.minimum.reduceat(pts, starts)
+        axis = np.argmax(extent, axis=1)[part]
+        order = order[np.argsort(part * ne + rank[order, axis], kind="stable")]
+        half = starts + sizes // 2
+        side[order] = np.where(split[part], np.arange(ne) >= half[part], 2)
+        s0, s1 = side[pairs[:, 0]], side[pairs[:, 1]]
+        together &= s0 == s1
+        key = 3 * key + np.where(together, s0, 2)
+        starts = np.insert(starts, np.flatnonzero(split) + 1, half[split])
+    slots = np.empty(len(pairs), dtype=np.int64)
+    slots[np.argsort(key, kind="stable")] = np.arange(len(pairs))
+    return slots
+
+
 def build_dofmap(mesh: Mesh) -> DofMap:
     d, ne = mesh.dim, mesh.num_elements
     facet_slot = np.full(mesh.num_facets, -1, dtype=np.int64)
-    facet_slot[mesh.interior_facets] = np.arange(len(mesh.interior_facets))
+    facet_slot[mesh.interior_facets] = _nested_dissection(mesh)
     facet_dof = np.where(facet_slot >= 0, ne * d + facet_slot * d, -1)
     return DofMap(
         dim=d,
@@ -311,11 +370,13 @@ class SaddleSystem:
         return np.vstack([top, bottom])
 
     def split(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Unscaled (interior velocity, facet velocity, pressure) from a solution vector."""
+        """Unscaled (interior velocity, facet velocity, pressure) from a solution
+        vector; the facet rows follow `mesh.interior_facets`."""
         d = self.dof.dim
         u = x[: self.n_u] / self.mu
         interior = u[: self.dof.n_interior].reshape(self.dof.num_elements, d)
-        facet = u[self.dof.n_interior :].reshape(-1, d)
+        slots = self.dof.facet_slot[self.mesh.interior_facets]
+        facet = u[self.dof.n_interior :].reshape(-1, d)[slots]
         return interior, facet, x[self.n_u :].copy()
 
 

@@ -367,10 +367,18 @@ def _load_gmsh(text: str) -> Mesh:
     try:
         for row, ln in enumerate(node_lines, 1):
             parts = ln.split()
-            ids[int(parts[0])] = row - 1
+            num = int(parts[0])
             coords[row - 1] = [float(p) for p in parts[1:4]]
+            if num in ids:
+                break
+            ids[num] = row - 1
     except (ValueError, IndexError) as exc:
         raise malformed(start, row, exc) from exc
+    if len(ids) != len(node_lines):
+        # keeping either row would silently move the elements that name the id
+        raise MeshError(
+            f"gmsh node id {num} repeats: lines {start + ids[num] + 2} and {start + row + 1}"
+        )
 
     start, elem_lines = records("Elements")
     parsed = []

@@ -13,13 +13,12 @@ Two structural facts make one sparse LU enough:
 
 ``S`` is symmetric positive definite, as a Schur complement of the SPD
 ``A_s``, and is factored once as such: ``splu`` in SuperLU's symmetric mode
-(X. S. Li, ACM TOMS 31, 2005), with a multiple minimum degree ordering of
-``S + S^T`` (J. W. H. Liu, ACM TOMS 11, 1985) and no pivoting, which an SPD
-matrix does not need. ``S`` is stored on its element pattern, one entry for
-every pair of interior facets that share an element, with the exact zeros
-that right-angled elements give kept on purpose: minimum degree orders the
-thinned pattern worse than COLAMD does, while on the element pattern it
-needs about a third of COLAMD's fill on perturbed 3D meshes.
+(X. S. Li, ACM TOMS 31, 2005) with no pivoting, which an SPD matrix does not
+need, in the order the rows are given. ``build_dofmap`` numbers the facets
+by nested dissection of the mesh, from element centroids that a bare matrix
+does not carry. In that order L+U of a perturbed 3D n=12 mesh has 2.31 M
+entries; SuperLU's multiple minimum degree ordering (J. W. H. Liu, ACM
+TOMS 11, 1985) of ``S`` on its element pattern needs 3.87 M.
 """
 
 from __future__ import annotations
@@ -58,23 +57,10 @@ class InnerSolver:
         self._dinv = 1.0 / a_s.diagonal()[:ni]
         self._c = a_s[:ni, ni:].tocsr()
         self._ct = self._c.T  # a view on the arrays of _c, built once
-        # S = F - C^T D^{-1} C summed as triplets, plus a zero for every pair
-        # of facets that share an element: sparse - and @ would drop the
-        # exact cancellations, a pattern MMD orders badly (module docstring)
-        c_abs = abs(self._c)
-        parts = [
-            a_s[ni:, ni:].tocoo(),
-            (-(self._ct @ sp.diags(self._dinv) @ self._c)).tocoo(),
-            (0.0 * (c_abs.T @ c_abs)).tocoo(),
-        ]
-        data, row, col = (
-            np.concatenate([getattr(m, k) for m in parts]) for k in ("data", "row", "col")
-        )
-        # this constructor sums duplicates and keeps the zeros
-        schur = sp.csc_matrix((data, (row, col)), shape=parts[0].shape)
+        schur = (a_s[ni:, ni:] - self._ct @ sp.diags(self._dinv) @ self._c).tocsc()
         self._lu = spla.splu(
             schur,
-            permc_spec="MMD_AT_PLUS_A",
+            permc_spec="NATURAL",
             diag_pivot_thresh=0.0,
             options={"SymmetricMode": True},
         )

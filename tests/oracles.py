@@ -15,8 +15,10 @@ never its per-element geometry arrays, and nothing from `wgstokes.wg_core`:
   numbering and the adjacent elements collected facet by facet.
 
 Dofs are numbered from the ordering documented in `wgstokes.assembly`:
-interior values element-major, then interior-facet values in
-`mesh.interior_facets` order, component-minor.
+interior values element-major, then interior-facet values, component-minor.
+The facets take their positions from `build_dofmap(mesh).facet_slot`, the
+one numbering the oracles share with the code they check; `_facet_dofs` is
+the only place that reads it.
 """
 
 import math
@@ -24,6 +26,7 @@ import math
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from wgstokes.assembly import build_dofmap
 from wgstokes.mesh import Mesh, structured_simplex_mesh
 
 
@@ -191,9 +194,10 @@ def local_weak_gradients(V):
 def _facet_dofs(mesh):
     """Component-0 dof of every interior facet, keyed by its sorted vertex tuple."""
     first = mesh.num_elements * mesh.dim
+    slot = build_dofmap(mesh).facet_slot
     return {
-        tuple(mesh.facets[f]): first + s * mesh.dim
-        for s, f in enumerate(mesh.interior_facets)
+        tuple(mesh.facets[f]): first + slot[f] * mesh.dim
+        for f in mesh.interior_facets
     }
 
 

@@ -181,12 +181,45 @@ def test_B_matches_weak_divergence():
     field = WGField(
         2,
         u[: dof.n_interior].reshape(-1, 2),
-        u[dof.n_interior :].reshape(-1, 2),
+        u[dof.n_interior :].reshape(-1, 2)[dof.facet_slot[mesh.interior_facets]],
         np.zeros((len(mesh.boundary_facets), 2)),
     )
     div = np.trace(field_weak_gradients(mesh, field)[0], axis1=1, axis2=2)
     for k in range(mesh.num_elements):
         assert bu[k] / mesh.elem_volumes[k] == pytest.approx(div[k], rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "mesh",
+    [generate_structured_tri(1), jittered_mesh(2, 8, 1), jittered_mesh(3, 4, 1)],
+    ids=["2d-1", "2d-8-jittered", "3d-4-jittered"],
+)
+def test_facet_slot_numbers_interior_facets_one_to_one(mesh):
+    dof = build_dofmap(mesh)
+    nf = len(mesh.interior_facets)
+    assert np.array_equal(np.sort(dof.facet_slot[mesh.interior_facets]), np.arange(nf))
+    assert np.all(dof.facet_slot[mesh.boundary_facets] == -1)
+    assert dof.n_facet == nf * mesh.dim
+
+
+def test_split_returns_facet_values_in_mesh_order():
+    mesh = jittered_mesh(2, 6, 2)
+    mu = 2.0  # a power of two, so scaling by mu and back is exact
+    system = build_saddle_system(mesh, builtin_problem("stokes2d_exp", mu=mu))
+    dof = system.dof
+    # the dof order must differ from the mesh order for the round trip to mean anything
+    assert np.any(dof.facet_slot[mesh.interior_facets] != np.arange(len(mesh.interior_facets)))
+    # each facet's barycenter, written into its dofs through the element-to-dof table
+    x = np.zeros(system.size)
+    base = dof.elem_dofs[:, 1:]
+    live = base >= 0
+    x[base[live][:, None] + np.arange(2)] = mu * mesh.facet_barycenters[mesh.elem_facets[live]]
+    x[: dof.n_interior] = mu * mesh.elem_centroids.ravel()
+    x[dof.n_u :] = np.arange(mesh.num_elements)
+    interior, facet, p = system.split(x)
+    assert np.array_equal(interior, mesh.elem_centroids)
+    assert np.array_equal(facet, mesh.facet_barycenters[mesh.interior_facets])
+    assert np.array_equal(p, np.arange(mesh.num_elements))
 
 
 def test_ones_in_left_null_space_of_B():

@@ -247,6 +247,20 @@ def test_gmsh_section_count_must_match_its_lines(tmp_path, good, bad, match):
         load_mesh(path)
 
 
+@pytest.mark.parametrize("fifth", ["2 9 9 0", "2 1.1 0 0"], ids=["inverts", "stretches"])
+def test_gmsh_repeated_node_id_rejected(tmp_path, fifth):
+    # either row of node 2 would move the elements that name it: the first
+    # line inverts an element, the second loads a domain of area 1.05
+    path = tmp_path / "square.msh"
+    path.write_text(
+        GMSH_SQUARE.replace("$Nodes\n4\n", "$Nodes\n5\n").replace(
+            "4 0 1 0\n", f"4 0 1 0\n{fifth}\n"
+        )
+    )
+    with pytest.raises(MeshError, match="node id 2 repeats: lines 7 and 10"):
+        load_mesh(path)
+
+
 def test_gmsh_unsupported_type(tmp_path):
     content = """$MeshFormat
 2.2 0 8
