@@ -63,7 +63,7 @@ def main():
     spec = spectral_report(last_system)
     for method in ("minres", "gmres"):
         sol = solve_system(last_system, method)
-        check = residual_bound_check(sol.report, spec, method)
+        check = residual_bound_check(sol.report, spec)
         state = "holds" if check.passed else "violated"
         print(f"  {method}: bound {state} at {len(check.checked)} checkpoints, "
               f"decay factor {check.rho:.4f}, "

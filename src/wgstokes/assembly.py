@@ -13,9 +13,11 @@ alpha/N from each entry (b2~) puts the right-hand side into the range of
 the operator.
 
 Unknown ordering: interior velocity values (element-major, component-minor),
-then interior-facet values (facet-major, component-minor). Boundary facet
-values are eliminated at assembly time and their stiffness coupling moves
-into b1.
+then interior-facet values (facet-major, component-minor). The components
+decouple, so the velocity block is ``kron(A, I_d)`` with the scalar
+stiffness ``A`` (one row per element and interior facet) that `SaddleSystem`
+holds. Boundary facet values are eliminated at assembly time and their
+stiffness coupling moves into b1.
 
 The interior facets are numbered in nested-dissection order (A. George,
 SINUM 10, 1973), not in `mesh.interior_facets` order: `DofMap.facet_slot`
@@ -63,12 +65,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DofMap:
-    """Bijection from (entity, component) pairs onto [0, n_u)."""
+    """Bijection from (entity, component) pairs onto [0, n_u): d*row + component."""
 
     dim: int
     num_elements: int
     facet_slot: np.ndarray  # global facet -> nested-dissection position, -1 if boundary
-    elem_dofs: np.ndarray  # (ne, d+2) component-0 dof of local basis 0..d+1, -1 if eliminated
+    elem_dofs: np.ndarray  # (ne, d+2) row of A of local basis 0..d+1, -1 if eliminated
     n_interior: int
     n_facet: int
 
@@ -133,12 +135,12 @@ def build_dofmap(mesh: Mesh) -> DofMap:
     d, ne = mesh.dim, mesh.num_elements
     facet_slot = np.full(mesh.num_facets, -1, dtype=np.int64)
     facet_slot[mesh.interior_facets] = _nested_dissection(mesh)
-    facet_dof = np.where(facet_slot >= 0, ne * d + facet_slot * d, -1)
+    facet_row = np.where(facet_slot >= 0, ne + facet_slot, -1)
     return DofMap(
         dim=d,
         num_elements=ne,
         facet_slot=facet_slot,
-        elem_dofs=np.column_stack([np.arange(0, ne * d, d), facet_dof[mesh.elem_facets]]),
+        elem_dofs=np.column_stack([np.arange(ne), facet_row[mesh.elem_facets]]),
         n_interior=ne * d,
         n_facet=len(mesh.interior_facets) * d,
     )
@@ -172,21 +174,18 @@ def _scatter(shape, rows, cols, vals, keep) -> sp.csr_matrix:
 
 
 def assemble_A(mesh: Mesh, dof: DofMap | None = None) -> sp.csr_matrix:
-    """Velocity stiffness block: weak-gradient Gram summed over elements.
+    """Scalar stiffness: weak-gradient Gram summed over elements.
 
     Exactly symmetric by construction (symmetric local blocks, symmetric
     scatter); boundary facet columns are eliminated.
     """
     dof = dof or build_dofmap(mesh)
-    r = np.arange(mesh.dim)
-    base = dof.elem_dofs[..., None]  # (ne, d+2, 1)
-    live = base >= 0
-    # entry (p, q, r) of element k couples component r of local dofs p and q
+    live = dof.elem_dofs >= 0
     return _scatter(
-        (dof.n_u, dof.n_u),
-        base[:, :, None] + r,
-        base[:, None, :] + r,
-        local_gram_matrices(mesh)[..., None],
+        (dof.n_u // dof.dim,) * 2,
+        dof.elem_dofs[:, :, None],
+        dof.elem_dofs[:, None, :],
+        local_gram_matrices(mesh),
         live[:, :, None] & live[:, None, :],
     )
 
@@ -198,7 +197,7 @@ def assemble_B(mesh: Mesh, dof: DofMap | None = None) -> sp.csr_matrix:
     return _scatter(
         (len(base), dof.n_u),
         np.arange(len(base))[:, None, None],
-        base + np.arange(mesh.dim),
+        mesh.dim * base + np.arange(mesh.dim),
         mesh.elem_facet_measures[..., None] * mesh.elem_normals,
         base >= 0,
     )
@@ -280,7 +279,7 @@ def assemble_b1(
     base = dof.elem_dofs[..., None]  # (ne, d+2, 1)
     keep = np.broadcast_to(base >= 0, local.shape)
     return np.bincount(
-        (base + np.arange(d))[keep], weights=local[keep], minlength=dof.n_u
+        (d * base + np.arange(d))[keep], weights=local[keep], minlength=dof.n_u
     )
 
 
@@ -320,7 +319,7 @@ class SaddleSystem:
     mesh: Mesh
     dof: DofMap
     mu: float
-    A: sp.csr_matrix
+    A: sp.csr_matrix  # scalar stiffness; the velocity block is kron(A, I_d)
     B: sp.csr_matrix
     b1: np.ndarray
     b2: np.ndarray
@@ -354,20 +353,19 @@ class SaddleSystem:
         return self.B.T
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """Operator product [A, -B^T; -B, 0] x."""
+        """Operator product [kron(A, I_d), -B^T; -B, 0] x."""
         n_u = self.n_u
         xu = x[:n_u]
         y = np.empty(len(x))
-        np.subtract(self.A @ xu, self._Bt @ x[n_u:], out=y[:n_u])
+        au = (self.A @ xu.reshape(-1, self.dof.dim)).reshape(-1)
+        np.subtract(au, self._Bt @ x[n_u:], out=y[:n_u])
         np.negative(self.B @ xu, out=y[n_u:])
         return y
 
     def dense_operator(self) -> np.ndarray:
-        a = self.A.toarray()
+        a = np.kron(self.A.toarray(), np.eye(self.dof.dim))
         b = self.B.toarray()
-        top = np.hstack([a, -b.T])
-        bottom = np.hstack([-b, np.zeros((self.n_p, self.n_p))])
-        return np.vstack([top, bottom])
+        return np.block([[a, -b.T], [-b, np.zeros((self.n_p, self.n_p))]])
 
     def split(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Unscaled (interior velocity, facet velocity, pressure) from a solution
@@ -419,14 +417,14 @@ def build_saddle_system(
 
 
 def export_system(system: SaddleSystem, outdir: str | Path, stem: str = "system") -> list[Path]:
-    """Write A, B and the right-hand side in Matrix Market coordinate format."""
+    """Write kron(A, I_d), B and the right-hand side in Matrix Market coordinate format."""
     from scipy.io import mmwrite
 
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     paths = []
     for suffix, mat in (
-        ("A", system.A.tocoo()),
+        ("A", sp.kron(system.A, sp.identity(system.dof.dim), "csr").tocoo()),  # row-major
         ("B", system.B.tocoo()),
         ("rhs", sp.coo_matrix(system.rhs().reshape(-1, 1))),
     ):

@@ -18,6 +18,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import types
+import typing
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -40,7 +42,7 @@ class ConfigError(Exception):
 
 @dataclass
 class ExperimentConfig:
-    """Settings for one CLI run; JSON config files use these field names."""
+    """Settings for one CLI run; JSON config files use these field names and types."""
 
     problem: str = "stokes2d_exp"
     dim: int | None = None
@@ -72,13 +74,30 @@ def _load_config_file(path: Path) -> dict:
     return data
 
 
+def _fits(value, hint) -> bool:
+    """Whether a JSON value has the type of a config field."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is types.UnionType:
+        return any(_fits(value, h) for h in args)
+    if typing.get_origin(hint) is list:
+        return isinstance(value, list) and all(_fits(v, args[0]) for v in value)
+    if isinstance(value, bool):  # JSON true/false is never a number
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     cfg = ExperimentConfig()
-    known = {f.name for f in fields(ExperimentConfig)}
+    hints = typing.get_type_hints(ExperimentConfig)
+    declared = {f.name: f.type for f in fields(ExperimentConfig)}
     if args.config is not None:
         for key, value in _load_config_file(args.config).items():
-            if key not in known:
+            if key not in hints:
                 raise ConfigError(f"unknown config key {key!r}")
+            if not _fits(value, hints[key]) and _fits([value], hints[key]):
+                value = [value]  # a list field also takes one item
+            if not _fits(value, hints[key]):
+                raise ConfigError(f"config key {key!r} must be {declared[key]}, got {value!r}")
             setattr(cfg, key, value)
     for name in (
         "problem", "dim", "qg", "method", "precond", "tol",
@@ -101,17 +120,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _normalize(cfg: ExperimentConfig) -> None:
-    if isinstance(cfg.mu, (int, float)):
-        cfg.mu = [float(cfg.mu)]
     cfg.mu = [float(m) for m in cfg.mu]
-    if isinstance(cfg.levels, int):
-        cfg.levels = [cfg.levels]
-    if isinstance(cfg.mesh_files, str):
-        cfg.mesh_files = [cfg.mesh_files]
-    if isinstance(cfg.velocity, str):
-        cfg.velocity = [cfg.velocity]
-    if isinstance(cfg.forcing, str):
-        cfg.forcing = [cfg.forcing]
     if cfg.problem == "custom" and cfg.dim is None and cfg.velocity:
         cfg.dim = len(cfg.velocity)
 

@@ -29,6 +29,7 @@ __all__ = [
 ]
 
 Vec = Callable[[np.ndarray], np.ndarray]
+_COMPAT_DEGREE = 8  # exactness degree of the facet rule in boundary_compatibility
 
 
 @dataclass(frozen=True)
@@ -325,11 +326,12 @@ def facet_means(mesh, fn, facets: np.ndarray, rule: tuple, name: str) -> np.ndar
     return np.einsum("q,fqd->fd", w, evaluate_batch(fn, pts, name))
 
 
-def boundary_compatibility(problem: StokesProblem, mesh, degree: int = 8) -> float:
+def boundary_compatibility(problem: StokesProblem, mesh) -> float:
     """integral over the boundary of g.n (zero for a well-posed problem)."""
     from .quadrature import facet_rule
 
     bf = mesh.boundary_facets
-    means = facet_means(mesh, problem.boundary, bf, facet_rule(mesh.dim, degree), "boundary")
+    rule = facet_rule(mesh.dim, _COMPAT_DEGREE)
+    means = facet_means(mesh, problem.boundary, bf, rule, "boundary")
     flux = np.einsum("fd,fd->f", means, mesh.facet_normals[bf])
     return float(mesh.facet_measures[bf] @ flux)

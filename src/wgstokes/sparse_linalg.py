@@ -1,18 +1,14 @@
-"""Exact inverse of the velocity stiffness block A.
+"""Exact inverse of the velocity block ``kron(A, I_d)``.
 
-Two structural facts make one sparse LU enough:
-
-- ``A == kron(A_s, I_d)``: the d velocity components decouple and share one
-  scalar matrix ``A_s``, so one factorization serves all components at once
-  as a multi-right-hand-side solve.
-- The interior-interior block of ``A_s`` is diagonal (an interior unknown
-  couples only to its own element's facets). Eliminating the interior
-  unknowns leaves the Schur complement ``S = F - C^T D^{-1} C`` on the
-  interior facets; this is static condensation (Cockburn, Gopalakrishnan &
-  Lazarov, SINUM 2009).
+One factorization of the scalar stiffness ``A`` serves all d velocity
+components at once, as a multi-right-hand-side solve. The interior-interior
+block of ``A`` is diagonal (an interior unknown couples only to its own
+element's facets). Eliminating the interior unknowns leaves the Schur
+complement ``S = F - C^T D^{-1} C`` on the interior facets; this is static
+condensation (Cockburn, Gopalakrishnan & Lazarov, SINUM 2009).
 
 ``S`` is symmetric positive definite, as a Schur complement of the SPD
-``A_s``, and is factored once as such: ``splu`` in SuperLU's symmetric mode
+``A``, and is factored once as such: ``splu`` in SuperLU's symmetric mode
 (X. S. Li, ACM TOMS 31, 2005) with no pivoting, which an SPD matrix does not
 need, in the order the rows are given. ``build_dofmap`` numbers the facets
 by nested dissection of the mesh, from element centroids that a bare matrix
@@ -33,7 +29,7 @@ DENSE_GUARD = 2000  # cubic-cost eigensolves are for verification scale only
 
 
 class InnerSolver:
-    """Reusable exact A^{-1}: Kronecker reduction, static condensation, sparse LU."""
+    """Reusable exact inverse of ``kron(a, I_d)``: static condensation, sparse LU."""
 
     def __init__(self, a):
         a = sp.csr_matrix(a)
@@ -43,21 +39,16 @@ class InnerSolver:
             raise ValueError("matrix must be symmetric")
         if np.any(a.diagonal() <= 0):
             raise ValueError("matrix must have positive diagonal")
-        n = a.shape[0]
-        self.d = next(
-            d for d in (3, 2, 1)
-            if n % d == 0 and (a != sp.kron(a[::d, ::d], sp.identity(d), "csr")).nnz == 0
-        )
-        a_s = a[:: self.d, :: self.d].tocsr()
+        self.n = a.shape[0]
         # the rows before the first one with an entry left of the diagonal
         # have none, so by symmetry they form a diagonal leading block; with
-        # no such row at all, ni = 0 and the LU covers all of A_s
-        has_lower = np.diff(sp.tril(a_s, -1, "csr").indptr) > 0
+        # no such row at all, ni = 0 and the LU covers all of a
+        has_lower = np.diff(sp.tril(a, -1, "csr").indptr) > 0
         self.ni = ni = int(np.argmax(has_lower))
-        self._dinv = 1.0 / a_s.diagonal()[:ni]
-        self._c = a_s[:ni, ni:].tocsr()
+        self._dinv = 1.0 / a.diagonal()[:ni]
+        self._c = a[:ni, ni:].tocsr()
         self._ct = self._c.T  # a view on the arrays of _c, built once
-        schur = (a_s[ni:, ni:] - self._ct @ sp.diags(self._dinv) @ self._c).tocsc()
+        schur = (a[ni:, ni:] - self._ct @ sp.diags(self._dinv) @ self._c).tocsc()
         self._lu = spla.splu(
             schur,
             permc_spec="NATURAL",
@@ -68,9 +59,9 @@ class InnerSolver:
         self.total_iterations = 0
 
     def solve(self, r: np.ndarray) -> np.ndarray:
-        """Apply A^{-1} to a vector, all d components in one solve."""
+        """Apply the inverse of ``kron(a, I_d)``, d = len(r) / n, in one solve."""
         ni = self.ni
-        rs = np.asarray(r, dtype=float).reshape(-1, self.d)
+        rs = np.asarray(r, dtype=float).reshape(self.n, -1)
         ri = self._dinv[:, None] * rs[:ni]
         xf = self._lu.solve(rs[ni:] - self._ct @ ri)
         xi = ri - self._dinv[:, None] * (self._c @ xf)

@@ -68,6 +68,7 @@ class ErrorReport:
 
 ERROR_FIELDS = ("l2_velocity", "superconv", "grad_error", "pressure_error")
 ERROR_DEGREE = 4  # exactness degree of the quadrature rule in compute_errors
+SPECTRAL_MARGIN = 1e-8  # slack of every eigenvalue bound spectral_report checks
 
 
 def compute_errors(mesh: Mesh, problem: StokesProblem, solution: StokesSolution) -> ErrorReport:
@@ -132,13 +133,14 @@ class ConvergenceTable:
     levels: list  # number of elements per level, ascending h^-1
 
     def rates(self, mu: float, field_name: str) -> list:
-        """log-ratio rates between consecutive levels; first entry is None."""
+        """log-ratio rates between consecutive levels; the first entry is None, and a
+        rate is nan where an error is zero or two levels have the same h."""
         out = [None]
         for i in range(1, len(self.levels)):
             r0 = self.reports[(mu, i - 1)]
             r1 = self.reports[(mu, i)]
             e0, e1 = getattr(r0, field_name), getattr(r1, field_name)
-            if e0 <= 0.0 or e1 <= 0.0:
+            if e0 <= 0.0 or e1 <= 0.0 or r0.h == r1.h:
                 out.append(float("nan"))
             else:
                 out.append(math.log(e0 / e1) / math.log(r0.h / r1.h))
@@ -305,7 +307,7 @@ class SpectralReport:
         return "\n".join(lines)
 
 
-def spectral_report(system: SaddleSystem, margin: float = 1e-8) -> SpectralReport:
+def spectral_report(system: SaddleSystem) -> SpectralReport:
     """Dense spectral verification on a small system.
 
     Forms the Schur complement S = B A^-1 B^T, solves S q = gamma Mp q, and
@@ -319,7 +321,8 @@ def spectral_report(system: SaddleSystem, margin: float = 1e-8) -> SpectralRepor
             f"guard {DENSE_GUARD}; use a coarser mesh"
         )
     d = system.dof.dim
-    a = system.A.toarray()
+    op = system.dense_operator()
+    a = op[: system.n_u, : system.n_u]
     b = system.B.toarray()
     mp = np.diag(system.Mp)
     cho = scipy.linalg.cho_factor(a)
@@ -327,13 +330,10 @@ def spectral_report(system: SaddleSystem, margin: float = 1e-8) -> SpectralRepor
     s = 0.5 * (s + s.T)
     gammas = scipy.linalg.eigh(s, mp, eigvals_only=True)
     zero_gamma = int(np.sum(np.abs(gammas) < 1e-10))
-    gamma_upper_ok = bool(gammas[-1] <= d + margin)
+    gamma_upper_ok = bool(gammas[-1] <= d + SPECTRAL_MARGIN)
     beta = math.sqrt(max(float(gammas[1]), 0.0))
 
-    op = system.dense_operator()
-    pd = np.zeros_like(op)
-    pd[: system.n_u, : system.n_u] = a
-    pd[system.n_u :, system.n_u :] = mp
+    pd = scipy.linalg.block_diag(a, mp)
     lambdas = scipy.linalg.eigh(op, pd, eigvals_only=True)
     zero_lambda = int(np.sum(np.abs(lambdas) < 1e-10))
 
@@ -342,10 +342,10 @@ def spectral_report(system: SaddleSystem, margin: float = 1e-8) -> SpectralRepor
     # eigenvector with p != 0 can reach it (it would need B^T p = 0 and a
     # zero weighted mean of p at once), so the point admits only that family
     inside = (
-        ((lambdas >= lo_neg - margin) & (lambdas <= hi_neg + margin))
-        | (np.abs(lambdas) <= margin)
-        | (np.abs(lambdas - 1.0) <= margin)
-        | ((lambdas >= lo_pos - margin) & (lambdas <= hi_pos + margin))
+        ((lambdas >= lo_neg - SPECTRAL_MARGIN) & (lambdas <= hi_neg + SPECTRAL_MARGIN))
+        | (np.abs(lambdas) <= SPECTRAL_MARGIN)
+        | (np.abs(lambdas - 1.0) <= SPECTRAL_MARGIN)
+        | ((lambdas >= lo_pos - SPECTRAL_MARGIN) & (lambdas <= hi_pos + SPECTRAL_MARGIN))
     )
     violations = lambdas[~inside]
 
@@ -359,7 +359,7 @@ def spectral_report(system: SaddleSystem, margin: float = 1e-8) -> SpectralRepor
         gammas=gammas,
         beta=beta,
         lambdas=lambdas,
-        margin=margin,
+        margin=SPECTRAL_MARGIN,
         zero_gamma_count=zero_gamma,
         gamma_upper_ok=gamma_upper_ok,
         zero_lambda_count=zero_lambda,
@@ -383,9 +383,7 @@ class BoundCheck:
         return self.worst_margin >= 0.0
 
 
-def residual_bound_check(
-    report: SolveReport, spectral: SpectralReport, which: str | None = None
-) -> BoundCheck:
+def residual_bound_check(report: SolveReport, spectral: SpectralReport) -> BoundCheck:
     """Compare a recorded residual history against its a priori bound.
 
     For the diagonally preconditioned method the bound governs the residual
@@ -394,18 +392,17 @@ def residual_bound_check(
     triangular preconditioner it governs iterations k >= 2 with a prefactor
     involving the extreme eigenvalues of the mass and stiffness blocks.
     """
-    which = which or report.method
     d = float(spectral.dim)
     beta = spectral.beta
     rho = (math.sqrt(d) - beta) / (math.sqrt(d) + beta)
     checked = []
-    if which == "minres":
+    if report.method == "minres":
         prefactor = 2.0
         history = report.precond_residuals
         for j in range(1, len(history), 2):
             bound = prefactor * rho ** ((j - 1) // 2)
             checked.append((j, history[j], bound))
-    elif which == "gmres":
+    elif report.method == "gmres":
         prefactor = 2.0 * (
             1.0 + d + math.sqrt(d * spectral.lambda_max_Mp / spectral.lambda_min_A)
         )
@@ -414,10 +411,10 @@ def residual_bound_check(
             bound = prefactor * rho ** (j - 2)
             checked.append((j, history[j], bound))
     else:
-        raise ValueError(f"unknown method {which!r}")
+        raise ValueError(f"unknown method {report.method!r}")
     worst = min((b - m for _, m, b in checked), default=float("inf"))
     return BoundCheck(
-        method=which, rho=rho, prefactor=prefactor, checked=checked,
+        method=report.method, rho=rho, prefactor=prefactor, checked=checked,
         worst_margin=float(worst),
     )
 

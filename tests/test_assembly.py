@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.io
 import scipy.linalg
+import scipy.sparse as sp
 
 from oracles import (
     dense_A_oracle,
@@ -31,6 +32,7 @@ from wgstokes.assembly import (
 )
 from wgstokes.mesh import Mesh, generate_structured_tet, generate_structured_tri
 from wgstokes.problems import StokesProblem, builtin_problem
+from wgstokes.sparse_linalg import InnerSolver
 from wgstokes.wg_core import WGField, field_weak_gradients, lifting_matrix
 
 # problem callables take (n, d) point batches: vectors -> (n, d), pressure -> (n,)
@@ -70,6 +72,11 @@ def oracle_mesh(dim, n, jitter):
     return Mesh(verts, base.elements)
 
 
+def velocity_block(mesh):
+    """Dense kron(A, I_d) of the assembled scalar stiffness, the oracle's matrix."""
+    return np.kron(assemble_A(mesh).toarray(), np.eye(mesh.dim))
+
+
 oracle_inputs_2d = pytest.mark.parametrize(
     "n,jitter", [(1, False), (2, False), (3, True)], ids=["1", "2", "jittered-3"]
 )
@@ -78,14 +85,14 @@ oracle_inputs_2d = pytest.mark.parametrize(
 @oracle_inputs_2d
 def test_A_matches_dense_oracle_2d(n, jitter):
     mesh = oracle_mesh(2, n, jitter)
-    a = assemble_A(mesh).toarray()
+    a = velocity_block(mesh)
     oracle = dense_A_oracle(mesh)
     assert np.max(np.abs(a - oracle)) < 1e-12
 
 
 def test_A_matches_dense_oracle_3d():
     for mesh in (oracle_mesh(3, 1, False), oracle_mesh(3, 2, True)):
-        a = assemble_A(mesh).toarray()
+        a = velocity_block(mesh)
         oracle = dense_A_oracle(mesh)
         assert np.max(np.abs(a - oracle)) < 1e-12
 
@@ -96,7 +103,7 @@ def test_A_oracle_ignores_mesh_geometry_arrays(dim, n):
     # corrupted scale that the assembly reads
     mesh = oracle_mesh(dim, n, True)
     mesh.elem_grad_scales *= 1.01
-    assert np.max(np.abs(assemble_A(mesh).toarray() - dense_A_oracle(mesh))) > 1e-3
+    assert np.max(np.abs(velocity_block(mesh) - dense_A_oracle(mesh))) > 1e-3
 
 
 @oracle_inputs_2d
@@ -213,7 +220,7 @@ def test_split_returns_facet_values_in_mesh_order():
     x = np.zeros(system.size)
     base = dof.elem_dofs[:, 1:]
     live = base >= 0
-    x[base[live][:, None] + np.arange(2)] = mu * mesh.facet_barycenters[mesh.elem_facets[live]]
+    x[2 * base[live][:, None] + np.arange(2)] = mu * mesh.facet_barycenters[mesh.elem_facets[live]]
     x[: dof.n_interior] = mu * mesh.elem_centroids.ravel()
     x[dof.n_u :] = np.arange(mesh.num_elements)
     interior, facet, p = system.split(x)
@@ -383,6 +390,23 @@ def test_saddle_operator_matches_dense():
         assert np.allclose(sys_.apply(x), dense @ x, rtol=1e-13, atol=1e-13)
 
 
+@pytest.mark.parametrize("dim,n", [(2, 8), (3, 3)], ids=["2d-8-jittered", "3d-3-jittered"])
+def test_velocity_block_is_kron_of_scalar_stiffness(dim, n):
+    # A has one row per element and interior facet; apply and the A-block
+    # inverse both act on the velocity block kron(A, I_d)
+    mesh = jittered_mesh(dim, n, 4)
+    sys_ = build_saddle_system(mesh, zero_problem(dim))
+    n_rows = mesh.num_elements + len(mesh.interior_facets)
+    assert sys_.A.shape == (n_rows, n_rows)
+    assert sys_.n_u == dim * n_rows
+    kron = sp.kron(sys_.A, sp.identity(dim), "csr")
+    u = np.random.default_rng(8).normal(size=sys_.n_u)
+    au = sys_.apply(np.concatenate([u, np.zeros(sys_.n_p)]))[: sys_.n_u]
+    assert np.array_equal(au, kron @ u)
+    x = InnerSolver(sys_.A).solve(au)
+    assert np.linalg.norm(kron @ x - au) <= 1e-12 * np.linalg.norm(au)
+
+
 def test_consistent_rhs_orthogonal_to_ones():
     mesh = generate_structured_tri(4)
     sys_ = build_saddle_system(mesh, builtin_problem("stokes2d_exp"))
@@ -457,6 +481,6 @@ def test_export_system_roundtrip(tmp_path):
     paths = export_system(sys_, tmp_path, stem="tiny")
     assert [p.name for p in paths] == ["tiny_A.mtx", "tiny_B.mtx", "tiny_rhs.mtx"]
     a_back = scipy.io.mmread(paths[0]).toarray()
-    assert np.allclose(a_back, sys_.A.toarray(), rtol=1e-12)
+    assert np.allclose(a_back, np.kron(sys_.A.toarray(), np.eye(2)), rtol=1e-12)
     rhs_back = np.asarray(scipy.io.mmread(paths[2]).todense()).ravel()
     assert np.allclose(rhs_back, sys_.rhs())

@@ -177,6 +177,35 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "cleverness" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "values",
+    [
+        {"tol": "1e-8"},
+        {"restart": 2.5, "method": "gmres"},
+        {"mu": "1e-3"},
+        {"consistent": "no"},
+        {"levels": [2, "4"]},
+        {"maxit": True},
+    ],
+    ids=["tol-string", "restart-float", "mu-string", "consistent-string",
+         "levels-item-string", "maxit-bool"],
+)
+def test_config_value_of_wrong_type_is_config_error(tmp_path, capsys, values):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"levels": [2], **values}))
+    assert cli.main(["export-system", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    key = next(k for k in values if k != "method")
+    assert f"config key {key!r} must be" in capsys.readouterr().err
+
+
+def test_repeated_level_gives_nan_rate(tmp_path):
+    # two levels with the same h have no rate; the study still completes
+    assert cli.main(["convergence", "--levels", "2", "2", "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "convergence.csv").read_text().splitlines()
+    header = rows[0].split(",")
+    assert rows[2].split(",")[header.index("l2_velocity_rate")] == "nan"
+
+
 def test_malformed_config_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("not json {")

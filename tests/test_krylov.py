@@ -27,6 +27,11 @@ def small_system(n=2, mu=1.0, dim=2, consistent=True):
     return _CACHE[key]
 
 
+def velocity_product(sys_, y):
+    """kron(A, I_d) @ y: the scalar stiffness applied to each component."""
+    return (sys_.A @ y.reshape(-1, sys_.dof.dim)).ravel()
+
+
 def cavity_problem():
     # stream function x^2(1-x)^2 y^2(1-y)^2 gives a divergence-free field
     # that vanishes on the whole boundary of the unit square
@@ -39,7 +44,7 @@ def test_pd_inverse_recovers_velocity_block():
     sys_ = small_system()
     rng = np.random.default_rng(3)
     y = rng.standard_normal(sys_.n_u)
-    r = np.concatenate([sys_.A @ y, np.zeros(sys_.n_p)])
+    r = np.concatenate([velocity_product(sys_, y), np.zeros(sys_.n_p)])
     x = SaddlePreconditioner(sys_, "block_diag").apply(r)
     assert np.max(np.abs(x[: sys_.n_u] - y)) < 1e-10
     assert np.max(np.abs(x[sys_.n_u :])) == 0.0
@@ -60,7 +65,7 @@ def test_pt_inverse_dense_roundtrip():
     rng = np.random.default_rng(5)
     r = rng.standard_normal(sys_.size)
     x = SaddlePreconditioner(sys_, "block_lower_tri").apply(r)
-    a = sys_.A.toarray()
+    a = np.kron(sys_.A.toarray(), np.eye(2))
     b = sys_.B.toarray()
     top = np.hstack([a, np.zeros((sys_.n_u, sys_.n_p))])
     bottom = np.hstack([-b, -np.diag(sys_.Mp)])
@@ -74,7 +79,7 @@ def test_pt_inverse_maps_momentum_residual_to_velocity():
     sys_ = small_system()
     rng = np.random.default_rng(6)
     y = rng.standard_normal(sys_.n_u)
-    r = np.concatenate([sys_.A @ y, -(sys_.B @ y)])
+    r = np.concatenate([velocity_product(sys_, y), -(sys_.B @ y)])
     x = SaddlePreconditioner(sys_, "block_lower_tri").apply(r)
     assert np.max(np.abs(x[: sys_.n_u] - y)) < 1e-9
     assert np.max(np.abs(x[sys_.n_u :])) < 1e-9
@@ -93,7 +98,7 @@ def test_pd_preconditioned_operator_self_adjoint():
         def pdot(a, b):
             au, ap = a[: sys_.n_u], a[sys_.n_u :]
             bu, bp = b[: sys_.n_u], b[sys_.n_u :]
-            return float(au @ (sys_.A @ bu) + ap @ (sys_.Mp * bp))
+            return float(au @ velocity_product(sys_, bu) + ap @ (sys_.Mp * bp))
 
         lhs = pdot(tx, y)
         rhs = pdot(x, ty)
