@@ -1,5 +1,5 @@
 """Global assembly of the velocity stiffness block, the divergence block and
-the right-hand sides, plus consistency enforcement of the singular system.
+the right-hand sides of the singular saddle system.
 
 The assembled saddle system is kept in the rescaled form
 
@@ -10,7 +10,7 @@ whose blocks are independent of the viscosity; the solver unscales the
 velocity on return. The pressure equations sum to the total boundary flux
 of the projected datum (alpha), which is generally nonzero; subtracting
 alpha/N from each entry (b2~) puts the right-hand side into the range of
-the operator.
+the operator. `SaddleSystem.rhs` applies this fix, and nothing else does.
 
 Unknown ordering: interior velocity values (element-major, component-minor),
 then interior-facet values (facet-major, component-minor). The components
@@ -54,9 +54,6 @@ __all__ = [
     "assemble_B",
     "assemble_b1",
     "assemble_b2",
-    "compute_alpha",
-    "enforce_consistency",
-    "assemble_mass_pressure",
     "project_boundary_values",
     "build_saddle_system",
     "export_system",
@@ -297,21 +294,6 @@ def assemble_b2(
     return (mesh.elem_facet_measures * flux).sum(axis=1)
 
 
-def compute_alpha(b2: np.ndarray) -> float:
-    """Total boundary-flux defect; zero iff the pressure equations are consistent."""
-    return float(np.sum(b2))
-
-
-def enforce_consistency(b2: np.ndarray, alpha: float, n_elements: int) -> np.ndarray:
-    """Redistribute the defect so the modified vector sums to zero."""
-    return b2 - alpha / n_elements
-
-
-def assemble_mass_pressure(mesh: Mesh) -> np.ndarray:
-    """Diagonal entries (element measures) of the pressure mass matrix."""
-    return mesh.elem_volumes.copy()
-
-
 @dataclass
 class SaddleSystem:
     """Rescaled singular saddle system and everything needed to solve/verify it."""
@@ -323,9 +305,8 @@ class SaddleSystem:
     B: sp.csr_matrix
     b1: np.ndarray
     b2: np.ndarray
-    b2_tilde: np.ndarray
-    Mp: np.ndarray  # diagonal entries
-    alpha_h: float
+    Mp: np.ndarray  # diagonal entries: the element measures
+    alpha_h: float  # sum of b2, the boundary-flux defect; zero iff b2 is consistent
     consistent: bool
     qg_method: str
     g_boundary: np.ndarray  # projected datum per boundary facet
@@ -343,8 +324,9 @@ class SaddleSystem:
         return self.n_u + self.n_p
 
     def rhs(self) -> np.ndarray:
-        second = self.b2_tilde if self.consistent else self.b2
-        return np.concatenate([self.b1, self.mu * second])
+        """[b1; mu*b2], with b2~ = b2 - alpha_h/N in place of b2 if `consistent`."""
+        b2 = self.b2 - self.alpha_h / self.n_p if self.consistent else self.b2
+        return np.concatenate([self.b1, self.mu * b2])
 
     @cached_property
     def _Bt(self) -> sp.csc_matrix:
@@ -398,7 +380,6 @@ def build_saddle_system(
     b = assemble_B(mesh, dof)
     b1 = assemble_b1(mesh, problem, qg_method, dof, g_proj)
     b2 = assemble_b2(mesh, problem, qg_method, g_proj)
-    alpha = compute_alpha(b2)
     return SaddleSystem(
         mesh=mesh,
         dof=dof,
@@ -407,17 +388,17 @@ def build_saddle_system(
         B=b,
         b1=b1,
         b2=b2,
-        b2_tilde=enforce_consistency(b2, alpha, mesh.num_elements),
-        Mp=assemble_mass_pressure(mesh),
-        alpha_h=alpha,
+        Mp=mesh.elem_volumes.copy(),
+        alpha_h=float(np.sum(b2)),
         consistent=consistent,
         qg_method=qg_method,
         g_boundary=g_proj,
     )
 
 
-def export_system(system: SaddleSystem, outdir: str | Path, stem: str = "system") -> list[Path]:
-    """Write kron(A, I_d), B and the right-hand side in Matrix Market coordinate format."""
+def export_system(system: SaddleSystem, outdir: str | Path) -> list[Path]:
+    """Write kron(A, I_d), B and the right-hand side in Matrix Market coordinate
+    format, as system_A.mtx, system_B.mtx and system_rhs.mtx in outdir."""
     from scipy.io import mmwrite
 
     outdir = Path(outdir)
@@ -428,7 +409,7 @@ def export_system(system: SaddleSystem, outdir: str | Path, stem: str = "system"
         ("B", system.B.tocoo()),
         ("rhs", sp.coo_matrix(system.rhs().reshape(-1, 1))),
     ):
-        p = outdir / f"{stem}_{suffix}.mtx"
+        p = outdir / f"system_{suffix}.mtx"
         mmwrite(p, mat)
         paths.append(p)
     return paths

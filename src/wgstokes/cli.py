@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .assembly import build_saddle_system, export_system
-from .krylov import METHODS, PRECONDITIONERS, solve_system
+from .krylov import METHODS, PRECONDITIONERS, preconditioner_for, solve_system
 from .mesh import Mesh, load_mesh, structured_simplex_mesh
 from .problems import BUILTIN_PROBLEMS, StokesProblem, builtin_problem, problem_from_expressions
 from .sparse_linalg import InnerSolver
@@ -99,21 +99,10 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             if not _fits(value, hints[key]):
                 raise ConfigError(f"config key {key!r} must be {declared[key]}, got {value!r}")
             setattr(cfg, key, value)
-    for name in (
-        "problem", "dim", "qg", "method", "precond", "tol",
-        "restart", "maxit", "out", "pressure",
-    ):
+    for name in hints:  # every flag is named after its field and defaults to None
         value = getattr(args, name)
         if value is not None:
             setattr(cfg, name, value)
-    for name in ("mu", "mesh_files", "velocity", "forcing"):
-        value = getattr(args, name)
-        if value is not None:
-            setattr(cfg, name, list(value))
-    if args.levels is not None:
-        cfg.levels = list(args.levels)
-    if args.inconsistent:
-        cfg.consistent = False
     _normalize(cfg)
     _validate(cfg)
     return cfg
@@ -143,14 +132,10 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("maxit must be a positive integer")
     if cfg.qg not in FACET_METHODS:
         raise ConfigError(f"qg must be one of {', '.join(FACET_METHODS)}")
-    if cfg.method not in METHODS:
-        raise ConfigError(f"method must be one of {', '.join(METHODS)}")
-    if cfg.precond is not None and cfg.precond not in PRECONDITIONERS:
-        raise ConfigError(f"precond must be one of {', '.join(PRECONDITIONERS)}")
-    if cfg.method == "minres" and cfg.precond == "block_lower_tri":
-        raise ConfigError(
-            "minres needs a symmetric preconditioner; use gmres with block_lower_tri"
-        )
+    try:
+        preconditioner_for(cfg.method, cfg.precond)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if any(not isinstance(n, int) or n < 1 for n in cfg.levels):
         raise ConfigError("mesh levels must be positive integers")
     if not cfg.levels and not cfg.mesh_files:
@@ -162,24 +147,17 @@ def _validate(cfg: ExperimentConfig) -> None:
             )
         if cfg.dim not in (2, 3):
             raise ConfigError("custom problems need --dim 2 or 3")
-        if len(cfg.velocity) != cfg.dim:
-            raise ConfigError(
-                f"{cfg.dim}D problem needs {cfg.dim} velocity components, "
-                f"got {len(cfg.velocity)}"
-            )
-        if cfg.forcing is not None and len(cfg.forcing) != cfg.dim:
-            raise ConfigError(
-                f"{cfg.dim}D problem needs {cfg.dim} forcing components, "
-                f"got {len(cfg.forcing)}"
-            )
 
 
 def make_problem(cfg: ExperimentConfig) -> StokesProblem:
     if cfg.problem == "custom":
-        return problem_from_expressions(
-            cfg.dim, cfg.velocity, cfg.pressure, mu=cfg.mu[0],
-            forcing_exprs=cfg.forcing,
-        )
+        try:
+            return problem_from_expressions(
+                cfg.dim, cfg.velocity, cfg.pressure, mu=cfg.mu[0],
+                forcing_exprs=cfg.forcing,
+            )
+        except ValueError as exc:
+            raise ConfigError(f"custom problem: {exc}") from exc
     prob = builtin_problem(cfg.problem, mu=cfg.mu[0])
     if cfg.dim is not None and cfg.dim != prob.dim:
         raise ConfigError(f"{cfg.problem} is {prob.dim}D, but --dim {cfg.dim} given")
@@ -194,6 +172,14 @@ def resolve_meshes(cfg: ExperimentConfig, dim: int) -> list[Mesh]:
             raise ConfigError(f"mesh {path} is {mesh.dim}D, problem is {dim}D")
         meshes.append(mesh)
     return meshes
+
+
+def _one_mesh(cfg: ExperimentConfig, dim: int) -> Mesh:
+    """The mesh of a subcommand that works on one mesh; more is a ConfigError."""
+    count = len(cfg.levels) + len(cfg.mesh_files)
+    if count != 1:
+        raise ConfigError(f"this subcommand takes one mesh, got {count}")
+    return resolve_meshes(cfg, dim)[0]
 
 
 def _outdir(cfg: ExperimentConfig) -> Path:
@@ -230,7 +216,7 @@ def run_convergence(cfg: ExperimentConfig) -> int:
 def run_solver_study(cfg: ExperimentConfig) -> int:
     problem = make_problem(cfg)
     meshes = resolve_meshes(cfg, problem.dim)
-    precond = cfg.precond or METHODS[cfg.method]
+    precond = preconditioner_for(cfg.method, cfg.precond)
     rows = []
     for mesh in meshes:
         inner = None
@@ -308,8 +294,7 @@ def run_spectral(cfg: ExperimentConfig) -> int:
 
 def run_inconsistency(cfg: ExperimentConfig) -> int:
     problem = make_problem(cfg)
-    meshes = resolve_meshes(cfg, problem.dim)
-    mesh = meshes[0]
+    mesh = _one_mesh(cfg, problem.dim)
     demo = inconsistency_demo(
         mesh, problem, method=cfg.method, qg_method=cfg.qg, tol=cfg.tol,
         maxit=cfg.maxit, restart=cfg.restart,
@@ -326,7 +311,7 @@ def run_inconsistency(cfg: ExperimentConfig) -> int:
 
 def run_export(cfg: ExperimentConfig) -> int:
     problem = make_problem(cfg)
-    mesh = resolve_meshes(cfg, problem.dim)[0]
+    mesh = _one_mesh(cfg, problem.dim)
     system = build_saddle_system(mesh, problem, cfg.qg, cfg.consistent)
     out = _outdir(cfg)
     paths = export_system(system, out)
@@ -373,8 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="relative residual tolerance (default 1e-9 in 2D, 1e-8 in 3D)")
     common.add_argument("--restart", type=int, help="GMRES restart length")
     common.add_argument("--maxit", type=int, help="iteration cap")
-    common.add_argument("--inconsistent", action="store_true", default=None,
-                        help="keep the raw incompatible right-hand side")
+    common.add_argument("--inconsistent", dest="consistent", action="store_false",
+                        default=None, help="keep the raw incompatible right-hand side")
     common.add_argument("--velocity", action="append", metavar="EXPR",
                         help="exact velocity component (custom problems; repeat per component)")
     common.add_argument("--pressure", metavar="EXPR",

@@ -35,6 +35,7 @@ __all__ = [
     "solve_system",
     "solve_stokes",
     "default_tolerance",
+    "preconditioner_for",
 ]
 
 STAGNATION_WINDOW = 50
@@ -47,6 +48,27 @@ PRECONDITIONERS = ("block_diag", "block_lower_tri", "none")
 _MINRES_TRI = "minres needs a symmetric positive definite preconditioner, not block_lower_tri"
 
 
+def _check_name(what: str, name: str, names) -> None:
+    if name not in names:
+        raise ValueError(f"unknown {what} {name!r}; use one of {', '.join(names)}")
+
+
+def preconditioner_for(method: str, precond: str | None) -> str:
+    """The preconditioner a solve with `method` uses: `precond`, or the
+    method's default when it is None.
+
+    MINRES takes only an SPD preconditioner, block_diag or none, never
+    block_lower_tri; GMRES takes any.
+    """
+    _check_name("method", method, METHODS)
+    if precond is None:
+        return METHODS[method]
+    _check_name("preconditioner", precond, PRECONDITIONERS)
+    if method == "minres" and precond == "block_lower_tri":
+        raise ValueError(_MINRES_TRI)
+    return precond
+
+
 class SaddlePreconditioner:
     """Applies the inverse of the chosen block preconditioner.
 
@@ -57,13 +79,10 @@ class SaddlePreconditioner:
     def __init__(
         self,
         system: SaddleSystem,
-        kind: str = "block_diag",
+        kind: str,
         inner_solver: InnerSolver | None = None,
     ):
-        if kind not in PRECONDITIONERS:
-            raise ValueError(
-                f"unknown preconditioner {kind!r}; use one of {', '.join(PRECONDITIONERS)}"
-            )
+        _check_name("preconditioner", kind, PRECONDITIONERS)
         self.system = system
         self.kind = kind
         if kind == "none":
@@ -138,8 +157,8 @@ class StokesSolution:
 def minres(
     system: SaddleSystem,
     precond: SaddlePreconditioner,
-    tol: float = 1e-9,
-    maxit: int = 1000,
+    tol: float,
+    maxit: int,
 ) -> tuple[np.ndarray, SolveReport]:
     """Preconditioned MINRES with zero initial guess and true-residual stopping."""
     if precond.kind == "block_lower_tri":
@@ -233,9 +252,9 @@ def minres(
 def gmres_restart(
     system: SaddleSystem,
     precond: SaddlePreconditioner,
-    tol: float = 1e-9,
-    maxit: int = 1000,
-    restart: int = 30,
+    tol: float,
+    maxit: int,
+    restart: int,
 ) -> tuple[np.ndarray, SolveReport]:
     """Restarted GMRES, right preconditioning, zero initial guess.
 
@@ -354,13 +373,10 @@ def solve_system(
     inner_solver: InnerSolver | None = None,
 ) -> StokesSolution:
     """Solve a prebuilt system; reuse inner_solver to share A factorizations."""
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; use minres or gmres")
-    if method == "minres" and precond == "block_lower_tri":
-        raise ValueError(_MINRES_TRI)
+    kind = preconditioner_for(method, precond)
     if tol is None:
         tol = default_tolerance(system.dof.dim)
-    p = SaddlePreconditioner(system, precond or METHODS[method], inner_solver)
+    p = SaddlePreconditioner(system, kind, inner_solver)
     if method == "minres":
         x, report = minres(system, p, tol, maxit)
     else:
@@ -373,12 +389,8 @@ def solve_stokes(
     problem: StokesProblem,
     method: str = "minres",
     precond: str | None = None,
-    tol: float | None = None,
-    maxit: int = 1000,
-    restart: int = 30,
-    qg_method: str = "barycenter",
-    consistent: bool = True,
 ) -> StokesSolution:
-    """Assemble and solve; velocity is returned unscaled, pressure zero-mean."""
-    system = build_saddle_system(mesh, problem, qg_method, consistent)
-    return solve_system(system, method, precond, tol, maxit, restart)
+    """Assemble and solve with `solve_system`'s defaults; velocity is returned
+    unscaled, pressure zero-mean. For other settings call `build_saddle_system`
+    and `solve_system`."""
+    return solve_system(build_saddle_system(mesh, problem), method, precond)

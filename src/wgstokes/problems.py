@@ -30,6 +30,10 @@ __all__ = [
 
 Vec = Callable[[np.ndarray], np.ndarray]
 _COMPAT_DEGREE = 8  # exactness degree of the facet rule in boundary_compatibility
+# strong_form_residual: random interior points, their seed, difference step
+_FD_POINTS = 5
+_FD_SEED = 0
+_FD_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -225,7 +229,7 @@ def problem_from_expressions(
         ]
     else:
         if len(forcing_exprs) != dim:
-            raise ValueError(f"need {dim} forcing components")
+            raise ValueError(f"need {dim} forcing components, got {len(forcing_exprs)}")
         f_sym = [parse(t) for t in forcing_exprs]
 
     u_fns = [sp.lambdify(coords, e, "numpy") for e in u_sym]
@@ -266,16 +270,14 @@ def problem_from_expressions(
     return StokesProblem(name, dim, mu, u, pres, f, u, grad, rebuild=again)
 
 
-def strong_form_residual(
-    problem: StokesProblem, npoints: int = 5, step: float = 1e-4, seed: int = 0
-) -> float:
+def strong_form_residual(problem: StokesProblem) -> float:
     """Max residual of -mu*Lap(u) + grad p - f and of div u at random interior points.
 
     Centered second differences; the check is O(step^2) accurate, so smooth
     consistent problems land near step^2 * |u|, not at machine precision.
     """
-    d = problem.dim
-    rng = np.random.default_rng(seed)
+    d, npoints, step = problem.dim, _FD_POINTS, _FD_STEP
+    rng = np.random.default_rng(_FD_SEED)
     pts = 0.2 + 0.6 * rng.random((npoints, d))
     u0 = evaluate_batch(problem.velocity, pts, "velocity")
     lap = np.zeros((npoints, d))

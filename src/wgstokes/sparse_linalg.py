@@ -25,8 +25,6 @@ import scipy.sparse.linalg as spla
 
 __all__ = ["InnerSolver"]
 
-DENSE_GUARD = 2000  # cubic-cost eigensolves are for verification scale only
-
 
 class InnerSolver:
     """Reusable exact inverse of ``kron(a, I_d)``: static condensation, sparse LU."""

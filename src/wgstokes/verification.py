@@ -21,7 +21,7 @@ from .krylov import SolveReport, StokesSolution, default_tolerance, solve_system
 from .mesh import Mesh, structured_simplex_mesh
 from .problems import StokesProblem, evaluate_batch
 from .quadrature import simplex_rule
-from .sparse_linalg import DENSE_GUARD, InnerSolver
+from .sparse_linalg import InnerSolver
 from .wg_core import field_weak_gradients
 
 __all__ = [
@@ -48,8 +48,8 @@ class ErrorReport:
     superconv: float  # distance between interior values and exact cell means
     grad_error: float  # broken norm against the elementwise weak gradient
     pressure_error: float  # both pressures normalized to zero weighted mean
-    iterations: int = 0
-    converged: bool = True
+    iterations: int
+    converged: bool
 
     def as_row(self) -> dict:
         return {
@@ -69,6 +69,7 @@ class ErrorReport:
 ERROR_FIELDS = ("l2_velocity", "superconv", "grad_error", "pressure_error")
 ERROR_DEGREE = 4  # exactness degree of the quadrature rule in compute_errors
 SPECTRAL_MARGIN = 1e-8  # slack of every eigenvalue bound spectral_report checks
+DENSE_GUARD = 2000  # cubic-cost eigensolves are for verification scale only
 
 
 def compute_errors(mesh: Mesh, problem: StokesProblem, solution: StokesSolution) -> ErrorReport:
@@ -170,7 +171,7 @@ class ConvergenceTable:
                     ]
                     fh.write(",".join(cells) + "\n")
 
-    def to_markdown(self, field_name: str = "l2_velocity") -> str:
+    def to_markdown(self, field_name: str) -> str:
         """One table per error quantity, error and rate columns per viscosity."""
         header = ["N"]
         for mu in self.mu_values:
@@ -353,7 +354,8 @@ def spectral_report(system: SaddleSystem) -> SpectralReport:
     dist = np.abs(mapped[:, None] - gammas[None, :]).min(axis=1)
     quad_map_max_dist = float(dist.max())
 
-    lambda_min_A = float(scipy.linalg.eigh(a, eigvals_only=True)[0])
+    # kron(A, I_d) has the spectrum of the scalar A, each eigenvalue d times
+    lambda_min_A = float(scipy.linalg.eigh(system.A.toarray(), eigvals_only=True)[0])
     return SpectralReport(
         dim=d,
         gammas=gammas,

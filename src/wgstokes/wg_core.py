@@ -112,13 +112,9 @@ def facet_projection_rule(dim: int, method: str) -> tuple[np.ndarray, np.ndarray
     raise ValueError(f"unknown facet projection method {method!r}; use one of {FACET_METHODS}")
 
 
-def interpolate_field(
-    mesh: Mesh,
-    u,
-    facet_method: str = "gauss3",
-    interior_degree: int = 4,
-) -> WGField:
-    """Interpolate a vector function into the discrete space by local averaging.
+def interpolate_field(mesh: Mesh, u, interior_degree: int = 4) -> WGField:
+    """Interpolate a vector function into the discrete space by local averaging:
+    a degree-`interior_degree` rule on each element, the gauss3 rule on facets.
 
     u follows the batch contract of `StokesProblem` callables.
     """
@@ -126,7 +122,7 @@ def interpolate_field(
     bary, w = simplex_rule(d, interior_degree)
     pts = bary @ mesh.vertices[mesh.elements]  # (ne, q, d)
     interior = np.einsum("q,nqd->nd", w, evaluate_batch(u, pts, "u"))
-    rule = facet_projection_rule(d, facet_method)
+    rule = facet_projection_rule(d, "gauss3")
     means = facet_means(mesh, u, np.arange(mesh.num_facets), rule, "u")
     return WGField(
         dim=d,

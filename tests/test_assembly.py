@@ -1,5 +1,7 @@
 """Global assembly against dense oracles and the consistency bookkeeping."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.io
@@ -21,11 +23,8 @@ from wgstokes.assembly import (
     assemble_B,
     assemble_b1,
     assemble_b2,
-    assemble_mass_pressure,
     build_dofmap,
     build_saddle_system,
-    compute_alpha,
-    enforce_consistency,
     export_system,
     local_gram_matrices,
     project_boundary_values,
@@ -348,35 +347,40 @@ def test_b2_against_facet_loop_oracle():
 def test_alpha_zero_for_linear_datum():
     # midpoint projection is exact on linears, so no flux defect survives
     mesh = generate_structured_tri(3)
-    b2 = assemble_b2(mesh, linear_problem())
-    assert abs(compute_alpha(b2)) < 1e-13
+    assert abs(build_saddle_system(mesh, linear_problem()).alpha_h) < 1e-13
 
 
 def test_alpha_second_order_decay():
     prob = builtin_problem("stokes2d_exp")
     alphas = []
     for n in (4, 8):
-        b2 = assemble_b2(generate_structured_tri(n), prob)
-        alphas.append(compute_alpha(b2))
+        sys_ = build_saddle_system(generate_structured_tri(n), prob)
+        assert sys_.alpha_h == float(np.sum(sys_.b2))
+        alphas.append(sys_.alpha_h)
     assert 3.0 < abs(alphas[0]) / abs(alphas[1]) < 5.0
 
 
 def test_enforce_consistency():
-    rng = np.random.default_rng(4)
-    b2 = rng.normal(size=50)
-    out = enforce_consistency(b2, compute_alpha(b2), 50)
-    assert abs(out.sum()) < 1e-13 * np.abs(b2).sum()
-    assert np.all(enforce_consistency(np.zeros(5), 0.0, 5) == 0.0)
-    const = np.full(7, 3.3)
-    assert np.allclose(enforce_consistency(const, compute_alpha(const), 7), 0.0)
+    # the pressure part of rhs() is b2 - alpha_h/N: its entries sum to zero
+    mesh = generate_structured_tri(5)
+    sys_ = build_saddle_system(mesh, builtin_problem("stokes2d_exp"))
+    n_u = sys_.n_u
+    assert sys_.n_p == 50 and sys_.mu == 1.0
+    out = sys_.rhs()[n_u:]
+    assert abs(out.sum()) < 1e-13 * np.abs(sys_.b2).sum()
+    assert np.all(build_saddle_system(mesh, zero_problem(2)).rhs()[n_u:] == 0.0)
+    const = np.full(50, 3.3)
+    fixed = replace(sys_, b2=const, alpha_h=float(np.sum(const)))
+    assert np.allclose(fixed.rhs()[n_u:], 0.0)
 
 
 def test_pressure_mass():
-    m1 = assemble_mass_pressure(generate_structured_tri(1))
+    prob2, prob3 = builtin_problem("stokes2d_exp"), builtin_problem("stokes3d_trig")
+    m1 = build_saddle_system(generate_structured_tri(1), prob2).Mp
     assert np.allclose(m1, [0.5, 0.5])
-    m2 = assemble_mass_pressure(generate_structured_tri(5))
+    m2 = build_saddle_system(generate_structured_tri(5), prob2).Mp
     assert m2.sum() == pytest.approx(1.0, abs=1e-13)
-    m3 = assemble_mass_pressure(generate_structured_tet(1))
+    m3 = build_saddle_system(generate_structured_tet(1), prob3).Mp
     assert len(m3) == 6 and m3.sum() == pytest.approx(1.0, abs=1e-13)
 
 
@@ -478,8 +482,8 @@ def test_pointwise_forcing_rejected_by_name():
 def test_export_system_roundtrip(tmp_path):
     mesh = generate_structured_tri(1)
     sys_ = build_saddle_system(mesh, builtin_problem("stokes2d_exp"))
-    paths = export_system(sys_, tmp_path, stem="tiny")
-    assert [p.name for p in paths] == ["tiny_A.mtx", "tiny_B.mtx", "tiny_rhs.mtx"]
+    paths = export_system(sys_, tmp_path)
+    assert [p.name for p in paths] == ["system_A.mtx", "system_B.mtx", "system_rhs.mtx"]
     a_back = scipy.io.mmread(paths[0]).toarray()
     assert np.allclose(a_back, np.kron(sys_.A.toarray(), np.eye(2)), rtol=1e-12)
     rhs_back = np.asarray(scipy.io.mmread(paths[2]).todense()).ravel()

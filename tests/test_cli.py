@@ -137,6 +137,37 @@ def test_inconsistency_is_a_no_op_for_zero_boundary_data(tmp_path):
     assert raw == fixed
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["inconsistency", "--levels", "3", "5"],
+        ["export-system", "--levels", "2", "3"],
+        ["export-system", "--levels", "2", "--mesh-file", "unread.mesh"],
+    ],
+    ids=["inconsistency-levels", "export-levels", "export-level-and-file"],
+)
+def test_single_mesh_subcommands_reject_several_meshes(monkeypatch, tmp_path, capsys, argv):
+    def no_mesh(*args):
+        raise AssertionError("a mesh was built before the mesh count was checked")
+
+    monkeypatch.setattr(cli, "structured_simplex_mesh", no_mesh)
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 2
+    assert "one mesh, got 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--dim", "3"], "need 3 velocity components, got 2"),
+        (["--forcing", "0"], "need 2 forcing components, got 1"),
+    ],
+    ids=["velocity", "forcing"],
+)
+def test_custom_component_count_is_config_error(capsys, extra, message):
+    assert cli.main(["convergence", *CAVITY, *extra, "--levels", "2", "4"]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_export_system_writes_matrix_market_and_metadata(tmp_path):
     code = cli.main(["export-system", "--levels", "2", "--out", str(tmp_path)])
     assert code == 0

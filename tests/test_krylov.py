@@ -5,9 +5,11 @@ import pytest
 
 from wgstokes.assembly import build_saddle_system
 from wgstokes.krylov import (
+    PRECONDITIONERS,
     SaddlePreconditioner,
     gmres_restart,
     minres,
+    preconditioner_for,
     solve_stokes,
     solve_system,
 )
@@ -109,7 +111,7 @@ def test_minres_rejects_nonsymmetric_preconditioner():
     sys_ = small_system()
     pt = SaddlePreconditioner(sys_, "block_lower_tri")
     with pytest.raises(ValueError):
-        minres(sys_, pt)
+        minres(sys_, pt, 1e-9, 1000)
 
 
 def test_unknown_kind_and_method_raise():
@@ -118,6 +120,26 @@ def test_unknown_kind_and_method_raise():
         SaddlePreconditioner(sys_, "ilu")
     with pytest.raises(ValueError):
         solve_system(sys_, method="bicgstab")
+
+
+@pytest.mark.parametrize(
+    "method, precond, expected",
+    [
+        ("minres", None, "block_diag"),
+        ("gmres", None, "block_lower_tri"),
+        ("minres", "none", "none"),
+        ("gmres", "block_diag", "block_diag"),
+        ("minres", "block_lower_tri", "symmetric positive definite"),
+        ("bicgstab", None, "unknown method"),
+        ("gmres", "ilu", "unknown preconditioner"),
+    ],
+)
+def test_preconditioner_for_pairs_method_and_preconditioner(method, precond, expected):
+    if expected in PRECONDITIONERS:
+        assert preconditioner_for(method, precond) == expected
+    else:
+        with pytest.raises(ValueError, match=expected):
+            preconditioner_for(method, precond)
 
 
 def test_solve_system_rejects_minres_with_triangular_before_factoring(monkeypatch):
@@ -134,7 +156,7 @@ def test_solve_system_rejects_minres_with_triangular_before_factoring(monkeypatc
 def test_minres_converges_with_history_invariants():
     sys_ = small_system(n=8)
     pd = SaddlePreconditioner(sys_, "block_diag")
-    x, rep = minres(sys_, pd, tol=1e-9)
+    x, rep = minres(sys_, pd, tol=1e-9, maxit=1000)
     assert rep.converged
     assert rep.residuals[0] == 1.0
     assert len(rep.residuals) == rep.iterations + 1
@@ -152,7 +174,7 @@ def test_minres_converges_with_history_invariants():
 def test_gmres_converges_with_history_invariants():
     sys_ = small_system(n=8)
     pt = SaddlePreconditioner(sys_, "block_lower_tri")
-    x, rep = gmres_restart(sys_, pt, tol=1e-9)
+    x, rep = gmres_restart(sys_, pt, tol=1e-9, maxit=1000, restart=30)
     assert rep.converged
     assert rep.residuals[0] == 1.0
     assert len(rep.residuals) == rep.iterations + 1
@@ -165,7 +187,7 @@ def test_gmres_converges_with_history_invariants():
 def test_gmres_short_restart_still_converges():
     sys_ = small_system(n=4)
     pt = SaddlePreconditioner(sys_, "block_lower_tri")
-    x, rep = gmres_restart(sys_, pt, tol=1e-9, restart=5)
+    x, rep = gmres_restart(sys_, pt, tol=1e-9, maxit=1000, restart=5)
     assert rep.converged
     b = sys_.rhs()
     assert np.linalg.norm(b - sys_.apply(x)) / np.linalg.norm(b) <= 1e-9
@@ -174,7 +196,7 @@ def test_gmres_short_restart_still_converges():
 def test_preconditioning_beats_unpreconditioned():
     sys_ = small_system(n=4)
     pd = SaddlePreconditioner(sys_, "block_diag")
-    _, rep_pd = minres(sys_, pd, tol=1e-9)
+    _, rep_pd = minres(sys_, pd, tol=1e-9, maxit=1000)
     pn = SaddlePreconditioner(sys_, "none")
     _, rep_un = minres(sys_, pn, tol=1e-9, maxit=600)
     assert rep_un.converged  # small singular system, consistent data

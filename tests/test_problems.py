@@ -19,7 +19,7 @@ from wgstokes.problems import (
 def test_builtins_satisfy_strong_form(name, mu):
     prob = builtin_problem(name, mu)
     # centered differences with step 1e-4: residual floor ~ step^2 * |u'''|
-    assert strong_form_residual(prob, step=1e-4) < 1e-5
+    assert strong_form_residual(prob) < 1e-5
 
 
 def centered_gradient(velocity, pts, step=1e-6):
@@ -92,7 +92,7 @@ def test_problem_from_expressions_derives_forcing():
     )
     assert prob.dim == 2 and prob.mu == 0.7
     # derived f must make (u, p) an exact solution
-    assert strong_form_residual(prob, step=1e-4) < 1e-5
+    assert strong_form_residual(prob) < 1e-5
     x = np.array([0.25, 0.5])
     pi = np.pi
     expected_f0 = 0.7 * pi**2 * np.sin(pi * x[1]) - pi * np.sin(pi * x[0]) * np.cos(

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from wgstokes.assembly import build_dofmap, build_saddle_system
 from wgstokes.krylov import SolveReport, StokesSolution, solve_system
@@ -242,6 +243,10 @@ def test_spectral_report_gamma_side():
         assert 0.0 < rep.beta < math.sqrt(2.0)
         assert rep.zero_lambda_count == 1
         assert rep.quad_map_max_dist < 1e-8
+        # read from the scalar A: the velocity block kron(A, I_d) has its spectrum
+        block = np.kron(sys_.A.toarray(), np.eye(2))
+        smallest = scipy.linalg.eigh(block, eigvals_only=True)[0]
+        assert rep.lambda_min_A == pytest.approx(smallest, rel=1e-12)
 
 
 def test_spectral_interval_outliers_are_exactly_the_divergence_free_modes():
