@@ -23,8 +23,9 @@ The interior facets are numbered in nested-dissection order (A. George,
 SINUM 10, 1973), not in `mesh.interior_facets` order: `DofMap.facet_slot`
 maps one to the other, and `SaddleSystem.split` maps facet values back. The
 facet Schur complement of A couples only facets that share an element, so
-the facets between two halves of the elements separate its graph exactly;
-`InnerSolver` factors it in this order as given.
+the facets between two halves of the elements separate its graph exactly.
+`InnerSolver` factors A in the dof order as given: SuperLU eliminates the
+interior rows first, which forms that Schur complement, then the facets.
 
 Every block is built from the mesh's per-element arrays and the dof map's
 element-to-dof table: local blocks for all elements at once, then one
@@ -336,12 +337,15 @@ class SaddleSystem:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Operator product [kron(A, I_d), -B^T; -B, 0] x."""
+        au = self.A @ x[: self.n_u].reshape(-1, self.dof.dim)
+        return self.apply_given(x, au.ravel())
+
+    def apply_given(self, x: np.ndarray, au: np.ndarray) -> np.ndarray:
+        """`apply(x)` given ``au = kron(A, I_d) x_u``, with no stiffness product."""
         n_u = self.n_u
-        xu = x[:n_u]
         y = np.empty(len(x))
-        au = (self.A @ xu.reshape(-1, self.dof.dim)).reshape(-1)
         np.subtract(au, self._Bt @ x[n_u:], out=y[:n_u])
-        np.negative(self.B @ xu, out=y[n_u:])
+        np.negative(self.B @ x[:n_u], out=y[n_u:])
         return y
 
     def dense_operator(self) -> np.ndarray:

@@ -193,6 +193,10 @@ def _fmt_mu(mu: float) -> str:
 
 
 def run_convergence(cfg: ExperimentConfig) -> int:
+    if cfg.precond is not None:
+        raise ConfigError("convergence takes no --precond")
+    if not cfg.consistent:
+        raise ConfigError("convergence takes no --inconsistent")
     problem = make_problem(cfg)
     meshes = resolve_meshes(cfg, problem.dim)
     table = convergence_study(
@@ -293,6 +297,8 @@ def run_spectral(cfg: ExperimentConfig) -> int:
 
 
 def run_inconsistency(cfg: ExperimentConfig) -> int:
+    if cfg.precond is not None:
+        raise ConfigError("inconsistency takes no --precond")
     problem = make_problem(cfg)
     mesh = _one_mesh(cfg, problem.dim)
     demo = inconsistency_demo(

@@ -7,6 +7,9 @@ right, so its recurrence residual is the true residual. Both stop on the
 true relative residual of the rescaled system and work on the singular
 system as-is; with a zero initial guess and a consistent right-hand side
 the zero eigenvalue never enters the Krylov space.
+
+Both block preconditioners invert kron(A, I_d) exactly, so each step's
+product with z = P^-1 r needs only B and B^T (`SaddlePreconditioner.product`).
 """
 
 from __future__ import annotations
@@ -85,10 +88,7 @@ class SaddlePreconditioner:
         _check_name("preconditioner", kind, PRECONDITIONERS)
         self.system = system
         self.kind = kind
-        if kind == "none":
-            self.inner = None
-        else:
-            self.inner = inner_solver or InnerSolver(system.A)
+        self.inner = None if kind == "none" else inner_solver or InnerSolver(system.A)
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         n_u = self.system.n_u
@@ -101,6 +101,12 @@ class SaddlePreconditioner:
         # lower-triangular forward substitution with second row [-B, -Mp]
         xp = -(rp + self.system.B @ xu) / self.system.Mp
         return np.concatenate([xu, xp])
+
+    def product(self, z: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """`system.apply(z)` for z = `apply(r)`; the block kinds take r_u for kron(A, I_d) z_u."""
+        if self.kind == "none":
+            return self.system.apply(z)
+        return self.system.apply_given(z, r[: self.system.n_u])
 
 
 @dataclass
@@ -194,7 +200,7 @@ def minres(
     while it < maxit:
         it += 1
         v = y / beta
-        y = system.apply(v)
+        y = precond.product(v, r2 / beta)
         if it >= 2:
             y -= (beta / oldb) * r1
         alfa = float(v @ y)
@@ -296,7 +302,7 @@ def gmres_restart(
         for j in range(m):
             it += 1
             z = precond.apply(v[j])
-            wv = system.apply(z)
+            wv = precond.product(z, v[j])
             for i in range(j + 1):
                 h[i, j] = float(v[i] @ wv)
                 wv -= h[i, j] * v[i]

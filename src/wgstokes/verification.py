@@ -326,8 +326,9 @@ def spectral_report(system: SaddleSystem) -> SpectralReport:
     a = op[: system.n_u, : system.n_u]
     b = system.B.toarray()
     mp = np.diag(system.Mp)
-    cho = scipy.linalg.cho_factor(a)
-    s = b @ scipy.linalg.cho_solve(cho, b.T)
+    # kron(A, I_d)^-1 B^T from one factor of the scalar A, all components at once
+    cho = scipy.linalg.cho_factor(system.A.toarray())
+    s = b @ scipy.linalg.cho_solve(cho, b.T.reshape(len(cho[0]), -1)).reshape(b.T.shape)
     s = 0.5 * (s + s.T)
     gammas = scipy.linalg.eigh(s, mp, eigvals_only=True)
     zero_gamma = int(np.sum(np.abs(gammas) < 1e-10))

@@ -156,6 +156,25 @@ def test_single_mesh_subcommands_reject_several_meshes(monkeypatch, tmp_path, ca
 
 
 @pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["convergence", "--levels", "2", "4", "--precond", "none"], "--precond"),
+        (["convergence", "--levels", "2", "4", "--inconsistent"], "--inconsistent"),
+        (["inconsistency", "--levels", "3", "--precond", "block_diag"], "--precond"),
+    ],
+    ids=["convergence-precond", "convergence-inconsistent", "inconsistency-precond"],
+)
+def test_ignored_flags_are_config_errors(monkeypatch, tmp_path, capsys, argv, flag):
+    def no_mesh(*args):
+        raise AssertionError("a mesh was built before the flags were checked")
+
+    monkeypatch.setattr(cli, "structured_simplex_mesh", no_mesh)
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 2
+    assert f"takes no {flag}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
     "extra, message",
     [
         (["--dim", "3"], "need 3 velocity components, got 2"),

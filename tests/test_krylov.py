@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import jittered_mesh
 from wgstokes.assembly import build_saddle_system
 from wgstokes.krylov import (
     PRECONDITIONERS,
@@ -27,6 +28,11 @@ def small_system(n=2, mu=1.0, dim=2, consistent=True):
         prob = builtin_problem(name, mu)
         _CACHE[key] = build_saddle_system(mesh, prob, consistent=consistent)
     return _CACHE[key]
+
+
+def jittered_system(dim, n, mu=1.0):
+    name = "stokes2d_exp" if dim == 2 else "stokes3d_trig"
+    return build_saddle_system(jittered_mesh(dim, n, 1), builtin_problem(name, mu))
 
 
 def velocity_product(sys_, y):
@@ -105,6 +111,37 @@ def test_pd_preconditioned_operator_self_adjoint():
         lhs = pdot(tx, y)
         rhs = pdot(x, ty)
         assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
+
+
+@pytest.mark.parametrize("dim, n", [(2, 8), (3, 3)], ids=["2d-8-jittered", "3d-3-jittered"])
+def test_product_on_preconditioned_vector_is_operator_product(dim, n):
+    sys_ = jittered_system(dim, n)
+    r = np.random.default_rng(8).standard_normal(sys_.size)
+    for kind in ("block_diag", "block_lower_tri"):
+        p = SaddlePreconditioner(sys_, kind)
+        z = p.apply(r)
+        full = sys_.apply(z)
+        assert np.max(np.abs(p.product(z, r) - full)) <= 1e-12 * np.max(np.abs(full))
+    none = SaddlePreconditioner(sys_, "none")
+    z = none.apply(r)
+    assert np.array_equal(none.product(z, r), sys_.apply(z))
+
+
+@pytest.mark.parametrize("dim, n", [(2, 8), (3, 3)], ids=["2d-8-jittered", "3d-3-jittered"])
+@pytest.mark.parametrize(
+    "method, kind",
+    [("minres", "block_diag"), ("gmres", "block_lower_tri"), ("gmres", "block_diag")],
+)
+def test_krylov_counts_equal_with_full_operator_products(monkeypatch, dim, n, method, kind):
+    for mu in (1.0, 1e-4):
+        sys_ = jittered_system(dim, n, mu)
+        short = solve_system(sys_, method, kind).report
+        with monkeypatch.context() as m:
+            m.setattr(SaddlePreconditioner, "product", lambda self, z, r: self.system.apply(z))
+            full = solve_system(sys_, method, kind).report
+        assert short.converged and full.converged
+        assert short.iterations == full.iterations
+        np.testing.assert_allclose(short.residuals, full.residuals, rtol=1e-4)
 
 
 def test_minres_rejects_nonsymmetric_preconditioner():

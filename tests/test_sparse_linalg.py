@@ -1,5 +1,5 @@
-"""Exact A-block inverse: static condensation and sparse LU of the scalar
-stiffness, applied to every velocity component at once."""
+"""Exact A-block inverse: one sparse LU of the scalar stiffness in the dof
+map's order, applied to every velocity component at once."""
 
 from types import SimpleNamespace
 
@@ -15,11 +15,30 @@ from wgstokes.mesh import generate_structured_tet, generate_structured_tri
 from wgstokes.sparse_linalg import InnerSolver
 
 
+SYMMETRIC = {"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
+
+
 def relres(a, x, r):
     """Relative residual of x against kron(a, I_d), d = len(r) / a.shape[0]."""
     d = len(r) // a.shape[0]
     ax = (a @ x.reshape(-1, d)).ravel()
     return np.linalg.norm(ax - r) / np.linalg.norm(r)
+
+
+def fill(lu):
+    return lu.L.nnz + lu.U.nnz
+
+
+def condensed_fill(a, ni):
+    """Fill of the factor of a whose first ni rows form a diagonal block, had
+    they been eliminated by hand: L+U of the Schur complement
+    S = F - C^T D^-1 C in its given order, plus one column of L and one row
+    of U, diagonal included, per eliminated row."""
+    a = sp.csr_matrix(a)
+    c = a[:ni, ni:]
+    schur = a[ni:, ni:] - c.T @ sp.diags(1.0 / a.diagonal()[:ni]) @ c
+    lu = spla.splu(schur.tocsc(), permc_spec="NATURAL", **SYMMETRIC)
+    return fill(lu) + 2 * (ni + c.nnz)
 
 
 @pytest.fixture
@@ -28,7 +47,7 @@ def factored(monkeypatch):
     seen = {}
 
     def splu(m, **kwargs):
-        seen["schur"] = m
+        seen["matrix"] = m
         seen["lu"] = spla.splu(m, **kwargs)
         return seen["lu"]
 
@@ -46,23 +65,25 @@ def factored(monkeypatch):
     ],
     ids=["2d-4", "3d-2", "3d-4", "3d-4-jittered"],
 )
-def test_inner_solver_reduces_assembled_stiffness(mesh):
+def test_inner_solver_reduces_assembled_stiffness(factored, mesh):
+    # the interior rows come first with a diagonal block, so eliminating
+    # them fills no entry outside the facet Schur complement
     a = assemble_A(mesh)
     dof = build_dofmap(mesh)
     inner = InnerSolver(a)
-    assert inner.ni == dof.num_elements
+    assert fill(factored["lu"]) <= condensed_fill(a, dof.num_elements)
     r = np.random.default_rng(7).normal(size=mesh.dim * a.shape[0])
     assert relres(a, inner.solve(r), r) <= 1e-12
 
 
-def test_inner_solver_general_spd_is_scalar_and_exact():
+def test_inner_solver_general_spd_is_scalar_and_exact(factored):
     n = 12
     rng = np.random.default_rng(5)
     off = rng.uniform(-1.0, 1.0, n - 1)
     diag = 2.5 + rng.uniform(0.0, 1.0, n)  # diagonally dominant, hence SPD
     a = sp.diags([off, diag, off], [-1, 0, 1], format="csr")
     inner = InnerSolver(a)
-    assert inner.ni == 1
+    assert fill(factored["lu"]) <= condensed_fill(a, 1)
     for d in (1, 2, 3):
         r = rng.normal(size=d * n)
         assert relres(a, inner.solve(r), r) <= 1e-12
@@ -79,24 +100,17 @@ def test_inner_solver_rejects_bad_input():
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_facet_order_cuts_fill_against_minimum_degree(factored, seed):
-    # the nested-dissection facet numbering of the dof map, factored as
-    # given, against minimum degree on the same matrix
+    # the dof map's order, interior rows then facets in nested dissection,
+    # factored as given, against minimum degree on the same matrix
     InnerSolver(assemble_A(jittered_mesh(3, 8, seed)))
-    lu = factored["lu"]
-    mmd = spla.splu(
-        factored["schur"],
-        permc_spec="MMD_AT_PLUS_A",
-        diag_pivot_thresh=0.0,
-        options={"SymmetricMode": True},
-    )
-    assert lu.L.nnz + lu.U.nnz <= 0.75 * (mmd.L.nnz + mmd.U.nnz)
+    mmd = spla.splu(factored["matrix"], permc_spec="MMD_AT_PLUS_A", **SYMMETRIC)
+    assert fill(factored["lu"]) <= 0.75 * fill(mmd)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_symmetric_ordering_cuts_fill_against_unsymmetric_defaults(factored, seed):
     InnerSolver(assemble_A(jittered_mesh(3, 8, seed)))
-    lu = factored["lu"]
-    thinned = factored["schur"].copy()
+    thinned = factored["matrix"].copy()
     thinned.eliminate_zeros()
     ref = spla.splu(thinned)  # COLAMD and partial pivoting
-    assert lu.L.nnz + lu.U.nnz <= 0.6 * (ref.L.nnz + ref.U.nnz)
+    assert fill(factored["lu"]) <= 0.6 * fill(ref)
