@@ -34,7 +34,7 @@ scatter per block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -323,6 +323,18 @@ class SaddleSystem:
     @property
     def size(self) -> int:
         return self.n_u + self.n_p
+
+    def for_viscosity(self, problem: StokesProblem) -> SaddleSystem:
+        """This system for `problem`, a `StokesProblem.with_mu` copy of the
+        problem it was built from.
+
+        `with_mu` keeps the exact solution and the boundary datum, so only
+        `mu` and `b1` (the forcing and the viscosity-scaled boundary term)
+        change. A, B, the dof map, Mp, the projected datum, b2 and alpha_h
+        are shared with this system, not copied.
+        """
+        b1 = assemble_b1(self.mesh, problem, self.qg_method, self.dof, self.g_boundary)
+        return replace(self, mu=problem.mu, b1=b1)
 
     def rhs(self) -> np.ndarray:
         """[b1; mu*b2], with b2~ = b2 - alpha_h/N in place of b2 if `consistent`."""

@@ -192,11 +192,24 @@ def _fmt_mu(mu: float) -> str:
     return f"{mu:g}"
 
 
+_DEFAULTS = ExperimentConfig()
+_SOLVER_SETTINGS = ("method", "precond", "tol", "restart", "maxit")
+
+
+def _reject_unused(cfg: ExperimentConfig, command: str, names: tuple) -> None:
+    """ConfigError naming each setting among `names` that a flag or config
+    key moved off its default, since `command` would ignore it."""
+    given = [
+        "--inconsistent" if n == "consistent" else f"--{n}"
+        for n in names
+        if getattr(cfg, n) != getattr(_DEFAULTS, n)
+    ]
+    if given:
+        raise ConfigError(f"{command} takes no {', '.join(given)}")
+
+
 def run_convergence(cfg: ExperimentConfig) -> int:
-    if cfg.precond is not None:
-        raise ConfigError("convergence takes no --precond")
-    if not cfg.consistent:
-        raise ConfigError("convergence takes no --inconsistent")
+    _reject_unused(cfg, "convergence", ("precond", "consistent"))
     problem = make_problem(cfg)
     meshes = resolve_meshes(cfg, problem.dim)
     table = convergence_study(
@@ -223,12 +236,15 @@ def run_solver_study(cfg: ExperimentConfig) -> int:
     precond = preconditioner_for(cfg.method, cfg.precond)
     rows = []
     for mesh in meshes:
-        inner = None
+        system = inner = None
         for mu in cfg.mu:
             prob = problem if problem.mu == mu else problem.with_mu(mu)
-            system = build_saddle_system(mesh, prob, cfg.qg, cfg.consistent)
-            if inner is None and precond != "none":
-                inner = InnerSolver(system.A)
+            if system is None:
+                system = build_saddle_system(mesh, prob, cfg.qg, cfg.consistent)
+                if precond != "none":
+                    inner = InnerSolver(system.A)
+            else:
+                system = system.for_viscosity(prob)
             sol = solve_system(
                 system, cfg.method, precond=precond, tol=cfg.tol,
                 maxit=cfg.maxit, restart=cfg.restart, inner_solver=inner,
@@ -263,6 +279,7 @@ def run_solver_study(cfg: ExperimentConfig) -> int:
 
 
 def run_spectral(cfg: ExperimentConfig) -> int:
+    _reject_unused(cfg, "spectral", _SOLVER_SETTINGS)
     problem = make_problem(cfg)
     meshes = resolve_meshes(cfg, problem.dim)
     out = _outdir(cfg)
@@ -297,8 +314,8 @@ def run_spectral(cfg: ExperimentConfig) -> int:
 
 
 def run_inconsistency(cfg: ExperimentConfig) -> int:
-    if cfg.precond is not None:
-        raise ConfigError("inconsistency takes no --precond")
+    # inconsistency_demo solves both the raw and the corrected system
+    _reject_unused(cfg, "inconsistency", ("precond", "consistent"))
     problem = make_problem(cfg)
     mesh = _one_mesh(cfg, problem.dim)
     demo = inconsistency_demo(
@@ -316,6 +333,7 @@ def run_inconsistency(cfg: ExperimentConfig) -> int:
 
 
 def run_export(cfg: ExperimentConfig) -> int:
+    _reject_unused(cfg, "export-system", _SOLVER_SETTINGS)
     problem = make_problem(cfg)
     mesh = _one_mesh(cfg, problem.dim)
     system = build_saddle_system(mesh, problem, cfg.qg, cfg.consistent)

@@ -70,7 +70,15 @@ class StokesProblem:
             raise ValueError("viscosity must be positive")
 
     def with_mu(self, mu: float) -> "StokesProblem":
-        """Same exact solution rebuilt with a different viscosity."""
+        """Same exact solution rebuilt with a different viscosity.
+
+        The velocity, pressure, velocity gradient and boundary datum stay
+        the same functions of the point; only `mu`, and a forcing derived
+        from it, change.
+        `convergence_study` and `SaddleSystem.for_viscosity` rely on this:
+        they reuse the boundary projection, b2, alpha_h and the sampled
+        exact solution across viscosities.
+        """
         if self.rebuild is None:
             raise ValueError(f"cannot rebuild problem {self.name!r} with a new viscosity")
         return self.rebuild(mu)

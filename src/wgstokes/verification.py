@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -72,12 +73,22 @@ SPECTRAL_MARGIN = 1e-8  # slack of every eigenvalue bound spectral_report checks
 DENSE_GUARD = 2000  # cubic-cost eigensolves are for verification scale only
 
 
-def compute_errors(mesh: Mesh, problem: StokesProblem, solution: StokesSolution) -> ErrorReport:
-    """Broken-norm errors of a solved field against the exact solution.
+class _ExactSample(NamedTuple):
+    """The exact solution at the error rule's points of one mesh.
 
-    Needs the problem's exact `velocity_gradient`; a problem without one
-    raises a ValueError.
+    None of it depends on the viscosity: `StokesProblem.with_mu` keeps the
+    exact solution, so one sample serves every viscosity on that mesh.
     """
+
+    weights: np.ndarray  # (ne, nq): |K| times the rule's weight
+    rel: np.ndarray  # (ne, nq, d): point minus element centroid
+    velocity: np.ndarray  # (ne, nq, d)
+    means: np.ndarray  # (ne, d): exact cell averages
+    gradient: np.ndarray  # (ne, nq, d, d)
+    pressure: np.ndarray  # (ne, nq): shifted to zero weighted mean
+
+
+def _sample_exact(mesh: Mesh, problem: StokesProblem) -> _ExactSample:
     if problem.velocity_gradient is None:
         raise ValueError(
             f"problem {problem.name!r} has no velocity_gradient; compute_errors "
@@ -85,36 +96,49 @@ def compute_errors(mesh: Mesh, problem: StokesProblem, solution: StokesSolution)
         )
     bary, w = simplex_rule(mesh.dim, ERROR_DEGREE)
     pts = bary @ mesh.vertices[mesh.elements]  # (ne, nq, d)
-    vols = mesh.elem_volumes
-    uex = evaluate_batch(problem.velocity, pts, "velocity")  # (ne, nq, d)
-    pex = evaluate_batch(problem.pressure, pts, "pressure", rank=0)  # (ne, nq)
+    weights = mesh.elem_volumes[:, None] * w
+    uex = evaluate_batch(problem.velocity, pts, "velocity")
+    pex = evaluate_batch(problem.pressure, pts, "pressure", rank=0)
     jac = evaluate_batch(problem.velocity_gradient, pts, "velocity_gradient", rank=2)
+    p_mean = float(np.vdot(weights, pex)) / float(mesh.elem_volumes.sum())
+    return _ExactSample(
+        weights=weights,
+        rel=pts - mesh.elem_centroids[:, None, :],
+        velocity=uex,
+        means=np.einsum("q,nqd->nd", w, uex),
+        gradient=jac,
+        pressure=pex - p_mean,
+    )
 
+
+def _error_report(
+    mesh: Mesh, mu: float, exact: _ExactSample, solution: StokesSolution
+) -> ErrorReport:
+    """Broken-norm errors of `solution` against the sampled exact solution."""
+    wts = exact.weights
+    vols = mesh.elem_volumes
     ui = solution.velocity.interior  # (ne, d)
-    diff = uex - ui[:, None, :]
-    l2_velocity = math.sqrt(float(np.einsum("q,nqd,nqd,n->", w, diff, diff, vols)))
+    diff = exact.velocity - ui[:, None, :]
+    l2_velocity = math.sqrt(float(np.vdot(wts, np.einsum("nqd,nqd->nq", diff, diff))))
 
-    means = np.einsum("q,nqd->nd", w, uex)  # exact cell averages
-    superconv = math.sqrt(float(vols @ np.einsum("nd,nd->n", means - ui, means - ui)))
+    mdiff = exact.means - ui
+    superconv = math.sqrt(float(vols @ np.einsum("nd,nd->n", mdiff, mdiff)))
 
     # weak gradient of the discrete field is a + b (x - x_K) per component
     a, b = field_weak_gradients(mesh, solution.velocity)  # (ne, d, d), (ne, d)
-    rel = pts - mesh.elem_centroids[:, None, :]
-    gw = a[:, None, :, :] + b[:, None, :, None] * rel[:, :, None, :]
-    gdiff = jac - gw
-    grad_error = math.sqrt(float(np.einsum("q,nqrc,nqrc,n->", w, gdiff, gdiff, vols)))
+    gw = a[:, None, :, :] + b[:, None, :, None] * exact.rel[:, :, None, :]
+    gdiff = exact.gradient - gw
+    grad_error = math.sqrt(float(np.vdot(wts, np.einsum("nqrc,nqrc->nq", gdiff, gdiff))))
 
-    volume = float(vols.sum())
-    p_mean = float(np.einsum("q,nq,n->", w, pex, vols)) / volume
     ph = solution.pressure.values
-    ph = ph - float(ph @ vols) / volume
-    pdiff = (pex - p_mean) - ph[:, None]
-    pressure_error = math.sqrt(float(np.einsum("q,nq,nq,n->", w, pdiff, pdiff, vols)))
+    ph = ph - float(ph @ vols) / float(vols.sum())
+    pdiff = exact.pressure - ph[:, None]
+    pressure_error = math.sqrt(float(np.vdot(wts, pdiff * pdiff)))
 
     return ErrorReport(
         h=float(mesh.elem_diameters.max()),
         num_elements=mesh.num_elements,
-        mu=problem.mu,
+        mu=mu,
         alpha_h=solution.alpha_h,
         l2_velocity=l2_velocity,
         superconv=superconv,
@@ -123,6 +147,15 @@ def compute_errors(mesh: Mesh, problem: StokesProblem, solution: StokesSolution)
         iterations=solution.report.iterations,
         converged=solution.report.converged,
     )
+
+
+def compute_errors(mesh: Mesh, problem: StokesProblem, solution: StokesSolution) -> ErrorReport:
+    """Broken-norm errors of a solved field against the exact solution.
+
+    Needs the problem's exact `velocity_gradient`; a problem without one
+    raises a ValueError.
+    """
+    return _error_report(mesh, problem.mu, _sample_exact(mesh, problem), solution)
 
 
 @dataclass
@@ -205,8 +238,13 @@ def convergence_study(
     """Solve on a mesh sequence for each viscosity and tabulate errors.
 
     meshes may hold Mesh objects or integers (structured subdivision levels,
-    dimension taken from the problem). The stiffness block does not depend
-    on the viscosity, so each mesh's A is factored once for all of them.
+    dimension taken from the problem). Each viscosity's problem is
+    `problem.with_mu(mu)`, which keeps the exact solution and the boundary
+    datum. So on each mesh the system is built once: the other viscosities
+    reassemble only b1 (`SaddleSystem.for_viscosity`) and share A, B, the
+    dof map, b2 and alpha_h, one factor of A, and one sample of the exact
+    solution for the errors. A problem without a `velocity_gradient`
+    raises a ValueError before the first solve.
     """
     if len(meshes) < 2:
         raise ValueError("need at least two meshes to observe a rate")
@@ -216,17 +254,20 @@ def convergence_study(
     ]
     reports = {}
     for i, mesh in enumerate(resolved):
-        inner = None
+        exact = _sample_exact(mesh, problem)
+        system = None
         for mu in mu_values:
             prob = problem if problem.mu == mu else problem.with_mu(mu)
-            system = build_saddle_system(mesh, prob, qg_method)
-            if inner is None:
+            if system is None:
+                system = build_saddle_system(mesh, prob, qg_method)
                 inner = InnerSolver(system.A)
+            else:
+                system = system.for_viscosity(prob)
             sol = solve_system(
                 system, method, tol=tol, maxit=maxit, restart=restart,
                 inner_solver=inner,
             )
-            reports[(mu, i)] = compute_errors(mesh, prob, sol)
+            reports[(mu, i)] = _error_report(mesh, mu, exact, sol)
     return ConvergenceTable(
         problem=problem.name,
         qg_method=qg_method,

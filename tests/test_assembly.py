@@ -32,7 +32,7 @@ from wgstokes.assembly import (
 from wgstokes.mesh import Mesh, generate_structured_tet, generate_structured_tri
 from wgstokes.problems import StokesProblem, builtin_problem
 from wgstokes.sparse_linalg import InnerSolver
-from wgstokes.wg_core import WGField, field_weak_gradients, lifting_matrix
+from wgstokes.wg_core import FACET_METHODS, WGField, field_weak_gradients, lifting_matrix
 
 # problem callables take (n, d) point batches: vectors -> (n, d), pressure -> (n,)
 zeros_vec = np.zeros_like
@@ -409,6 +409,29 @@ def test_velocity_block_is_kron_of_scalar_stiffness(dim, n):
     assert np.array_equal(au, kron @ u)
     x = InnerSolver(sys_.A).solve(au)
     assert np.linalg.norm(kron @ x - au) <= 1e-12 * np.linalg.norm(au)
+
+
+@pytest.mark.parametrize("qg", FACET_METHODS)
+@pytest.mark.parametrize("consistent", [True, False], ids=["consistent", "raw"])
+@pytest.mark.parametrize("dim,n", [(2, 4), (3, 2)], ids=["2d-4-jittered", "3d-2-jittered"])
+def test_system_for_viscosity_equals_fresh_build(dim, n, consistent, qg):
+    # only b1 and mu depend on the viscosity: the derived b1 and right-hand
+    # side are bitwise those of a fresh build, and every other block is the
+    # base system's own object
+    mesh = jittered_mesh(dim, n, 6)
+    prob = builtin_problem("stokes2d_exp" if dim == 2 else "stokes3d_trig")
+    base = build_saddle_system(mesh, prob, qg, consistent)
+    other = prob.with_mu(1e-4)
+    derived = base.for_viscosity(other)
+    fresh = build_saddle_system(mesh, other, qg, consistent)
+    assert derived.mu == fresh.mu == 1e-4 and base.mu == 1.0
+    assert derived.b1.tobytes() == fresh.b1.tobytes()
+    assert derived.rhs().tobytes() == fresh.rhs().tobytes()
+    assert derived.b1.tobytes() != base.b1.tobytes()
+    for name in ("A", "B", "dof", "Mp", "g_boundary", "b2", "mesh"):
+        assert getattr(derived, name) is getattr(base, name), name
+    assert derived.alpha_h == base.alpha_h == fresh.alpha_h
+    assert (derived.consistent, derived.qg_method) == (consistent, qg)
 
 
 def test_consistent_rhs_orthogonal_to_ones():

@@ -161,8 +161,15 @@ def test_single_mesh_subcommands_reject_several_meshes(monkeypatch, tmp_path, ca
         (["convergence", "--levels", "2", "4", "--precond", "none"], "--precond"),
         (["convergence", "--levels", "2", "4", "--inconsistent"], "--inconsistent"),
         (["inconsistency", "--levels", "3", "--precond", "block_diag"], "--precond"),
+        (["inconsistency", "--levels", "4", "--inconsistent"], "--inconsistent"),
+        (["spectral", "--levels", "2", "--method", "gmres", "--precond", "none",
+          "--tol", "0.5", "--maxit", "1"], "--method, --precond, --tol, --maxit"),
+        (["export-system", "--levels", "3", "--method", "gmres", "--precond", "none",
+          "--tol", "0.5"], "--method, --precond, --tol"),
+        (["export-system", "--levels", "3", "--restart", "5"], "--restart"),
     ],
-    ids=["convergence-precond", "convergence-inconsistent", "inconsistency-precond"],
+    ids=["convergence-precond", "convergence-inconsistent", "inconsistency-precond",
+         "inconsistency-inconsistent", "spectral-solver", "export-solver", "export-restart"],
 )
 def test_ignored_flags_are_config_errors(monkeypatch, tmp_path, capsys, argv, flag):
     def no_mesh(*args):

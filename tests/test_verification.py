@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from oracles import jittered_mesh
 from wgstokes.assembly import build_dofmap, build_saddle_system
 from wgstokes.krylov import SolveReport, StokesSolution, solve_system
 from wgstokes.mesh import structured_simplex_mesh
 from wgstokes.problems import StokesProblem, builtin_problem, problem_from_expressions
 from wgstokes.quadrature import simplex_rule
+import wgstokes.verification as verification
 from wgstokes.verification import (
     compute_errors,
     convergence_study,
@@ -158,6 +160,80 @@ def test_convergence_study_factors_each_mesh_once(monkeypatch):
     meshes = [structured_simplex_mesh(2, n) for n in (2, 3)]
     convergence_study(builtin_problem("stokes2d_exp"), meshes, mu_values=(1.0, 1e-3))
     assert built == [build_dofmap(m).n_u // 2 for m in meshes]
+
+
+def gradient_counted(problem, calls):
+    """`problem`, and every `with_mu` copy of it, with each call of the exact
+    velocity gradient appended to `calls`."""
+    grad = problem.velocity_gradient
+
+    def counted(p):
+        calls.append(len(p))
+        return grad(p)
+
+    return replace(
+        problem,
+        velocity_gradient=counted,
+        rebuild=lambda mu: gradient_counted(problem.with_mu(mu), calls),
+    )
+
+
+@pytest.mark.parametrize(
+    "dim,levels", [(2, (4, 8)), (3, (2, 3))], ids=["2d-4-8-jittered", "3d-2-3-jittered"]
+)
+def test_convergence_study_matches_per_viscosity_loop(monkeypatch, dim, levels):
+    # the study builds each mesh's system and samples its exact solution
+    # once, yet reports what a fresh build, solve and compute_errors per
+    # viscosity report
+    meshes = [jittered_mesh(dim, n, 3) for n in levels]
+    mu_values = (1.0, 1e-4)
+    prob = builtin_problem("stokes2d_exp" if dim == 2 else "stokes3d_trig")
+
+    builds, solves, grads = [], [], []
+    real_build, real_solve = verification.build_saddle_system, verification.solve_system
+
+    def build(mesh, *args):
+        builds.append(mesh)
+        return real_build(mesh, *args)
+
+    def solve(*args, **kwargs):
+        solves.append(real_solve(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(verification, "build_saddle_system", build)
+    monkeypatch.setattr(verification, "solve_system", solve)
+    table = convergence_study(gradient_counted(prob, grads), meshes, mu_values=mu_values)
+    assert builds == meshes
+    points = len(simplex_rule(dim, verification.ERROR_DEGREE)[1])
+    assert grads == [m.num_elements * points for m in meshes]
+
+    k = 0
+    for i, mesh in enumerate(meshes):
+        for mu in mu_values:
+            p = prob.with_mu(mu) if mu != prob.mu else prob
+            sol = solve_system(build_saddle_system(mesh, p))
+            rep = compute_errors(mesh, p, sol)
+            got = table.reports[(mu, i)]
+            assert solves[k].report.iterations == sol.report.iterations == got.iterations
+            assert solves[k].report.residuals == sol.report.residuals
+            assert solves[k].report.precond_residuals == sol.report.precond_residuals
+            for name in ("l2_velocity", "superconv", "grad_error", "pressure_error"):
+                assert getattr(got, name) == pytest.approx(getattr(rep, name), rel=1e-14)
+            assert (got.mu, got.alpha_h, got.h, got.converged) == (
+                rep.mu, rep.alpha_h, rep.h, rep.converged
+            )
+            k += 1
+
+
+def test_convergence_study_without_gradient_fails_before_solving(monkeypatch):
+    solves = []
+    monkeypatch.setattr(verification, "solve_system", lambda *a, **k: solves.append(a))
+    no_gradient = replace(
+        builtin_problem("stokes2d_exp"), name="gradient-free", velocity_gradient=None
+    )
+    with pytest.raises(ValueError, match="'gradient-free' has no velocity_gradient"):
+        convergence_study(no_gradient, [2, 4], mu_values=(1.0, 1e-4))
+    assert solves == []
 
 
 def test_compute_errors_accepts_batch_only_velocity():
