@@ -24,8 +24,8 @@ SINUM 10, 1973), not in `mesh.interior_facets` order: `DofMap.facet_slot`
 maps one to the other, and `SaddleSystem.split` maps facet values back. The
 facet Schur complement of A couples only facets that share an element, so
 the facets between two halves of the elements separate its graph exactly.
-`InnerSolver` factors A in the dof order as given: SuperLU eliminates the
-interior rows first, which forms that Schur complement, then the facets.
+`build_saddle_system` factors A on a worker thread while it assembles B, b1
+and b2; every system derived from it shares the factor (`SaddleSystem.inner`).
 
 Every block is built from the mesh's per-element arrays and the dof map's
 element-to-dof table: local blocks for all elements at once, then one
@@ -34,7 +34,8 @@ scatter per block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from concurrent.futures import Future, ThreadPoolExecutor
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -44,6 +45,7 @@ import scipy.sparse as sp
 from .mesh import Mesh
 from .problems import StokesProblem, boundary_compatibility, evaluate_batch, facet_means
 from .quadrature import simplex_rule
+from .sparse_linalg import InnerSolver
 from .wg_core import facet_projection_rule, lifting_matrix
 
 __all__ = [
@@ -59,6 +61,10 @@ __all__ = [
     "build_saddle_system",
     "export_system",
 ]
+
+# one worker, so factors never run beside each other; SuperLU and numpy
+# release the GIL, so a build's factor of A overlaps its B, b1 and b2
+_FACTOR_POOL = ThreadPoolExecutor(max_workers=1)
 
 
 @dataclass(frozen=True)
@@ -311,6 +317,7 @@ class SaddleSystem:
     consistent: bool
     qg_method: str
     g_boundary: np.ndarray  # projected datum per boundary facet
+    factor: Future = field(compare=False, repr=False)  # of InnerSolver(A)
 
     @property
     def n_u(self) -> int:
@@ -324,14 +331,19 @@ class SaddleSystem:
     def size(self) -> int:
         return self.n_u + self.n_p
 
+    @property
+    def inner(self) -> InnerSolver:
+        """The factor of A, once it is done; raises what factoring raised."""
+        return self.factor.result()
+
     def for_viscosity(self, problem: StokesProblem) -> SaddleSystem:
         """This system for `problem`, a `StokesProblem.with_mu` copy of the
         problem it was built from.
 
         `with_mu` keeps the exact solution and the boundary datum, so only
         `mu` and `b1` (the forcing and the viscosity-scaled boundary term)
-        change. A, B, the dof map, Mp, the projected datum, b2 and alpha_h
-        are shared with this system, not copied.
+        change. A, B, the dof map, Mp, the projected datum, b2, alpha_h and
+        the factor of A are shared with this system, not copied.
         """
         b1 = assemble_b1(self.mesh, problem, self.qg_method, self.dof, self.g_boundary)
         return replace(self, mu=problem.mu, b1=b1)
@@ -393,6 +405,7 @@ def build_saddle_system(
     dof = build_dofmap(mesh)
     g_proj = project_boundary_values(mesh, problem, qg_method)
     a = assemble_A(mesh, dof)
+    factor = _FACTOR_POOL.submit(InnerSolver, a)
     b = assemble_B(mesh, dof)
     b1 = assemble_b1(mesh, problem, qg_method, dof, g_proj)
     b2 = assemble_b2(mesh, problem, qg_method, g_proj)
@@ -409,6 +422,7 @@ def build_saddle_system(
         consistent=consistent,
         qg_method=qg_method,
         g_boundary=g_proj,
+        factor=factor,
     )
 
 

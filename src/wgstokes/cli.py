@@ -27,7 +27,6 @@ from .assembly import build_saddle_system, export_system
 from .krylov import METHODS, PRECONDITIONERS, preconditioner_for, solve_system
 from .mesh import Mesh, load_mesh, structured_simplex_mesh
 from .problems import BUILTIN_PROBLEMS, StokesProblem, builtin_problem, problem_from_expressions
-from .sparse_linalg import InnerSolver
 from .verification import ERROR_FIELDS, convergence_study, inconsistency_demo, spectral_report
 from .wg_core import FACET_METHODS
 
@@ -236,18 +235,16 @@ def run_solver_study(cfg: ExperimentConfig) -> int:
     precond = preconditioner_for(cfg.method, cfg.precond)
     rows = []
     for mesh in meshes:
-        system = inner = None
+        system = None
         for mu in cfg.mu:
             prob = problem if problem.mu == mu else problem.with_mu(mu)
             if system is None:
                 system = build_saddle_system(mesh, prob, cfg.qg, cfg.consistent)
-                if precond != "none":
-                    inner = InnerSolver(system.A)
             else:
                 system = system.for_viscosity(prob)
             sol = solve_system(
                 system, cfg.method, precond=precond, tol=cfg.tol,
-                maxit=cfg.maxit, restart=cfg.restart, inner_solver=inner,
+                maxit=cfg.maxit, restart=cfg.restart,
             )
             rows.append((mesh.num_elements, mu, sol.report))
     out = _outdir(cfg)

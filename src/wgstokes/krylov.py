@@ -75,8 +75,8 @@ def preconditioner_for(method: str, precond: str | None) -> str:
 class SaddlePreconditioner:
     """Applies the inverse of the chosen block preconditioner.
 
-    The A-block inverse comes from a shared InnerSolver so repeated solves
-    against the same stiffness block reuse its factorization.
+    The A-block inverse is `inner_solver`, or else the system's own factor
+    (`SaddleSystem.inner`); the "none" kind never waits for it.
     """
 
     def __init__(
@@ -88,7 +88,7 @@ class SaddlePreconditioner:
         _check_name("preconditioner", kind, PRECONDITIONERS)
         self.system = system
         self.kind = kind
-        self.inner = None if kind == "none" else inner_solver or InnerSolver(system.A)
+        self.inner = None if kind == "none" else inner_solver or system.inner
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         n_u = self.system.n_u
@@ -378,7 +378,7 @@ def solve_system(
     restart: int = 30,
     inner_solver: InnerSolver | None = None,
 ) -> StokesSolution:
-    """Solve a prebuilt system; reuse inner_solver to share A factorizations."""
+    """Solve a prebuilt system with its own A-block factor or `inner_solver`."""
     kind = preconditioner_for(method, precond)
     if tol is None:
         tol = default_tolerance(system.dof.dim)

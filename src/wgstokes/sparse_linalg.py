@@ -9,7 +9,8 @@ static condensation (Cockburn, Gopalakrishnan & Lazarov, SINUM 2009) and
 fills only the facet Schur complement ``S = F - C^T D^{-1} C``. The facets
 follow in `build_dofmap`'s nested-dissection order: at perturbed 3D n=12,
 2.31 M L+U entries for ``S`` against 3.87 M under minimum degree (J. W. H.
-Liu, ACM TOMS 11, 1985).
+Liu, ACM TOMS 11, 1985). `build_saddle_system` makes each system's one
+``InnerSolver`` on a worker thread, beside the assembly (`SaddleSystem.inner`).
 """
 
 from __future__ import annotations

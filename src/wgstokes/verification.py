@@ -22,7 +22,6 @@ from .krylov import SolveReport, StokesSolution, default_tolerance, solve_system
 from .mesh import Mesh, structured_simplex_mesh
 from .problems import StokesProblem, evaluate_batch
 from .quadrature import simplex_rule
-from .sparse_linalg import InnerSolver
 from .wg_core import field_weak_gradients
 
 __all__ = [
@@ -242,7 +241,7 @@ def convergence_study(
     `problem.with_mu(mu)`, which keeps the exact solution and the boundary
     datum. So on each mesh the system is built once: the other viscosities
     reassemble only b1 (`SaddleSystem.for_viscosity`) and share A, B, the
-    dof map, b2 and alpha_h, one factor of A, and one sample of the exact
+    dof map, b2, alpha_h and the factor of A, and one sample of the exact
     solution for the errors. A problem without a `velocity_gradient`
     raises a ValueError before the first solve.
     """
@@ -260,13 +259,9 @@ def convergence_study(
             prob = problem if problem.mu == mu else problem.with_mu(mu)
             if system is None:
                 system = build_saddle_system(mesh, prob, qg_method)
-                inner = InnerSolver(system.A)
             else:
                 system = system.for_viscosity(prob)
-            sol = solve_system(
-                system, method, tol=tol, maxit=maxit, restart=restart,
-                inner_solver=inner,
-            )
+            sol = solve_system(system, method, tol=tol, maxit=maxit, restart=restart)
             reports[(mu, i)] = _error_report(mesh, mu, exact, sol)
     return ConvergenceTable(
         problem=problem.name,
@@ -497,12 +492,9 @@ def inconsistency_demo(
 ) -> InconsistencyDemo:
     """Solve with the raw and the corrected pressure right-hand side."""
     raw = build_saddle_system(mesh, problem, qg_method, consistent=False)
-    fixed = replace(raw, consistent=True)
-    inner = InnerSolver(raw.A)
-    sol_raw = solve_system(raw, method, tol=tol, maxit=maxit, restart=restart,
-                           inner_solver=inner)
-    sol_fixed = solve_system(fixed, method, tol=tol, maxit=maxit, restart=restart,
-                             inner_solver=inner)
+    fixed = replace(raw, consistent=True)  # shares raw's factor of A
+    sol_raw = solve_system(raw, method, tol=tol, maxit=maxit, restart=restart)
+    sol_fixed = solve_system(fixed, method, tol=tol, maxit=maxit, restart=restart)
     floor = None
     if raw.size <= DENSE_GUARD:
         op = raw.dense_operator()

@@ -18,7 +18,6 @@ from wgstokes.krylov import solve_system
 from wgstokes.mesh import generate_structured_tet, generate_structured_tri
 from wgstokes.problems import builtin_problem, problem_from_expressions
 from wgstokes.quadrature import facet_rule
-from wgstokes.sparse_linalg import InnerSolver
 from wgstokes.verification import (
     convergence_study,
     inconsistency_demo,
@@ -45,19 +44,16 @@ def mesh(dim, n):
 
 
 def system(dim, n, mu=1.0, qg="barycenter"):
+    # the velocity stiffness block is viscosity independent, so every mu at
+    # a given mesh derives from the mu=1 system and shares its factor
     key = ("sys", dim, n, mu, qg)
     if key not in _C:
         prob = builtin_problem("stokes2d_exp" if dim == 2 else "stokes3d_trig", mu)
-        _C[key] = build_saddle_system(mesh(dim, n), prob, qg)
-    return _C[key]
-
-
-def inner(dim, n):
-    # the velocity stiffness block is viscosity independent, so one
-    # factorization serves every mu at a given mesh
-    key = ("inner", dim, n)
-    if key not in _C:
-        _C[key] = InnerSolver(system(dim, n).A)
+        _C[key] = (
+            build_saddle_system(mesh(dim, n), prob, qg)
+            if mu == 1.0
+            else system(dim, n, 1.0, qg).for_viscosity(prob)
+        )
     return _C[key]
 
 
@@ -201,11 +197,10 @@ def iteration_grid():
         grid = {}
         for dim, levels in ((2, (8, 16, 32)), (3, (4, 8, 16))):
             for n in levels:
-                inn = inner(dim, n)
                 for mu in (1.0, 1e-4):
                     sys_ = system(dim, n, mu)
                     for method in ("minres", "gmres"):
-                        rep = solve_system(sys_, method, inner_solver=inn).report
+                        rep = solve_system(sys_, method).report
                         grid[(dim, n, mu, method)] = (rep.iterations, rep.converged)
         _C["grid"] = grid
     return _C["grid"]

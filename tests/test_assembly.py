@@ -428,8 +428,10 @@ def test_system_for_viscosity_equals_fresh_build(dim, n, consistent, qg):
     assert derived.b1.tobytes() == fresh.b1.tobytes()
     assert derived.rhs().tobytes() == fresh.rhs().tobytes()
     assert derived.b1.tobytes() != base.b1.tobytes()
-    for name in ("A", "B", "dof", "Mp", "g_boundary", "b2", "mesh"):
+    for name in ("A", "B", "dof", "Mp", "g_boundary", "b2", "mesh", "factor"):
         assert getattr(derived, name) is getattr(base, name), name
+    # one factor of A serves the base, the derived and any replace() copy
+    assert derived.inner is base.inner is replace(base, consistent=not consistent).inner
     assert derived.alpha_h == base.alpha_h == fresh.alpha_h
     assert (derived.consistent, derived.qg_method) == (consistent, qg)
 

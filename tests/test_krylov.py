@@ -1,9 +1,12 @@
 """Block preconditioners, MINRES/GMRES behavior, and solution post-processing."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from oracles import jittered_mesh
+from wgstokes import assembly
 from wgstokes.assembly import build_saddle_system
 from wgstokes.krylov import (
     PRECONDITIONERS,
@@ -16,6 +19,7 @@ from wgstokes.krylov import (
 )
 from wgstokes.mesh import structured_simplex_mesh
 from wgstokes.problems import builtin_problem, problem_from_expressions
+from wgstokes.sparse_linalg import InnerSolver
 
 _CACHE = {}
 
@@ -179,15 +183,51 @@ def test_preconditioner_for_pairs_method_and_preconditioner(method, precond, exp
             preconditioner_for(method, precond)
 
 
-def test_solve_system_rejects_minres_with_triangular_before_factoring(monkeypatch):
-    import wgstokes.krylov as krylov
+class Unawaited:
+    """Stands in for a system's factor future; waiting on it fails the test."""
 
-    def no_factor(a):
-        raise AssertionError("A was factored before the method/preconditioner check")
+    def result(self, timeout=None):
+        raise AssertionError("the A-block factor was awaited")
 
-    monkeypatch.setattr(krylov, "InnerSolver", no_factor)
+
+def test_solve_system_rejects_minres_with_triangular_before_factoring():
+    sys_ = replace(small_system(), factor=Unawaited())
     with pytest.raises(ValueError, match="minres"):
-        solve_system(small_system(), "minres", "block_lower_tri")
+        solve_system(sys_, "minres", "block_lower_tri")
+
+
+@pytest.mark.parametrize("method", ["minres", "gmres"])
+def test_unpreconditioned_solve_never_waits_for_the_factor(method):
+    sys_ = replace(small_system(n=4), factor=Unawaited())
+    rep = solve_system(sys_, method, "none", maxit=5).report
+    assert rep.preconditioner == "none" and rep.iterations == 5
+
+
+@pytest.mark.parametrize("method", ["minres", "gmres"])
+@pytest.mark.parametrize("dim,n", [(2, 8), (3, 3)], ids=["2d-8-jittered", "3d-3-jittered"])
+def test_own_factor_solves_as_a_fresh_inner_solver(dim, n, method):
+    # the factor started on the worker thread is the same SuperLU call on
+    # the same matrix: every iterate and residual is bitwise equal
+    sys_ = jittered_system(dim, n)
+    own = solve_system(sys_, method)
+    fresh = solve_system(sys_, method, inner_solver=InnerSolver(sys_.A))
+    assert own.report.preconditioner == preconditioner_for(method, None)
+    assert own.raw.tobytes() == fresh.raw.tobytes()
+    assert own.report.residuals == fresh.report.residuals
+    assert own.report.precond_residuals == fresh.report.precond_residuals
+
+
+def test_factor_error_reaches_the_solver_caller(monkeypatch):
+    class FactorError(Exception):
+        pass
+
+    def failing(a):
+        raise FactorError("SuperLU failed")
+
+    monkeypatch.setattr(assembly, "InnerSolver", failing)
+    sys_ = build_saddle_system(structured_simplex_mesh(2, 2), builtin_problem("stokes2d_exp"))
+    with pytest.raises(FactorError, match="SuperLU failed"):
+        solve_system(sys_)
 
 
 def test_minres_converges_with_history_invariants():

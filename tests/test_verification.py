@@ -146,17 +146,17 @@ def test_velocity_errors_independent_of_viscosity():
 
 def test_convergence_study_factors_each_mesh_once(monkeypatch):
     # A does not depend on mu, so both viscosities share one factorization
-    # per mesh, and each mesh gets its own
-    import wgstokes.verification as verification
+    # per mesh, and each mesh gets its own; the builds start them
+    import wgstokes.assembly as assembly
 
     built = []
-    real = verification.InnerSolver
+    real = assembly.InnerSolver
 
     def counting(a):
         built.append(a.shape[0])
         return real(a)
 
-    monkeypatch.setattr(verification, "InnerSolver", counting)
+    monkeypatch.setattr(assembly, "InnerSolver", counting)
     meshes = [structured_simplex_mesh(2, n) for n in (2, 3)]
     convergence_study(builtin_problem("stokes2d_exp"), meshes, mu_values=(1.0, 1e-3))
     assert built == [build_dofmap(m).n_u // 2 for m in meshes]
