@@ -26,6 +26,7 @@ facet Schur complement of A couples only facets that share an element, so
 the facets between two halves of the elements separate its graph exactly.
 `build_saddle_system` factors A on a worker thread while it assembles B, b1
 and b2; every system derived from it shares the factor (`SaddleSystem.inner`).
+In studies the same one worker runs every viscosity's solve but the last.
 
 Every block is built from the mesh's per-element arrays and the dof map's
 element-to-dof table: local blocks for all elements at once, then one
@@ -62,9 +63,11 @@ __all__ = [
     "export_system",
 ]
 
-# one worker, so factors never run beside each other; SuperLU and numpy
-# release the GIL, so a build's factor of A overlaps its B, b1 and b2
-_FACTOR_POOL = ThreadPoolExecutor(max_workers=1)
+# the one worker: each build's factor of A, beside its B, b1 and b2, and in
+# studies every viscosity's solve but the last (SuperLU and numpy release the
+# GIL). Tasks run first in, first out, so a queued solve may wait on its
+# system's factor only because the build submitted that factor before it
+_WORKER = ThreadPoolExecutor(max_workers=1)
 
 
 @dataclass(frozen=True)
@@ -405,7 +408,7 @@ def build_saddle_system(
     dof = build_dofmap(mesh)
     g_proj = project_boundary_values(mesh, problem, qg_method)
     a = assemble_A(mesh, dof)
-    factor = _FACTOR_POOL.submit(InnerSolver, a)
+    factor = _WORKER.submit(InnerSolver, a)
     b = assemble_B(mesh, dof)
     b1 = assemble_b1(mesh, problem, qg_method, dof, g_proj)
     b2 = assemble_b2(mesh, problem, qg_method, g_proj)

@@ -10,7 +10,7 @@ export-system  write the assembled blocks in Matrix Market format
 
 Every flag can also be supplied through a JSON config file (``--config``);
 explicit flags win over file values, which win over the built-in defaults.
-Exit codes: 0 success, 1 a solve failed to converge, 2 bad configuration.
+Exit codes: 0 success, 1 a solve failed or broke down, 2 bad configuration.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .krylov import METHODS, PRECONDITIONERS, preconditioner_for, solve_system
 from .mesh import Mesh, load_mesh, structured_simplex_mesh
 from .problems import BUILTIN_PROBLEMS, StokesProblem, builtin_problem, problem_from_expressions
 from .verification import ERROR_FIELDS, convergence_study, inconsistency_demo, spectral_report
+from .verification import _each_viscosity
 from .wg_core import FACET_METHODS
 
 EXIT_OK = 0
@@ -187,10 +188,6 @@ def _outdir(cfg: ExperimentConfig) -> Path:
     return out
 
 
-def _fmt_mu(mu: float) -> str:
-    return f"{mu:g}"
-
-
 _DEFAULTS = ExperimentConfig()
 _SOLVER_SETTINGS = ("method", "precond", "tol", "restart", "maxit")
 
@@ -233,42 +230,31 @@ def run_solver_study(cfg: ExperimentConfig) -> int:
     problem = make_problem(cfg)
     meshes = resolve_meshes(cfg, problem.dim)
     precond = preconditioner_for(cfg.method, cfg.precond)
-    rows = []
-    for mesh in meshes:
-        system = None
-        for mu in cfg.mu:
-            prob = problem if problem.mu == mu else problem.with_mu(mu)
-            if system is None:
-                system = build_saddle_system(mesh, prob, cfg.qg, cfg.consistent)
-            else:
-                system = system.for_viscosity(prob)
-            sol = solve_system(
-                system, cfg.method, precond=precond, tol=cfg.tol,
-                maxit=cfg.maxit, restart=cfg.restart,
-            )
-            rows.append((mesh.num_elements, mu, sol.report))
+
+    def solve(system):
+        return solve_system(system, cfg.method, precond, cfg.tol, cfg.maxit, cfg.restart).report
+
+    grid = [_each_viscosity(m, problem, cfg.mu, cfg.qg, cfg.consistent, solve) for m in meshes]
     out = _outdir(cfg)
     csv_path = out / "solver_study.csv"
     with csv_path.open("w", encoding="utf-8") as fh:
         fh.write("N,mu,method,precond,iterations,converged,final_relres\n")
-        for n, mu, rep in rows:
-            fh.write(
-                f"{n},{mu:.6e},{cfg.method},{precond},{rep.iterations},"
-                f"{int(rep.converged)},{rep.residuals[-1]:.6e}\n"
-            )
-    header = "| N | " + " | ".join(f"its (mu={_fmt_mu(m)})" for m in cfg.mu) + " |"
+        for mesh, reps in zip(meshes, grid):
+            for mu, rep in zip(cfg.mu, reps):
+                fh.write(
+                    f"{mesh.num_elements},{mu:.6e},{cfg.method},{precond},{rep.iterations},"
+                    f"{int(rep.converged)},{rep.residuals[-1]:.6e}\n"
+                )
+    header = "| N | " + " | ".join(f"its (mu={m:g})" for m in cfg.mu) + " |"
     lines = [header, "|---|" + "---|" * len(cfg.mu)]
-    for i, mesh in enumerate(meshes):
-        cells = []
-        for j in range(len(cfg.mu)):
-            rep = rows[i * len(cfg.mu) + j][2]
-            cells.append(f"{rep.iterations}{'' if rep.converged else '*'}")
+    for mesh, reps in zip(meshes, grid):
+        cells = [f"{rep.iterations}{'' if rep.converged else '*'}" for rep in reps]
         lines.append(f"| {mesh.num_elements} | " + " | ".join(cells) + " |")
     md = "\n".join(lines)
     (out / "solver_study.md").write_text(md + "\n", encoding="utf-8")
     print(f"{cfg.method} with {precond} preconditioning")
     print(md)
-    if any(not rep.converged for _, _, rep in rows):
+    if not all(rep.converged for reps in grid for rep in reps):
         print("* did not reach the tolerance within maxit", file=sys.stderr)
         return EXIT_SOLVER
     print(f"wrote {csv_path}")
@@ -411,12 +397,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = config_from_args(args)
         return args.func(cfg)
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ValueError as exc:
+    except RuntimeError as exc:  # a solver breakdown, from either thread
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

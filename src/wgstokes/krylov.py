@@ -120,7 +120,7 @@ class SolveReport:
     precond_residuals: list[float]  # recurrence estimate in the preconditioner norm
     tol: float
     maxit: int
-    wall_time: float
+    wall_time: float  # concurrent solves overlap, so a study's times need not add up
     restart: int | None = None
 
     def summary(self) -> str:

@@ -10,14 +10,14 @@ a priori residual bounds for the preconditioned Krylov methods.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 
-from .assembly import SaddleSystem, build_saddle_system
+from .assembly import _WORKER, SaddleSystem, build_saddle_system
 from .krylov import SolveReport, StokesSolution, default_tolerance, solve_system
 from .mesh import Mesh, structured_simplex_mesh
 from .problems import StokesProblem, evaluate_batch
@@ -52,18 +52,8 @@ class ErrorReport:
     converged: bool
 
     def as_row(self) -> dict:
-        return {
-            "N": self.num_elements,
-            "h": self.h,
-            "mu": self.mu,
-            "alpha_h": self.alpha_h,
-            "l2_velocity": self.l2_velocity,
-            "superconv": self.superconv,
-            "grad_error": self.grad_error,
-            "pressure_error": self.pressure_error,
-            "iterations": self.iterations,
-            "converged": self.converged,
-        }
+        row = asdict(self)
+        return {"N": row.pop("num_elements"), **row}
 
 
 ERROR_FIELDS = ("l2_velocity", "superconv", "grad_error", "pressure_error")
@@ -224,6 +214,30 @@ class ConvergenceTable:
         return "\n".join(lines)
 
 
+def _each_viscosity(
+    mesh: Mesh, problem: StokesProblem, mu_values, qg_method: str, consistent: bool, task
+) -> list:
+    """`task(system)` for each viscosity's system on `mesh`, in `mu_values` order.
+
+    One build; the other systems come from `SaddleSystem.for_viscosity` and
+    share its A, B and factor. Every task but the last runs on the assembly
+    worker while this thread derives the next system, and the last runs
+    here. Every task has finished when this returns or raises, and an
+    exception from either thread reaches the caller.
+    """
+    probs = [problem if problem.mu == mu else problem.with_mu(mu) for mu in mu_values]
+    system = build_saddle_system(mesh, probs[0], qg_method, consistent)
+    pending = []
+    try:
+        for prob in probs[1:]:
+            pending.append(_WORKER.submit(task, system))  # queued behind system's factor
+            system = system.for_viscosity(prob)
+        last = task(system)
+    finally:
+        done = [f.result() for f in pending]
+    return done + [last]
+
+
 def convergence_study(
     problem: StokesProblem,
     meshes: list,
@@ -242,11 +256,14 @@ def convergence_study(
     datum. So on each mesh the system is built once: the other viscosities
     reassemble only b1 (`SaddleSystem.for_viscosity`) and share A, B, the
     dof map, b2, alpha_h and the factor of A, and one sample of the exact
-    solution for the errors. A problem without a `velocity_gradient`
-    raises a ValueError before the first solve.
+    solution for the errors. A mesh's viscosities solve concurrently. A
+    problem without a `velocity_gradient` raises a ValueError before the
+    first solve.
     """
     if len(meshes) < 2:
         raise ValueError("need at least two meshes to observe a rate")
+    if not mu_values:
+        raise ValueError("need at least one viscosity")
     resolved = [
         m if isinstance(m, Mesh) else structured_simplex_mesh(problem.dim, m)
         for m in meshes
@@ -254,15 +271,13 @@ def convergence_study(
     reports = {}
     for i, mesh in enumerate(resolved):
         exact = _sample_exact(mesh, problem)
-        system = None
-        for mu in mu_values:
-            prob = problem if problem.mu == mu else problem.with_mu(mu)
-            if system is None:
-                system = build_saddle_system(mesh, prob, qg_method)
-            else:
-                system = system.for_viscosity(prob)
+
+        def solve_and_measure(system):
             sol = solve_system(system, method, tol=tol, maxit=maxit, restart=restart)
-            reports[(mu, i)] = _error_report(mesh, mu, exact, sol)
+            return _error_report(mesh, system.mu, exact, sol)
+
+        rows = _each_viscosity(mesh, problem, mu_values, qg_method, True, solve_and_measure)
+        reports.update({(mu, i): rep for mu, rep in zip(mu_values, rows)})
     return ConvergenceTable(
         problem=problem.name,
         qg_method=qg_method,

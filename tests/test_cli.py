@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from wgstokes import cli
+from wgstokes import cli, krylov
 
 CAVITY = [
     "--problem", "custom", "--dim", "2",
@@ -86,6 +86,27 @@ def test_solver_study_without_preconditioner_flags_failures(tmp_path, capsys):
     assert code == 1
     assert "20*" in (tmp_path / "solver_study.md").read_text()
     assert "did not reach" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["convergence", "solver-study"])
+def test_minres_breakdown_on_the_worker_is_a_solver_error(monkeypatch, tmp_path, capsys, command):
+    # mu=1 solves on the worker thread; make its preconditioner indefinite
+    # after the first application, so MINRES raises its own RuntimeError
+    real_apply = krylov.SaddlePreconditioner.apply
+
+    def indefinite(self, r):
+        z = real_apply(self, r)
+        self.calls = getattr(self, "calls", 0) + 1
+        return -z if self.system.mu == 1.0 and self.calls > 1 else z
+
+    monkeypatch.setattr(krylov.SaddlePreconditioner, "apply", indefinite)
+    code = cli.main(
+        [command, "--levels", "2", "4", "--mu", "1", "--mu", "1e-4", "--out", str(tmp_path)]
+    )
+    assert code == cli.EXIT_SOLVER == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: preconditioner lost positive definiteness")
+    assert "Traceback" not in err
 
 
 def test_gmres_defaults_to_triangular_preconditioner(tmp_path):

@@ -1,6 +1,9 @@
 """Exact A-block inverse: one sparse LU of the scalar stiffness in the dof
 map's order, applied to every velocity component at once."""
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
@@ -114,3 +117,33 @@ def test_symmetric_ordering_cuts_fill_against_unsymmetric_defaults(factored, see
     thinned.eliminate_zeros()
     ref = spla.splu(thinned)  # COLAMD and partial pivoting
     assert fill(factored["lu"]) <= 0.6 * fill(ref)
+
+
+@pytest.mark.parametrize("dim,n", [(3, 3), (2, 8)], ids=["3d-n3-jittered", "2d-n8-jittered"])
+def test_threads_share_one_factor(dim, n):
+    # studies solve a mesh's viscosities on two threads against one factor;
+    # each thread must get bitwise what one thread alone gets. Three threads
+    # switching often make overlapping solves likely
+    mesh = jittered_mesh(dim, n, 4)
+    dof = build_dofmap(mesh)
+    inner = InnerSolver(assemble_A(mesh, dof))
+    rhs = np.random.default_rng(7).standard_normal((100, dof.n_u))
+    alone = [inner.solve(r) for r in rhs]
+    start = threading.Barrier(3)
+
+    def run(shift):
+        start.wait(timeout=30)
+        order = np.roll(np.arange(len(rhs)), shift)  # each thread starts elsewhere
+        return {k: inner.solve(rhs[k]) for k in order}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            runs = [pool.submit(run, shift) for shift in (0, 33, 67)]
+            results = [f.result(timeout=60) for f in runs]
+    finally:
+        sys.setswitchinterval(interval)
+    for got in results:
+        assert len(got) == len(rhs)
+        assert all(np.array_equal(got[k], alone[k]) for k in range(len(rhs)))

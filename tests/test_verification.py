@@ -1,6 +1,7 @@
 """Error measurement, convergence rates, spectral checks, residual bounds."""
 
 import math
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -179,26 +180,31 @@ def gradient_counted(problem, calls):
 
 
 @pytest.mark.parametrize(
-    "dim,levels", [(2, (4, 8)), (3, (2, 3))], ids=["2d-4-8-jittered", "3d-2-3-jittered"]
+    "dim,levels,mu_values",
+    [(2, (4, 8), (1.0, 1e-4)), (3, (2, 3), (1.0, 1e-4)), (2, (4, 8), (1.0, 1e-2, 1e-4))],
+    ids=["2d-4-8-jittered", "3d-2-3-jittered", "2d-4-8-jittered-three-viscosities"],
 )
-def test_convergence_study_matches_per_viscosity_loop(monkeypatch, dim, levels):
+def test_convergence_study_matches_per_viscosity_loop(monkeypatch, dim, levels, mu_values):
     # the study builds each mesh's system and samples its exact solution
-    # once, yet reports what a fresh build, solve and compute_errors per
-    # viscosity report
+    # once, and solves all but the last viscosity on the worker thread, yet
+    # reports what a fresh build, solve and compute_errors per viscosity
+    # report; with three viscosities two solves queue on the worker
     meshes = [jittered_mesh(dim, n, 3) for n in levels]
-    mu_values = (1.0, 1e-4)
     prob = builtin_problem("stokes2d_exp" if dim == 2 else "stokes3d_trig")
 
-    builds, solves, grads = [], [], []
+    builds, grads = [], []
+    solves = {}  # keyed, since the two threads record in no fixed order
     real_build, real_solve = verification.build_saddle_system, verification.solve_system
 
     def build(mesh, *args):
         builds.append(mesh)
         return real_build(mesh, *args)
 
-    def solve(*args, **kwargs):
-        solves.append(real_solve(*args, **kwargs))
-        return solves[-1]
+    def solve(system, *args, **kwargs):
+        key = (system.mesh, system.mu)
+        assert key not in solves
+        solves[key] = real_solve(system, *args, **kwargs)
+        return solves[key]
 
     monkeypatch.setattr(verification, "build_saddle_system", build)
     monkeypatch.setattr(verification, "solve_system", solve)
@@ -206,23 +212,53 @@ def test_convergence_study_matches_per_viscosity_loop(monkeypatch, dim, levels):
     assert builds == meshes
     points = len(simplex_rule(dim, verification.ERROR_DEGREE)[1])
     assert grads == [m.num_elements * points for m in meshes]
+    assert len(solves) == len(meshes) * len(mu_values)
 
-    k = 0
     for i, mesh in enumerate(meshes):
         for mu in mu_values:
             p = prob.with_mu(mu) if mu != prob.mu else prob
             sol = solve_system(build_saddle_system(mesh, p))
             rep = compute_errors(mesh, p, sol)
             got = table.reports[(mu, i)]
-            assert solves[k].report.iterations == sol.report.iterations == got.iterations
-            assert solves[k].report.residuals == sol.report.residuals
-            assert solves[k].report.precond_residuals == sol.report.precond_residuals
+            seen = solves[(mesh, mu)].report
+            assert seen.iterations == sol.report.iterations == got.iterations
+            assert seen.residuals == sol.report.residuals
+            assert seen.precond_residuals == sol.report.precond_residuals
             for name in ("l2_velocity", "superconv", "grad_error", "pressure_error"):
                 assert getattr(got, name) == pytest.approx(getattr(rep, name), rel=1e-14)
             assert (got.mu, got.alpha_h, got.h, got.converged) == (
                 rep.mu, rep.alpha_h, rep.h, rep.converged
             )
-            k += 1
+
+
+def test_error_on_the_worker_reaches_the_study_caller(monkeypatch):
+    real_solve = verification.solve_system
+    failed_on = []
+
+    def solve(system, *args, **kwargs):
+        if system.mu == 1.0:
+            failed_on.append(threading.current_thread())
+            raise RuntimeError("no solve at mu=1")
+        return real_solve(system, *args, **kwargs)
+
+    monkeypatch.setattr(verification, "solve_system", solve)
+    prob = builtin_problem("stokes2d_exp")
+    with pytest.raises(RuntimeError, match=r"^no solve at mu=1$"):
+        convergence_study(prob, [2, 4], mu_values=(1.0, 1e-4))
+    assert failed_on and failed_on[0] is not threading.main_thread()
+
+    # the worker is not left blocked: the next study runs to the end
+    monkeypatch.setattr(verification, "solve_system", real_solve)
+    table = convergence_study(prob, [2, 4], mu_values=(1.0, 1e-4))
+    assert len(table.reports) == 4
+    assert all(rep.converged for rep in table.reports.values())
+    assert set(threading.enumerate()) == {threading.main_thread(), failed_on[0]}
+
+
+def test_convergence_study_needs_a_viscosity(monkeypatch):
+    monkeypatch.setattr(verification, "build_saddle_system", lambda *a: pytest.fail("built"))
+    with pytest.raises(ValueError, match="need at least one viscosity"):
+        convergence_study(builtin_problem("stokes2d_exp"), [2, 4], mu_values=())
 
 
 def test_convergence_study_without_gradient_fails_before_solving(monkeypatch):
