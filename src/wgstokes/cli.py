@@ -8,8 +8,9 @@ spectral       dense eigenvalue verification on small systems
 inconsistency  raw versus corrected right-hand side residual histories
 export-system  write the assembled blocks in Matrix Market format
 
-Every flag can also be supplied through a JSON config file (``--config``);
-explicit flags win over file values, which win over the built-in defaults.
+Each subcommand takes only the settings it reads (`_COMMANDS`), as flags or
+as keys of a JSON config file (``--config``); any other flag or key exits 2.
+Explicit flags win over file values, which win over the built-in defaults.
 Exit codes: 0 success, 1 a solve failed or broke down, 2 bad configuration.
 """
 
@@ -42,7 +43,7 @@ class ConfigError(Exception):
 
 @dataclass
 class ExperimentConfig:
-    """Settings for one CLI run; JSON config files use these field names and types."""
+    """Settings of every subcommand; JSON config files use these field names and types."""
 
     problem: str = "stokes2d_exp"
     dim: int | None = None
@@ -59,7 +60,6 @@ class ExperimentConfig:
     consistent: bool = True
     velocity: list[str] = field(default_factory=list)
     pressure: str | None = None
-    forcing: list[str] | None = None
 
 
 def _load_config_file(path: Path) -> dict:
@@ -90,16 +90,17 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     cfg = ExperimentConfig()
     hints = typing.get_type_hints(ExperimentConfig)
     declared = {f.name: f.type for f in fields(ExperimentConfig)}
+    _, _, settings = _COMMANDS[args.command]
     if args.config is not None:
         for key, value in _load_config_file(args.config).items():
-            if key not in hints:
-                raise ConfigError(f"unknown config key {key!r}")
+            if key not in settings:
+                raise ConfigError(f"{args.command} takes no config key {key!r}")
             if not _fits(value, hints[key]) and _fits([value], hints[key]):
                 value = [value]  # a list field also takes one item
             if not _fits(value, hints[key]):
                 raise ConfigError(f"config key {key!r} must be {declared[key]}, got {value!r}")
             setattr(cfg, key, value)
-    for name in hints:  # every flag is named after its field and defaults to None
+    for name in settings:  # every flag is named after its field and defaults to None
         value = getattr(args, name)
         if value is not None:
             setattr(cfg, name, value)
@@ -152,10 +153,7 @@ def _validate(cfg: ExperimentConfig) -> None:
 def make_problem(cfg: ExperimentConfig) -> StokesProblem:
     if cfg.problem == "custom":
         try:
-            return problem_from_expressions(
-                cfg.dim, cfg.velocity, cfg.pressure, mu=cfg.mu[0],
-                forcing_exprs=cfg.forcing,
-            )
+            return problem_from_expressions(cfg.dim, cfg.velocity, cfg.pressure, mu=cfg.mu[0])
         except ValueError as exc:
             raise ConfigError(f"custom problem: {exc}") from exc
     prob = builtin_problem(cfg.problem, mu=cfg.mu[0])
@@ -174,12 +172,10 @@ def resolve_meshes(cfg: ExperimentConfig, dim: int) -> list[Mesh]:
     return meshes
 
 
-def _one_mesh(cfg: ExperimentConfig, dim: int) -> Mesh:
-    """The mesh of a subcommand that works on one mesh; more is a ConfigError."""
-    count = len(cfg.levels) + len(cfg.mesh_files)
-    if count != 1:
-        raise ConfigError(f"this subcommand takes one mesh, got {count}")
-    return resolve_meshes(cfg, dim)[0]
+def _only_one(what: str, given: list) -> None:
+    """ConfigError unless a subcommand that works on one `what` got one."""
+    if len(given) != 1:
+        raise ConfigError(f"this subcommand takes one {what}, got {len(given)}")
 
 
 def _outdir(cfg: ExperimentConfig) -> Path:
@@ -188,24 +184,7 @@ def _outdir(cfg: ExperimentConfig) -> Path:
     return out
 
 
-_DEFAULTS = ExperimentConfig()
-_SOLVER_SETTINGS = ("method", "precond", "tol", "restart", "maxit")
-
-
-def _reject_unused(cfg: ExperimentConfig, command: str, names: tuple) -> None:
-    """ConfigError naming each setting among `names` that a flag or config
-    key moved off its default, since `command` would ignore it."""
-    given = [
-        "--inconsistent" if n == "consistent" else f"--{n}"
-        for n in names
-        if getattr(cfg, n) != getattr(_DEFAULTS, n)
-    ]
-    if given:
-        raise ConfigError(f"{command} takes no {', '.join(given)}")
-
-
 def run_convergence(cfg: ExperimentConfig) -> int:
-    _reject_unused(cfg, "convergence", ("precond", "consistent"))
     problem = make_problem(cfg)
     meshes = resolve_meshes(cfg, problem.dim)
     table = convergence_study(
@@ -262,7 +241,7 @@ def run_solver_study(cfg: ExperimentConfig) -> int:
 
 
 def run_spectral(cfg: ExperimentConfig) -> int:
-    _reject_unused(cfg, "spectral", _SOLVER_SETTINGS)
+    _only_one("viscosity", cfg.mu)
     problem = make_problem(cfg)
     meshes = resolve_meshes(cfg, problem.dim)
     out = _outdir(cfg)
@@ -297,10 +276,10 @@ def run_spectral(cfg: ExperimentConfig) -> int:
 
 
 def run_inconsistency(cfg: ExperimentConfig) -> int:
-    # inconsistency_demo solves both the raw and the corrected system
-    _reject_unused(cfg, "inconsistency", ("precond", "consistent"))
+    _only_one("viscosity", cfg.mu)
+    _only_one("mesh", cfg.levels + cfg.mesh_files)
     problem = make_problem(cfg)
-    mesh = _one_mesh(cfg, problem.dim)
+    mesh = resolve_meshes(cfg, problem.dim)[0]
     demo = inconsistency_demo(
         mesh, problem, method=cfg.method, qg_method=cfg.qg, tol=cfg.tol,
         maxit=cfg.maxit, restart=cfg.restart,
@@ -316,9 +295,10 @@ def run_inconsistency(cfg: ExperimentConfig) -> int:
 
 
 def run_export(cfg: ExperimentConfig) -> int:
-    _reject_unused(cfg, "export-system", _SOLVER_SETTINGS)
+    _only_one("viscosity", cfg.mu)
+    _only_one("mesh", cfg.levels + cfg.mesh_files)
     problem = make_problem(cfg)
-    mesh = _one_mesh(cfg, problem.dim)
+    mesh = resolve_meshes(cfg, problem.dim)[0]
     system = build_saddle_system(mesh, problem, cfg.qg, cfg.consistent)
     out = _outdir(cfg)
     paths = export_system(system, out)
@@ -340,61 +320,79 @@ def run_export(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", type=Path, metavar="PATH",
-                        help="JSON config file; explicit flags override it")
-    common.add_argument("--out", metavar="DIR",
-                        help="output directory (default: current directory)")
-    common.add_argument("--problem",
-                        help="stokes2d_exp, stokes3d_trig, or custom")
-    common.add_argument("--dim", type=int, choices=(2, 3),
-                        help="space dimension (needed for custom problems)")
-    common.add_argument("--mu", type=float, action="append", metavar="MU",
-                        help="viscosity; repeat the flag for several values")
-    common.add_argument("--levels", type=int, nargs="+", metavar="N",
-                        help="structured mesh subdivisions, e.g. --levels 4 8 16")
-    common.add_argument("--mesh-file", action="append", dest="mesh_files",
-                        metavar="PATH", help="mesh file to load; repeatable")
-    common.add_argument("--qg", choices=FACET_METHODS,
-                        help="boundary-data projection rule")
-    common.add_argument("--method", choices=METHODS, help="Krylov method")
-    common.add_argument("--precond", choices=PRECONDITIONERS,
-                        help="preconditioner (default depends on the method)")
-    common.add_argument("--tol", type=float,
-                        help="relative residual tolerance (default 1e-9 in 2D, 1e-8 in 3D)")
-    common.add_argument("--restart", type=int, help="GMRES restart length")
-    common.add_argument("--maxit", type=int, help="iteration cap")
-    common.add_argument("--inconsistent", dest="consistent", action="store_false",
-                        default=None, help="keep the raw incompatible right-hand side")
-    common.add_argument("--velocity", action="append", metavar="EXPR",
-                        help="exact velocity component (custom problems; repeat per component)")
-    common.add_argument("--pressure", metavar="EXPR",
-                        help="exact pressure (custom problems)")
-    common.add_argument("--forcing", action="append", metavar="EXPR",
-                        help="forcing component; omitted means derive it symbolically")
+# Every setting: its ExperimentConfig field, flag and argparse options.
+_FLAGS = {
+    "out": ("--out", dict(metavar="DIR", help="output directory (default: current directory)")),
+    "problem": ("--problem", dict(help="stokes2d_exp, stokes3d_trig, or custom")),
+    "dim": ("--dim", dict(type=int, choices=(2, 3),
+                          help="space dimension (needed for custom problems)")),
+    "mu": ("--mu", dict(type=float, action="append", metavar="MU",
+                        help="viscosity; convergence and solver-study take several")),
+    "levels": ("--levels", dict(type=int, nargs="+", metavar="N",
+                                help="structured mesh subdivisions, e.g. --levels 4 8 16")),
+    "mesh_files": ("--mesh-file", dict(action="append", metavar="PATH",
+                                       help="mesh file to load; repeatable")),
+    "qg": ("--qg", dict(choices=FACET_METHODS, help="boundary-data projection rule")),
+    "velocity": ("--velocity", dict(action="append", metavar="EXPR", help=(
+        "exact velocity component (custom problems; repeat per component)"))),
+    "pressure": ("--pressure", dict(metavar="EXPR", help="exact pressure (custom problems)")),
+    "method": ("--method", dict(choices=METHODS, help="Krylov method")),
+    "tol": ("--tol", dict(type=float, help=(
+        "relative residual tolerance (default 1e-9 in 2D, 1e-8 in 3D)"))),
+    "restart": ("--restart", dict(type=int, help="GMRES restart length")),
+    "maxit": ("--maxit", dict(type=int, help="iteration cap")),
+    "precond": ("--precond", dict(choices=PRECONDITIONERS,
+                                  help="preconditioner (default depends on the method)")),
+    "consistent": ("--inconsistent", dict(action="store_false", default=None,
+                                          help="keep the raw incompatible right-hand side")),
+}
+_PROBLEM_AND_MESHES = (
+    "out", "problem", "dim", "mu", "levels", "mesh_files", "qg", "velocity", "pressure",
+)
+_SOLVER = ("method", "tol", "restart", "maxit")
 
+# Each subcommand and the settings it reads; its parser offers only these
+# flags and its config file may hold only these keys. convergence and
+# inconsistency use the method's default preconditioner, convergence solves
+# the corrected system and inconsistency both; spectral and export-system
+# solve nothing.
+_COMMANDS = {
+    "convergence": (run_convergence, "error table with rates over a mesh sequence",
+                    _PROBLEM_AND_MESHES + _SOLVER),
+    "solver-study": (run_solver_study, "iteration counts over levels and viscosities",
+                     _PROBLEM_AND_MESHES + _SOLVER + ("precond", "consistent")),
+    "spectral": (run_spectral, "dense eigenvalue verification on small meshes",
+                 _PROBLEM_AND_MESHES + ("consistent",)),
+    "inconsistency": (run_inconsistency, "compare raw and corrected right-hand sides",
+                      _PROBLEM_AND_MESHES + _SOLVER),
+    "export-system": (run_export, "write the assembled system in Matrix Market form",
+                      _PROBLEM_AND_MESHES + ("consistent",)),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wgstokes",
         description="Weak Galerkin Stokes studies: convergence, solver behavior, spectra.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, func, help_text in (
-        ("convergence", run_convergence, "error table with rates over a mesh sequence"),
-        ("solver-study", run_solver_study, "iteration counts over levels and viscosities"),
-        ("spectral", run_spectral, "dense eigenvalue verification on small meshes"),
-        ("inconsistency", run_inconsistency,
-         "compare raw and corrected right-hand sides"),
-        ("export-system", run_export, "write the assembled system in Matrix Market form"),
-    ):
-        sp = sub.add_parser(name, parents=[common], help=help_text)
+    for name, (func, help_text, settings) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
         sp.set_defaults(func=func)
+        sp.add_argument("--config", type=Path, metavar="PATH",
+                        help="JSON config file; explicit flags override it")
+        for key in settings:
+            flag, options = _FLAGS[key]
+            sp.add_argument(flag, dest=key, **options)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args, unread = build_parser().parse_known_args(argv)
+        if unread:  # flags this subcommand does not read, named with the subcommand
+            names = [a.split("=")[0] for a in unread if a.startswith("--")] or unread
+            raise ConfigError(f"{args.command} takes no {', '.join(dict.fromkeys(names))}")
         cfg = config_from_args(args)
         return args.func(cfg)
     except (ConfigError, ValueError) as exc:

@@ -2,9 +2,7 @@
 
 Two built-in solutions on the unit square/cube, plus custom problems given
 as expression strings (velocity and pressure; the forcing and the velocity
-gradient are derived symbolically). `strong_form_residual` is a check
-callers can run: it compares a problem with the strong form by centered
-finite differences at random interior points.
+gradient are derived symbolically, so (u, p) is the exact solution).
 
 Problem callables evaluate batches; see `StokesProblem`.
 """
@@ -22,7 +20,6 @@ __all__ = [
     "BUILTIN_PROBLEMS",
     "builtin_problem",
     "problem_from_expressions",
-    "strong_form_residual",
     "boundary_compatibility",
     "evaluate_batch",
     "facet_means",
@@ -30,10 +27,6 @@ __all__ = [
 
 Vec = Callable[[np.ndarray], np.ndarray]
 _COMPAT_DEGREE = 8  # exactness degree of the facet rule in boundary_compatibility
-# strong_form_residual: random interior points, their seed, difference step
-_FD_POINTS = 5
-_FD_SEED = 0
-_FD_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -197,14 +190,12 @@ def problem_from_expressions(
     velocity_exprs: list[str],
     pressure_expr: str,
     mu: float = 1.0,
-    forcing_exprs: list[str] | None = None,
     name: str = "custom",
 ) -> StokesProblem:
     """Build a problem from expression strings in x, y(, z), pi, exp, sin, cos.
 
-    When forcing_exprs is omitted, f = -mu*Lap(u) + grad p is derived
-    symbolically, so the supplied pair (u, p) is the exact solution. The
-    velocity gradient is always derived symbolically.
+    The forcing f = -mu*Lap(u) + grad p and the velocity gradient are derived
+    symbolically, so the supplied pair (u, p) is the exact solution.
     """
     import sympy as sp
 
@@ -230,15 +221,10 @@ def problem_from_expressions(
 
     u_sym = [parse(t) for t in velocity_exprs]
     p_sym = parse(pressure_expr)
-    if forcing_exprs is None:
-        f_sym = [
-            -mu * sum(sp.diff(ui, c, 2) for c in coords) + sp.diff(p_sym, coords[r])
-            for r, ui in enumerate(u_sym)
-        ]
-    else:
-        if len(forcing_exprs) != dim:
-            raise ValueError(f"need {dim} forcing components, got {len(forcing_exprs)}")
-        f_sym = [parse(t) for t in forcing_exprs]
+    f_sym = [
+        -mu * sum(sp.diff(ui, c, 2) for c in coords) + sp.diff(p_sym, coords[r])
+        for r, ui in enumerate(u_sym)
+    ]
 
     u_fns = [sp.lambdify(coords, e, "numpy") for e in u_sym]
     f_fns = [sp.lambdify(coords, e, "numpy") for e in f_sym]
@@ -271,39 +257,9 @@ def problem_from_expressions(
         return np.stack([row(pt) for row in grad_rows], axis=-2)
 
     def again(new_mu):
-        return problem_from_expressions(
-            dim, velocity_exprs, pressure_expr, new_mu, forcing_exprs, name
-        )
+        return problem_from_expressions(dim, velocity_exprs, pressure_expr, new_mu, name)
 
     return StokesProblem(name, dim, mu, u, pres, f, u, grad, rebuild=again)
-
-
-def strong_form_residual(problem: StokesProblem) -> float:
-    """Max residual of -mu*Lap(u) + grad p - f and of div u at random interior points.
-
-    Centered second differences; the check is O(step^2) accurate, so smooth
-    consistent problems land near step^2 * |u|, not at machine precision.
-    """
-    d, npoints, step = problem.dim, _FD_POINTS, _FD_STEP
-    rng = np.random.default_rng(_FD_SEED)
-    pts = 0.2 + 0.6 * rng.random((npoints, d))
-    u0 = evaluate_batch(problem.velocity, pts, "velocity")
-    lap = np.zeros((npoints, d))
-    grad_p = np.zeros((npoints, d))
-    div = np.zeros(npoints)
-    for j in range(d):
-        e = np.zeros(d)
-        e[j] = step
-        up = evaluate_batch(problem.velocity, pts + e, "velocity")
-        um = evaluate_batch(problem.velocity, pts - e, "velocity")
-        lap += (up - 2.0 * u0 + um) / step**2
-        grad_p[:, j] = (
-            evaluate_batch(problem.pressure, pts + e, "pressure", rank=0)
-            - evaluate_batch(problem.pressure, pts - e, "pressure", rank=0)
-        ) / (2.0 * step)
-        div += (up[:, j] - um[:, j]) / (2.0 * step)
-    resid = -problem.mu * lap + grad_p - evaluate_batch(problem.forcing, pts, "forcing")
-    return max(float(np.max(np.abs(resid))), float(np.max(np.abs(div))))
 
 
 def evaluate_batch(fn, points: np.ndarray, name: str, rank: int = 1) -> np.ndarray:

@@ -1,6 +1,7 @@
 """End-to-end command line tests: outputs, exit codes, config handling."""
 
 import json
+import re
 
 import pytest
 
@@ -22,6 +23,28 @@ def test_help_lists_all_subcommands(capsys):
     for name in ("convergence", "solver-study", "spectral", "inconsistency",
                  "export-system"):
         assert name in out
+
+
+# The flags each subcommand reads; every other flag exits 2.
+PROBLEM_AND_MESHES = {"--config", "--out", "--problem", "--dim", "--mu", "--levels",
+                      "--mesh-file", "--qg", "--velocity", "--pressure"}
+SOLVER = {"--method", "--tol", "--restart", "--maxit"}
+FLAGS = {
+    "convergence": PROBLEM_AND_MESHES | SOLVER,
+    "solver-study": PROBLEM_AND_MESHES | SOLVER | {"--precond", "--inconsistent"},
+    "spectral": PROBLEM_AND_MESHES | {"--inconsistent"},
+    "inconsistency": PROBLEM_AND_MESHES | SOLVER,
+    "export-system": PROBLEM_AND_MESHES | {"--inconsistent"},
+}
+
+
+@pytest.mark.parametrize("command", FLAGS)
+def test_help_lists_only_the_subcommands_flags(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+    assert listed == FLAGS[command] | {"--help"}
 
 
 def test_missing_mesh_source_is_config_error(capsys):
@@ -188,9 +211,17 @@ def test_single_mesh_subcommands_reject_several_meshes(monkeypatch, tmp_path, ca
         (["export-system", "--levels", "3", "--method", "gmres", "--precond", "none",
           "--tol", "0.5"], "--method, --precond, --tol"),
         (["export-system", "--levels", "3", "--restart", "5"], "--restart"),
+        # settings given at their default values are ignored just the same
+        (["spectral", "--levels", "2", "--method", "minres", "--maxit", "1000"],
+         "--method, --maxit"),
+        (["export-system", "--levels", "2", "--restart", "30"], "--restart"),
+        # the forcing is derived from (u, p) and mu, never given
+        (["convergence", *CAVITY, "--forcing=-2", "--forcing", "0", "--mu", "1",
+          "--mu", "1e-4", "--levels", "4", "8", "16"], "--forcing"),
     ],
     ids=["convergence-precond", "convergence-inconsistent", "inconsistency-precond",
-         "inconsistency-inconsistent", "spectral-solver", "export-solver", "export-restart"],
+         "inconsistency-inconsistent", "spectral-solver", "export-solver", "export-restart",
+         "spectral-solver-defaults", "export-restart-default", "convergence-forcing"],
 )
 def test_ignored_flags_are_config_errors(monkeypatch, tmp_path, capsys, argv, flag):
     def no_mesh(*args):
@@ -198,15 +229,55 @@ def test_ignored_flags_are_config_errors(monkeypatch, tmp_path, capsys, argv, fl
 
     monkeypatch.setattr(cli, "structured_simplex_mesh", no_mesh)
     assert cli.main(argv + ["--out", str(tmp_path)]) == 2
-    assert f"takes no {flag}" in capsys.readouterr().err
+    assert f"{argv[0]} takes no {flag}\n" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "command, values, key",
+    [
+        ("spectral", {"levels": [2], "maxit": 1000}, "maxit"),
+        ("export-system", {"levels": [2], "restart": 30}, "restart"),
+        ("convergence", {"levels": [2, 4], "forcing": ["0", "0"]}, "forcing"),
+    ],
+    ids=["spectral-maxit", "export-restart", "convergence-forcing"],
+)
+def test_config_key_the_subcommand_ignores_is_config_error(monkeypatch, tmp_path, capsys,
+                                                          command, values, key):
+    def no_mesh(*args):
+        raise AssertionError("a mesh was built before the config keys were checked")
+
+    monkeypatch.setattr(cli, "structured_simplex_mesh", no_mesh)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"{command} takes no config key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["spectral", "inconsistency", "export-system"])
+@pytest.mark.parametrize("source", ["flags", "config"])
+def test_single_problem_subcommands_reject_several_viscosities(monkeypatch, tmp_path, capsys,
+                                                               command, source):
+    def no_mesh(*args):
+        raise AssertionError("a mesh was built before the viscosities were checked")
+
+    monkeypatch.setattr(cli, "structured_simplex_mesh", no_mesh)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mu": [1, 1e-4]}))
+    mus = ["--mu", "1", "--mu", "1e-4"] if source == "flags" else ["--config", str(cfg)]
+    out = tmp_path / "out"
+    assert cli.main([command, "--levels", "2", *mus, "--out", str(out)]) == 2
+    assert "takes one viscosity, got 2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
     "extra, message",
     [
         (["--dim", "3"], "need 3 velocity components, got 2"),
-        (["--forcing", "0"], "need 2 forcing components, got 1"),
+        (["--forcing", "0"], "convergence takes no --forcing"),
     ],
     ids=["velocity", "forcing"],
 )
@@ -271,7 +342,7 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
 def test_config_value_of_wrong_type_is_config_error(tmp_path, capsys, values):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"levels": [2], **values}))
-    assert cli.main(["export-system", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert cli.main(["solver-study", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     key = next(k for k in values if k != "method")
     assert f"config key {key!r} must be" in capsys.readouterr().err
 
