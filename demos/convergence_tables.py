@@ -2,7 +2,7 @@
 
 Solves the built-in 2D manufactured problem
 
-    u = (1 - cos(2*pi*x)) * sin(2*pi*y) * pi ... (divergence-free pair)
+    u = (-exp(x) * (y*cos(y) + sin(y)), exp(x) * y*sin(y))  (divergence free)
     p = 2 * exp(x) * sin(y)  (shifted to zero mean)
 
 on a sequence of uniformly refined triangulations of the unit square and

@@ -26,7 +26,9 @@ facet Schur complement of A couples only facets that share an element, so
 the facets between two halves of the elements separate its graph exactly.
 `build_saddle_system` factors A on a worker thread while it assembles B, b1
 and b2; every system derived from it shares the factor (`SaddleSystem.inner`).
-In studies the same one worker runs every viscosity's solve but the last.
+It keeps the parts of b1 that do not depend on the viscosity (`LoadParts`)
+for `SaddleSystem.for_viscosity`. In studies the same one worker runs every
+viscosity's solve but the last.
 
 Every block is built from the mesh's per-element arrays and the dof map's
 element-to-dof table: local blocks for all elements at once, then one
@@ -51,6 +53,7 @@ from .wg_core import facet_projection_rule, lifting_matrix
 
 __all__ = [
     "DofMap",
+    "LoadParts",
     "SaddleSystem",
     "build_dofmap",
     "local_gram_matrices",
@@ -186,13 +189,17 @@ def assemble_A(mesh: Mesh, dof: DofMap | None = None) -> sp.csr_matrix:
     Exactly symmetric by construction (symmetric local blocks, symmetric
     scatter); boundary facet columns are eliminated.
     """
-    dof = dof or build_dofmap(mesh)
+    return _stiffness(dof or build_dofmap(mesh), local_gram_matrices(mesh))
+
+
+def _stiffness(dof: DofMap, gram: np.ndarray) -> sp.csr_matrix:
+    """`assemble_A` from the elements' Gram matrices."""
     live = dof.elem_dofs >= 0
     return _scatter(
         (dof.n_u // dof.dim,) * 2,
         dof.elem_dofs[:, :, None],
         dof.elem_dofs[:, None, :],
-        local_gram_matrices(mesh),
+        gram,
         live[:, :, None] & live[:, None, :],
     )
 
@@ -226,33 +233,80 @@ def _local_boundary_values(mesh: Mesh, g_proj: np.ndarray) -> np.ndarray:
 
 
 _FORCING_DEGREE = 7  # exactness degree of the forcing rule
-_FORCING_CHUNK = 1024  # elements per forcing evaluation; bounds the temporaries
+_FORCING_POINTS = 8192  # points per forcing evaluation: the temporaries stay in cache
 
 
 def _forcing_moments(mesh: Mesh, problem: StokesProblem) -> tuple[np.ndarray, np.ndarray]:
-    """Per-element integral of f and of f.(x - x_K).
+    """Per-element integral of each forcing term t and of t.(x - x_K).
 
-    These two moments determine (f, w)_K for every w = a + b*(x - x_K), which
+    These two moments determine (t, w)_K for every w = a + b*(x - x_K), which
     is all the load assembly needs. A degree-7 rule (16 points per triangle,
     64 per tetrahedron) keeps the quadrature error far below the
     discretization error. A lower degree leaks a pressure-dependent
     perturbation into the velocity at small viscosities: on jittered 3D
     meshes with n = 4, 6, degree 5 raises the relative difference between
     the mu=1 and mu=1e-4 velocity errors from about 6e-7 to about 2e-6.
-    Evaluating the forcing one chunk of elements at a time keeps the point
-    arrays at a few MB on any mesh.
+    Evaluating the terms on chunks of about 8192 points (128 tetrahedra)
+    keeps each temporary within cache on any mesh: at jittered 3D n=12, on
+    a 2-core VM with one BLAS thread, this took 64-72 ms against 81-94 ms
+    with chunks of 1024 elements.
     """
-    bary, w = simplex_rule(mesh.dim, _FORCING_DEGREE)
-    f0 = np.empty((mesh.num_elements, mesh.dim))
-    f1 = np.empty(mesh.num_elements)
-    for lo in range(0, mesh.num_elements, _FORCING_CHUNK):
-        k = slice(lo, lo + _FORCING_CHUNK)
+    d = mesh.dim
+    bary, w = simplex_rule(d, _FORCING_DEGREE)
+    f0 = np.empty((mesh.num_elements, 2, d))
+    f1 = np.empty((mesh.num_elements, 2))
+    chunk = max(1, _FORCING_POINTS // len(w))
+    for lo in range(0, mesh.num_elements, chunk):
+        k = slice(lo, lo + chunk)
         pts = bary @ mesh.vertices[mesh.elements[k]]  # (nk, nq, d)
-        fvals = evaluate_batch(problem.forcing, pts, "forcing")
+        tvals = evaluate_batch(problem.forcing_terms, pts, "forcing_terms", (2, d))
         rel = pts - mesh.elem_centroids[k, None, :]
-        f0[k] = mesh.elem_volumes[k, None] * np.einsum("q,nqd->nd", w, fvals)
-        f1[k] = mesh.elem_volumes[k] * np.einsum("q,nqd,nqd->n", w, fvals, rel)
+        f0[k] = mesh.elem_volumes[k, None, None] * np.einsum("q,nqtd->ntd", w, tvals)
+        f1[k] = mesh.elem_volumes[k, None] * np.einsum("q,nqtd,nqd->nt", w, tvals, rel)
     return f0, f1
+
+
+@dataclass(frozen=True)
+class LoadParts:
+    """The parts of b1 that do not depend on the viscosity. `b1` combines
+    the forcing moments per element before the lifting, so where the terms
+    cancel (stokes2d_exp at mu=1) the load is exactly zero."""
+
+    moments: np.ndarray  # (ne, 2, d) integrals of -Lap(u) and grad p
+    radial_moments: np.ndarray  # (ne, 2) the same against x - x_K
+    lifting_inv: np.ndarray  # (ne, d+1, d+1) inverse of each element's lifting matrix
+    gram_datum: np.ndarray  # (ne, d+2, d) Gram columns of the local facets times the datum
+
+    def b1(self, mu: float, mesh: Mesh, dof: DofMap) -> np.ndarray:
+        """The momentum right-hand side at viscosity mu."""
+        d = mesh.dim
+        f0 = mu * self.moments[:, 0] + self.moments[:, 1]
+        f1 = mu * self.radial_moments[:, 0] + self.radial_moments[:, 1]
+        minv = self.lifting_inv
+        # load responses: value of (f, lifting of unit trace on facet i)_K
+        load = np.einsum("nci,nc->ni", minv[:, :d], f0) + minv[:, d] * f1[:, None]
+        # eliminated boundary facets: -mu * sum_i gram[q, 1+i] * ghat_i
+        local = -mu * self.gram_datum
+        local[:, 1:] += load[..., None] * mesh.elem_normals
+        base = dof.elem_dofs[..., None]  # (ne, d+2, 1)
+        keep = np.broadcast_to(base >= 0, local.shape)
+        return np.bincount(
+            (d * base + np.arange(d))[keep], weights=local[keep], minlength=dof.n_u
+        )
+
+
+def _load_parts(
+    mesh: Mesh, problem: StokesProblem, g_proj: np.ndarray, gram: np.ndarray
+) -> LoadParts:
+    f0, f1 = _forcing_moments(mesh, problem)
+    lifting = lifting_matrix(mesh.elem_normals, mesh.elem_facet_measures, mesh.elem_volumes)
+    ghat = _local_boundary_values(mesh, g_proj)
+    return LoadParts(
+        moments=f0,
+        radial_moments=f1,
+        lifting_inv=np.linalg.inv(lifting),
+        gram_datum=np.einsum("nqi,nir->nqr", gram[:, :, 1:], ghat),
+    )
 
 
 def assemble_b1(
@@ -267,27 +321,12 @@ def assemble_b1(
     The load pairs f with the lifting of each facet test function, so
     interior velocity dofs receive no load at all; the boundary term moves
     the eliminated facet columns of the stiffness block to the right-hand
-    side, scaled by the viscosity.
+    side, scaled by the viscosity (`LoadParts`).
     """
-    dof = dof or build_dofmap(mesh)
-    d = mesh.dim
     if g_proj is None:
         g_proj = project_boundary_values(mesh, problem, qg_method)
-    f0, f1 = _forcing_moments(mesh, problem)
-    minv = np.linalg.inv(
-        lifting_matrix(mesh.elem_normals, mesh.elem_facet_measures, mesh.elem_volumes)
-    )
-    # load responses: value of (f, lifting of unit trace on facet i)_K
-    load = np.einsum("nci,nc->ni", minv[:, :d], f0) + minv[:, d] * f1[:, None]
-    # eliminated boundary facets: -mu * sum_i gram[q, 1+i] * ghat_i
-    ghat = _local_boundary_values(mesh, g_proj)
-    local = -problem.mu * np.einsum("nqi,nir->nqr", local_gram_matrices(mesh)[:, :, 1:], ghat)
-    local[:, 1:] += load[..., None] * mesh.elem_normals
-    base = dof.elem_dofs[..., None]  # (ne, d+2, 1)
-    keep = np.broadcast_to(base >= 0, local.shape)
-    return np.bincount(
-        (d * base + np.arange(d))[keep], weights=local[keep], minlength=dof.n_u
-    )
+    parts = _load_parts(mesh, problem, g_proj, local_gram_matrices(mesh))
+    return parts.b1(problem.mu, mesh, dof or build_dofmap(mesh))
 
 
 def assemble_b2(
@@ -320,6 +359,7 @@ class SaddleSystem:
     consistent: bool
     qg_method: str
     g_boundary: np.ndarray  # projected datum per boundary facet
+    load: LoadParts  # what b1 is made of at any viscosity
     factor: Future = field(compare=False, repr=False)  # of InnerSolver(A)
 
     @property
@@ -339,17 +379,13 @@ class SaddleSystem:
         """The factor of A, once it is done; raises what factoring raised."""
         return self.factor.result()
 
-    def for_viscosity(self, problem: StokesProblem) -> SaddleSystem:
-        """This system for `problem`, a `StokesProblem.with_mu` copy of the
-        problem it was built from.
-
-        `with_mu` keeps the exact solution and the boundary datum, so only
-        `mu` and `b1` (the forcing and the viscosity-scaled boundary term)
-        change. A, B, the dof map, Mp, the projected datum, b2, alpha_h and
-        the factor of A are shared with this system, not copied.
-        """
-        b1 = assemble_b1(self.mesh, problem, self.qg_method, self.dof, self.g_boundary)
-        return replace(self, mu=problem.mu, b1=b1)
+    def for_viscosity(self, mu: float) -> SaddleSystem:
+        """This system at viscosity `mu`: b1 is recombined from `load`, bit
+        for bit as a fresh build, with no problem callable evaluated; every
+        other block, and the factor of A, is shared, not copied."""
+        if not mu > 0:
+            raise ValueError("viscosity must be positive")
+        return replace(self, mu=mu, b1=self.load.b1(mu, self.mesh, self.dof))
 
     def rhs(self) -> np.ndarray:
         """[b1; mu*b2], with b2~ = b2 - alpha_h/N in place of b2 if `consistent`."""
@@ -407,10 +443,11 @@ def build_saddle_system(
         )
     dof = build_dofmap(mesh)
     g_proj = project_boundary_values(mesh, problem, qg_method)
-    a = assemble_A(mesh, dof)
+    gram = local_gram_matrices(mesh)
+    a = _stiffness(dof, gram)
     factor = _WORKER.submit(InnerSolver, a)
     b = assemble_B(mesh, dof)
-    b1 = assemble_b1(mesh, problem, qg_method, dof, g_proj)
+    load = _load_parts(mesh, problem, g_proj, gram)
     b2 = assemble_b2(mesh, problem, qg_method, g_proj)
     return SaddleSystem(
         mesh=mesh,
@@ -418,13 +455,14 @@ def build_saddle_system(
         mu=problem.mu,
         A=a,
         B=b,
-        b1=b1,
+        b1=load.b1(problem.mu, mesh, dof),
         b2=b2,
         Mp=mesh.elem_volumes.copy(),
         alpha_h=float(np.sum(b2)),
         consistent=consistent,
         qg_method=qg_method,
         g_boundary=g_proj,
+        load=load,
         factor=factor,
     )
 

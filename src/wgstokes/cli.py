@@ -91,21 +91,23 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     hints = typing.get_type_hints(ExperimentConfig)
     declared = {f.name: f.type for f in fields(ExperimentConfig)}
     _, _, settings = _COMMANDS[args.command]
-    if args.config is not None:
-        for key, value in _load_config_file(args.config).items():
-            if key not in settings:
-                raise ConfigError(f"{args.command} takes no config key {key!r}")
-            if not _fits(value, hints[key]) and _fits([value], hints[key]):
-                value = [value]  # a list field also takes one item
-            if not _fits(value, hints[key]):
-                raise ConfigError(f"config key {key!r} must be {declared[key]}, got {value!r}")
-            setattr(cfg, key, value)
+    values = _load_config_file(args.config) if args.config is not None else {}
+    for key, value in values.items():
+        if key not in settings:
+            raise ConfigError(f"{args.command} takes no config key {key!r}")
+        if not _fits(value, hints[key]) and _fits([value], hints[key]):
+            value = [value]  # a list field also takes one item
+        if not _fits(value, hints[key]):
+            raise ConfigError(f"config key {key!r} must be {declared[key]}, got {value!r}")
+        setattr(cfg, key, value)
     for name in settings:  # every flag is named after its field and defaults to None
         value = getattr(args, name)
         if value is not None:
             setattr(cfg, name, value)
     _normalize(cfg)
     _validate(cfg)
+    if cfg.method != "gmres" and ("restart" in values or getattr(args, "restart", None)):
+        raise ConfigError(f"--restart is the GMRES restart length; {cfg.method} takes none")
     return cfg
 
 

@@ -1,8 +1,10 @@
 """Manufactured Stokes problems: -mu*Lap(u) + grad p = f, div u = 0, u = g on the boundary.
 
 Two built-in solutions on the unit square/cube, plus custom problems given
-as expression strings (velocity and pressure; the forcing and the velocity
-gradient are derived symbolically, so (u, p) is the exact solution).
+as expression strings (velocity and pressure; the forcing terms and the
+velocity gradient are derived symbolically, so (u, p) is the exact solution).
+The forcing is kept as its two terms -Lap(u) and grad p, which do not
+depend on the viscosity.
 
 Problem callables evaluate batches; see `StokesProblem`.
 """
@@ -10,7 +12,7 @@ Problem callables evaluate batches; see `StokesProblem`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -33,14 +35,17 @@ _COMPAT_DEGREE = 8  # exactness degree of the facet rule in boundary_compatibili
 class StokesProblem:
     """A Stokes problem with known exact solution.
 
-    Batch contract: `velocity`, `forcing` and `boundary` take an (n, d)
-    array of points and return (n, d) values; `pressure` returns (n,);
+    Batch contract: `velocity` and `boundary` take an (n, d) array of
+    points and return (n, d) values; `pressure` returns (n,);
     `velocity_gradient` returns (n, d, d) with [i, r, c] = du_r/dx_c at
-    point i. The library calls each one once on all the points it needs
-    and checks the shape of the result (`evaluate_batch`), raising a
-    ValueError that names the callable. Wrap a point-wise function once,
-    visibly, with `np.vectorize(f, signature="(d)->(d)")` (`"(d)->()"` for
-    the pressure, `"(d)->(d,d)"` for the gradient).
+    point i. `forcing_terms` returns (n, 2, d): [i, 0] is -Lap(u) and
+    [i, 1] is grad p, so the forcing is mu*[i, 0] + [i, 1] and no callable
+    depends on the viscosity. The library calls each one once
+    on all the points it needs and checks the shape of the result
+    (`evaluate_batch`), raising a ValueError that names the callable. Wrap
+    a point-wise function once, visibly, with
+    `np.vectorize(f, signature="(d)->(d)")` (`"(d)->()"` for the pressure,
+    `"(d)->(d,d)"` for the gradient, `"(d)->(t,d)"` for the forcing terms).
 
     The gradient is needed only by `compute_errors`; a problem without one
     can be assembled and solved.
@@ -51,44 +56,33 @@ class StokesProblem:
     mu: float
     velocity: Vec
     pressure: Callable[[np.ndarray], float]
-    forcing: Vec
+    forcing_terms: Callable[[np.ndarray], np.ndarray]  # (-Lap(u), grad p)
     boundary: Vec  # trace of the velocity; kept separate for clarity at call sites
     velocity_gradient: Callable[[np.ndarray], np.ndarray] | None = None
-    rebuild: Callable[[float], "StokesProblem"] | None = field(
-        default=None, repr=False, compare=False
-    )
 
     def __post_init__(self):
         if not self.mu > 0:
             raise ValueError("viscosity must be positive")
 
     def with_mu(self, mu: float) -> "StokesProblem":
-        """Same exact solution rebuilt with a different viscosity.
-
-        The velocity, pressure, velocity gradient and boundary datum stay
-        the same functions of the point; only `mu`, and a forcing derived
-        from it, change.
-        `convergence_study` and `SaddleSystem.for_viscosity` rely on this:
-        they reuse the boundary projection, b2, alpha_h and the sampled
-        exact solution across viscosities.
-        """
-        if self.rebuild is None:
-            raise ValueError(f"cannot rebuild problem {self.name!r} with a new viscosity")
-        return self.rebuild(mu)
+        """The same problem, every callable kept, at viscosity `mu`."""
+        return replace(self, mu=mu)
 
 
-def _problem_2d(mu: float) -> StokesProblem:
+def _entries_last(entries, rank: int) -> np.ndarray:
+    """A view with the first `rank` axes last of one contiguous array of
+    `entries`, so each entry is written and read contiguously."""
+    block = np.asarray(entries, dtype=float)
+    return np.moveaxis(block, range(rank), range(block.ndim - rank, block.ndim))
+
+
+def _problem_2d() -> StokesProblem:
     # numpy ufuncs over the last axis: a batch of points costs one call
     def u(p):
         p = np.asarray(p, dtype=float)
         x, y = p[..., 0], p[..., 1]
-        return np.stack(
-            [
-                -np.exp(x) * (y * np.cos(y) + np.sin(y)),
-                np.exp(x) * y * np.sin(y),
-            ],
-            axis=-1,
-        )
+        ex, sy, cy = np.exp(x), np.sin(y), np.cos(y)
+        return np.stack([-ex * (y * cy + sy), ex * y * sy], axis=-1)
 
     def pres(p):
         p = np.asarray(p, dtype=float)
@@ -105,29 +99,25 @@ def _problem_2d(mu: float) -> StokesProblem:
         ]
         return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
 
-    def f(p):
+    def terms(p):
         p = np.asarray(p, dtype=float)
         x, y = p[..., 0], p[..., 1]
-        c = 2.0 * (1.0 - mu) * np.exp(x)
-        return np.stack([c * np.sin(y), c * np.cos(y)], axis=-1)
+        c = 2.0 * np.exp(x)
+        grad_p = [c * np.sin(y), c * np.cos(y)]
+        # -Lap(u) = -2 e^x (sin y, cos y) = -grad p: the load vanishes at mu=1
+        return _entries_last([[-g for g in grad_p], grad_p], 2)
 
-    return StokesProblem("stokes2d_exp", 2, mu, u, pres, f, u, grad, rebuild=_problem_2d)
+    return StokesProblem("stokes2d_exp", 2, 1.0, u, pres, terms, u, grad)
 
 
-def _problem_3d(mu: float) -> StokesProblem:
+def _problem_3d() -> StokesProblem:
     pi = math.pi
 
     def u(p):
         p = np.asarray(p, dtype=float)
         x, y, z = p[..., 0], p[..., 1], p[..., 2]
-        return np.stack(
-            [
-                2.0 * np.sin(pi * x),
-                -pi * y * np.cos(pi * x),
-                -pi * z * np.cos(pi * x),
-            ],
-            axis=-1,
-        )
+        cx = np.cos(pi * x)
+        return np.stack([2.0 * np.sin(pi * x), -pi * y * cx, -pi * z * cx], axis=-1)
 
     def grad(p):
         p = np.asarray(p, dtype=float)
@@ -146,40 +136,30 @@ def _problem_3d(mu: float) -> StokesProblem:
         x, y, z = p[..., 0], p[..., 1], p[..., 2]
         return np.sin(pi * x) * np.cos(pi * y) * np.sin(pi * z)
 
-    def f(p):
+    def terms(p):
         p = np.asarray(p, dtype=float)
         x, y, z = p[..., 0], p[..., 1], p[..., 2]
         sx, cx = np.sin(pi * x), np.cos(pi * x)
         sy, cy = np.sin(pi * y), np.cos(pi * y)
         sz, cz = np.sin(pi * z), np.cos(pi * z)
-        return np.stack(
-            [
-                2.0 * mu * pi**2 * sx + pi * cx * cy * sz,
-                -mu * pi**3 * y * cx - pi * sx * sy * sz,
-                -mu * pi**3 * z * cx + pi * sx * cy * cz,
-            ],
-            axis=-1,
-        )
+        rows = [
+            [2.0 * pi**2 * sx, -pi**3 * y * cx, -pi**3 * z * cx],  # -Lap(u)
+            [pi * cx * cy * sz, -pi * sx * sy * sz, pi * sx * cy * cz],  # grad p
+        ]
+        return _entries_last(rows, 2)
 
-    return StokesProblem("stokes3d_trig", 3, mu, u, pres, f, u, grad, rebuild=_problem_3d)
+    return StokesProblem("stokes3d_trig", 3, 1.0, u, pres, terms, u, grad)
 
 
-_BUILTIN_FACTORIES = {
-    "stokes2d_exp": _problem_2d,
-    "stokes3d_trig": _problem_3d,
-}
+_BUILTIN_FACTORIES = {"stokes2d_exp": _problem_2d, "stokes3d_trig": _problem_3d}
 
 BUILTIN_PROBLEMS = tuple(_BUILTIN_FACTORIES)
 
 
 def builtin_problem(name: str, mu: float = 1.0) -> StokesProblem:
-    try:
-        factory = _BUILTIN_FACTORIES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown problem {name!r}; built-ins: {', '.join(BUILTIN_PROBLEMS)}"
-        ) from None
-    return factory(mu)
+    if name not in _BUILTIN_FACTORIES:
+        raise ValueError(f"unknown problem {name!r}; built-ins: {', '.join(BUILTIN_PROBLEMS)}")
+    return _BUILTIN_FACTORIES[name]().with_mu(mu)
 
 
 _ALLOWED_FUNCS = {"exp", "sin", "cos"}
@@ -194,8 +174,10 @@ def problem_from_expressions(
 ) -> StokesProblem:
     """Build a problem from expression strings in x, y(, z), pi, exp, sin, cos.
 
-    The forcing f = -mu*Lap(u) + grad p and the velocity gradient are derived
-    symbolically, so the supplied pair (u, p) is the exact solution.
+    The forcing terms -Lap(u) and grad p and the velocity gradient are
+    derived symbolically, so the supplied pair (u, p) is the exact solution
+    at every viscosity. Both forcing terms are one lambdified function, so
+    the subexpressions they share are evaluated once per batch.
     """
     import sympy as sp
 
@@ -221,56 +203,36 @@ def problem_from_expressions(
 
     u_sym = [parse(t) for t in velocity_exprs]
     p_sym = parse(pressure_expr)
-    f_sym = [
-        -mu * sum(sp.diff(ui, c, 2) for c in coords) + sp.diff(p_sym, coords[r])
-        for r, ui in enumerate(u_sym)
-    ]
+    viscous = [-sum(sp.diff(ui, c, 2) for c in coords) for ui in u_sym]
+    grad_p = [sp.diff(p_sym, c) for c in coords]
 
-    u_fns = [sp.lambdify(coords, e, "numpy") for e in u_sym]
-    f_fns = [sp.lambdify(coords, e, "numpy") for e in f_sym]
-    grad_fns = [[sp.lambdify(coords, sp.diff(e, c), "numpy") for c in coords] for e in u_sym]
-    p_fn = sp.lambdify(coords, p_sym, "numpy")
+    def batch(exprs, shape, cse):
+        # one function of all the entries; a constant entry lambdifies to a
+        # scalar, so each is broadcast against the points
+        fn = sp.lambdify(coords, exprs, "numpy", cse=cse)
 
-    def vec(fns):
-        # constant expressions lambdify to scalar-returning functions, so
-        # broadcast every component against the input points
         def call(pt):
             pt = np.asarray(pt, dtype=float)
-            args = [pt[..., j] for j in range(dim)]
-            comps = [np.broadcast_to(fn(*args), pt.shape[:-1]) for fn in fns]
-            return np.stack(comps, axis=-1).astype(float)
+            out = np.empty((len(exprs),) + pt.shape[:-1])
+            for j, val in enumerate(fn(*(pt[..., k] for k in range(dim)))):
+                out[j] = val
+            return _entries_last(out.reshape(shape + pt.shape[:-1]), len(shape))[()]
 
         return call
 
-    def pres(pt):
-        pt = np.asarray(pt, dtype=float)
-        args = [pt[..., j] for j in range(dim)]
-        return np.asarray(
-            np.broadcast_to(p_fn(*args), pt.shape[:-1]), dtype=float
-        )[()]
-
-    u = vec(u_fns)
-    f = vec(f_fns)
-    grad_rows = [vec(row) for row in grad_fns]
-
-    def grad(pt):
-        return np.stack([row(pt) for row in grad_rows], axis=-2)
-
-    def again(new_mu):
-        return problem_from_expressions(dim, velocity_exprs, pressure_expr, new_mu, name)
-
-    return StokesProblem(name, dim, mu, u, pres, f, u, grad, rebuild=again)
+    u = batch(u_sym, (dim,), False)
+    grad = batch([sp.diff(e, c) for e in u_sym for c in coords], (dim, dim), False)
+    terms = batch(viscous + grad_p, (2, dim), True)
+    pres = batch([p_sym], (), False)
+    return StokesProblem(name, dim, mu, u, pres, terms, u, grad)
 
 
-def evaluate_batch(fn, points: np.ndarray, name: str, rank: int = 1) -> np.ndarray:
-    """Call fn once on a (..., d) array of points and check the result.
-
-    Returns (...) values for a scalar field (rank 0), (..., d) for a vector
-    field (rank 1) and (..., d, d) for a matrix field (rank 2). A result of
-    any other shape raises a ValueError that names the callable.
-    """
+def evaluate_batch(fn, points: np.ndarray, name: str, shape: tuple) -> np.ndarray:
+    """(..., *shape) values of fn, called once on a (..., d) array of points;
+    `shape` is one point's value shape, e.g. () for a scalar field or (d,)
+    for a vector field. Any other result raises a ValueError naming fn."""
     flat = points.reshape(-1, points.shape[-1])
-    expected = flat.shape[:1] + flat.shape[1:] * rank
+    expected = (len(flat), *shape)
     vals = np.asarray(fn(flat), dtype=float)
     if vals.shape != expected:
         raise ValueError(
@@ -289,7 +251,7 @@ def facet_means(mesh, fn, facets: np.ndarray, rule: tuple, name: str) -> np.ndar
     """
     bary, w = rule
     pts = bary @ mesh.vertices[mesh.facets[facets]]  # (nf, q, d)
-    return np.einsum("q,fqd->fd", w, evaluate_batch(fn, pts, name))
+    return np.einsum("q,fqd->fd", w, evaluate_batch(fn, pts, name, pts.shape[-1:]))
 
 
 def boundary_compatibility(problem: StokesProblem, mesh) -> float:

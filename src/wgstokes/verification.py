@@ -65,8 +65,8 @@ DENSE_GUARD = 2000  # cubic-cost eigensolves are for verification scale only
 class _ExactSample(NamedTuple):
     """The exact solution at the error rule's points of one mesh.
 
-    None of it depends on the viscosity: `StokesProblem.with_mu` keeps the
-    exact solution, so one sample serves every viscosity on that mesh.
+    None of it depends on the viscosity, so one sample serves every
+    viscosity on that mesh.
     """
 
     weights: np.ndarray  # (ne, nq): |K| times the rule's weight
@@ -86,9 +86,10 @@ def _sample_exact(mesh: Mesh, problem: StokesProblem) -> _ExactSample:
     bary, w = simplex_rule(mesh.dim, ERROR_DEGREE)
     pts = bary @ mesh.vertices[mesh.elements]  # (ne, nq, d)
     weights = mesh.elem_volumes[:, None] * w
-    uex = evaluate_batch(problem.velocity, pts, "velocity")
-    pex = evaluate_batch(problem.pressure, pts, "pressure", rank=0)
-    jac = evaluate_batch(problem.velocity_gradient, pts, "velocity_gradient", rank=2)
+    d = mesh.dim
+    uex = evaluate_batch(problem.velocity, pts, "velocity", (d,))
+    pex = evaluate_batch(problem.pressure, pts, "pressure", ())
+    jac = evaluate_batch(problem.velocity_gradient, pts, "velocity_gradient", (d, d))
     p_mean = float(np.vdot(weights, pex)) / float(mesh.elem_volumes.sum())
     return _ExactSample(
         weights=weights,
@@ -220,18 +221,17 @@ def _each_viscosity(
     """`task(system)` for each viscosity's system on `mesh`, in `mu_values` order.
 
     One build; the other systems come from `SaddleSystem.for_viscosity` and
-    share its A, B and factor. Every task but the last runs on the assembly
-    worker while this thread derives the next system, and the last runs
-    here. Every task has finished when this returns or raises, and an
-    exception from either thread reaches the caller.
+    share its A, B, load parts and factor. Every task but the last runs on
+    the assembly worker while this thread derives the next system, and the
+    last runs here. Every task has finished when this returns or raises,
+    and an exception from either thread reaches the caller.
     """
-    probs = [problem if problem.mu == mu else problem.with_mu(mu) for mu in mu_values]
-    system = build_saddle_system(mesh, probs[0], qg_method, consistent)
+    system = build_saddle_system(mesh, problem.with_mu(mu_values[0]), qg_method, consistent)
     pending = []
     try:
-        for prob in probs[1:]:
+        for mu in mu_values[1:]:
             pending.append(_WORKER.submit(task, system))  # queued behind system's factor
-            system = system.for_viscosity(prob)
+            system = system.for_viscosity(mu)
         last = task(system)
     finally:
         done = [f.result() for f in pending]
@@ -251,14 +251,11 @@ def convergence_study(
     """Solve on a mesh sequence for each viscosity and tabulate errors.
 
     meshes may hold Mesh objects or integers (structured subdivision levels,
-    dimension taken from the problem). Each viscosity's problem is
-    `problem.with_mu(mu)`, which keeps the exact solution and the boundary
-    datum. So on each mesh the system is built once: the other viscosities
-    reassemble only b1 (`SaddleSystem.for_viscosity`) and share A, B, the
-    dof map, b2, alpha_h and the factor of A, and one sample of the exact
-    solution for the errors. A mesh's viscosities solve concurrently. A
-    problem without a `velocity_gradient` raises a ValueError before the
-    first solve.
+    dimension taken from the problem). On each mesh the system is built
+    once, and the other viscosities only recombine b1
+    (`SaddleSystem.for_viscosity`); all share one sample of the exact
+    solution for the errors, and solve concurrently. A problem without a
+    `velocity_gradient` raises a ValueError before the first solve.
     """
     if len(meshes) < 2:
         raise ValueError("need at least two meshes to observe a rate")

@@ -121,7 +121,7 @@ def interpolate_field(mesh: Mesh, u, interior_degree: int = 4) -> WGField:
     d = mesh.dim
     bary, w = simplex_rule(d, interior_degree)
     pts = bary @ mesh.vertices[mesh.elements]  # (ne, q, d)
-    interior = np.einsum("q,nqd->nd", w, evaluate_batch(u, pts, "u"))
+    interior = np.einsum("q,nqd->nd", w, evaluate_batch(u, pts, "u", (d,)))
     rule = facet_projection_rule(d, "gauss3")
     means = facet_means(mesh, u, np.arange(mesh.num_facets), rule, "u")
     return WGField(

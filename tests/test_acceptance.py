@@ -48,11 +48,11 @@ def system(dim, n, mu=1.0, qg="barycenter"):
     # a given mesh derives from the mu=1 system and shares its factor
     key = ("sys", dim, n, mu, qg)
     if key not in _C:
-        prob = builtin_problem("stokes2d_exp" if dim == 2 else "stokes3d_trig", mu)
+        prob = builtin_problem("stokes2d_exp" if dim == 2 else "stokes3d_trig")
         _C[key] = (
             build_saddle_system(mesh(dim, n), prob, qg)
             if mu == 1.0
-            else system(dim, n, 1.0, qg).for_viscosity(prob)
+            else system(dim, n, 1.0, qg).for_viscosity(mu)
         )
     return _C[key]
 

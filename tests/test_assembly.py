@@ -34,7 +34,8 @@ from wgstokes.problems import StokesProblem, builtin_problem
 from wgstokes.sparse_linalg import InnerSolver
 from wgstokes.wg_core import FACET_METHODS, WGField, field_weak_gradients, lifting_matrix
 
-# problem callables take (n, d) point batches: vectors -> (n, d), pressure -> (n,)
+# problem callables take (n, d) point batches: vectors -> (n, d), pressure -> (n,),
+# forcing terms -> (n, 2, d)
 zeros_vec = np.zeros_like
 
 
@@ -42,8 +43,18 @@ def zeros_scalar(p):
     return np.zeros(len(p))
 
 
+def zero_terms(p):
+    return np.zeros((len(p), 2, p.shape[1]))
+
+
+def halves(forcing):
+    """Forcing terms whose forcing at mu=1 is exactly `forcing`: half of it
+    in each term."""
+    return lambda p: np.stack([0.5 * forcing(p)] * 2, axis=1)
+
+
 def zero_problem(dim, mu=1.0):
-    return StokesProblem("zero", dim, mu, zeros_vec, zeros_scalar, zeros_vec, zeros_vec)
+    return StokesProblem("zero", dim, mu, zeros_vec, zeros_scalar, zero_terms, zeros_vec)
 
 
 def linear_forcing(p):
@@ -53,7 +64,7 @@ def linear_forcing(p):
 def linear_problem(mu=1.0, scale=1.0):
     # u = scale*(x + y, x - y) is divergence free; f = grad p with p = 0
     u = lambda p: scale * np.stack([p[:, 0] + p[:, 1], p[:, 0] - p[:, 1]], axis=-1)
-    return StokesProblem("linear", 2, mu, u, zeros_scalar, zeros_vec, u)
+    return StokesProblem("linear", 2, mu, u, zeros_scalar, zero_terms, u)
 
 
 def oracle_mesh(dim, n, jitter):
@@ -246,7 +257,7 @@ def test_b1_interior_dofs_receive_no_load():
     mesh = generate_structured_tri(2)
     prob = builtin_problem("stokes2d_exp", mu=0.5)
     prob_nog = StokesProblem(
-        "noload", 2, 0.5, prob.velocity, prob.pressure, prob.forcing, zeros_vec
+        "noload", 2, 0.5, prob.velocity, prob.pressure, prob.forcing_terms, zeros_vec
     )
     dof = build_dofmap(mesh)
     b1 = assemble_b1(mesh, prob_nog)
@@ -263,7 +274,7 @@ def test_b1_constant_forcing_against_lifting_quadrature():
         (oracle_mesh(2, 3, True), linear_forcing),
     ]
     for mesh, forcing in cases:
-        prob = StokesProblem("f", 2, 1.0, zeros_vec, zeros_scalar, forcing, zeros_vec)
+        prob = StokesProblem("f", 2, 1.0, zeros_vec, zeros_scalar, halves(forcing), zeros_vec)
         dof = build_dofmap(mesh)
         b1 = assemble_b1(mesh, prob)
         expected = lifted_load_oracle(mesh, forcing)
@@ -272,7 +283,9 @@ def test_b1_constant_forcing_against_lifting_quadrature():
 
 def test_b1_oracle_ignores_mesh_geometry_arrays():
     mesh = oracle_mesh(2, 3, True)
-    prob = StokesProblem("f", 2, 1.0, zeros_vec, zeros_scalar, linear_forcing, zeros_vec)
+    prob = StokesProblem(
+        "f", 2, 1.0, zeros_vec, zeros_scalar, halves(linear_forcing), zeros_vec
+    )
     mesh.elem_volumes *= 1.01
     b1 = assemble_b1(mesh, prob)
     expected = lifted_load_oracle(mesh, linear_forcing)
@@ -421,19 +434,68 @@ def test_system_for_viscosity_equals_fresh_build(dim, n, consistent, qg):
     mesh = jittered_mesh(dim, n, 6)
     prob = builtin_problem("stokes2d_exp" if dim == 2 else "stokes3d_trig")
     base = build_saddle_system(mesh, prob, qg, consistent)
-    other = prob.with_mu(1e-4)
-    derived = base.for_viscosity(other)
-    fresh = build_saddle_system(mesh, other, qg, consistent)
+    derived = base.for_viscosity(1e-4)
+    fresh = build_saddle_system(mesh, prob.with_mu(1e-4), qg, consistent)
     assert derived.mu == fresh.mu == 1e-4 and base.mu == 1.0
     assert derived.b1.tobytes() == fresh.b1.tobytes()
     assert derived.rhs().tobytes() == fresh.rhs().tobytes()
     assert derived.b1.tobytes() != base.b1.tobytes()
-    for name in ("A", "B", "dof", "Mp", "g_boundary", "b2", "mesh", "factor"):
+    for name in ("A", "B", "dof", "Mp", "g_boundary", "b2", "mesh", "load", "factor"):
         assert getattr(derived, name) is getattr(base, name), name
     # one factor of A serves the base, the derived and any replace() copy
     assert derived.inner is base.inner is replace(base, consistent=not consistent).inner
     assert derived.alpha_h == base.alpha_h == fresh.alpha_h
     assert (derived.consistent, derived.qg_method) == (consistent, qg)
+
+
+def counted_callables(problem, calls):
+    """`problem` with every callable counting its calls in `calls`, by field name."""
+    names = ("velocity", "pressure", "forcing_terms", "boundary", "velocity_gradient")
+
+    def counted(name):
+        real = getattr(problem, name)
+
+        def call(p):
+            calls[name] = calls.get(name, 0) + 1
+            return real(p)
+
+        return call
+
+    return replace(problem, **{name: counted(name) for name in names})
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_for_viscosity_calls_no_problem_callable(dim):
+    # the forcing terms do not depend on mu, so a new viscosity recombines
+    # the kept moments and evaluates nothing
+    calls = {}
+    prob = counted_callables(
+        builtin_problem("stokes2d_exp" if dim == 2 else "stokes3d_trig"), calls
+    )
+    base = build_saddle_system(jittered_mesh(dim, 3, 6), prob)
+    assert calls["forcing_terms"] >= 1 and calls["boundary"] >= 1
+    calls.clear()
+    derived = base.for_viscosity(1e-4)
+    assert calls == {}
+    assert derived.mu == 1e-4 and derived.b1.tobytes() != base.b1.tobytes()
+    with pytest.raises(ValueError, match="viscosity must be positive"):
+        base.for_viscosity(0.0)
+
+
+@pytest.mark.parametrize("n,jitter", [(16, False), (16, True)], ids=["16", "jittered-16"])
+def test_b1_of_stokes2d_exp_at_mu_1_is_its_boundary_term(n, jitter):
+    # -Lap(u) = -grad p for stokes2d_exp, and the terms are combined per
+    # element before the lifting, so at mu=1 the load is exactly zero and b1
+    # is bitwise the boundary term alone, whether built at mu=1 or derived
+    # from another viscosity's system
+    mesh = oracle_mesh(2, n, jitter)
+    prob = builtin_problem("stokes2d_exp")
+    boundary_only = build_saddle_system(mesh, replace(prob, forcing_terms=zero_terms)).b1
+    assert np.abs(boundary_only).max() > 0.0
+    built = build_saddle_system(mesh, prob).b1
+    derived = build_saddle_system(mesh, prob.with_mu(1e-4)).for_viscosity(1.0).b1
+    assert built.tobytes() == boundary_only.tobytes()
+    assert derived.tobytes() == boundary_only.tobytes()
 
 
 def test_consistent_rhs_orthogonal_to_ones():
@@ -485,7 +547,7 @@ def test_incompatible_boundary_datum_rejected():
         "bad", 2, 1.0,
         lambda p: p.copy(),  # u = (x, y): div u = 2, net outflow
         zeros_scalar,
-        zeros_vec,
+        zero_terms,
         lambda p: p.copy(),
     )
     with pytest.raises(ValueError, match="compatibility"):
@@ -493,12 +555,12 @@ def test_incompatible_boundary_datum_rejected():
 
 
 def test_pointwise_forcing_rejected_by_name():
-    # a callable that ignores the batch and returns one (d,) vector is named
-    # in the error instead of being evaluated point by point
+    # a callable that ignores the batch and returns one (2, d) pair of terms
+    # is named in the error instead of being evaluated point by point
     mesh = generate_structured_tri(2)
     prob = StokesProblem(
         "fixed_f", 2, 1.0, zeros_vec, zeros_scalar,
-        lambda p: np.array([1.0, 0.0]), zeros_vec,
+        lambda p: np.array([[1.0, 0.0], [0.0, 0.0]]), zeros_vec,
     )
     with pytest.raises(ValueError, match="forcing"):
         build_saddle_system(mesh, prob)

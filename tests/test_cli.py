@@ -256,6 +256,32 @@ def test_config_key_the_subcommand_ignores_is_config_error(monkeypatch, tmp_path
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["convergence", "solver-study", "inconsistency"])
+@pytest.mark.parametrize("source", ["flags", "config", "config-method"])
+def test_restart_with_minres_is_config_error(monkeypatch, tmp_path, capsys, command, source):
+    # MINRES does not restart: a given --restart would be read by nothing
+    def no_mesh(*args):
+        raise AssertionError("a mesh was built before the restart was checked")
+
+    monkeypatch.setattr(cli, "structured_simplex_mesh", no_mesh)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"restart": 5, "method": "minres"}))
+    given = {
+        "flags": ["--restart", "5"],  # the default method is minres
+        "config": ["--config", str(cfg)],
+        "config-method": ["--config", str(cfg), "--restart", "30"],
+    }[source]
+    levels = ["--levels", "4"] if command == "inconsistency" else ["--levels", "2", "4"]
+    out = tmp_path / "out"
+    assert cli.main([command, *levels, *given, "--out", str(out)]) == 2
+    assert "--restart is the GMRES restart length; minres takes none" in capsys.readouterr().err
+    assert not out.exists()
+    # the same restart with GMRES is read
+    cfg.write_text(json.dumps({"restart": 5, "method": "gmres"}))
+    argv = [command, *levels, "--config", str(cfg), "--restart", "5"]
+    assert cli.config_from_args(cli.build_parser().parse_args(argv)).restart == 5
+
+
 @pytest.mark.parametrize("command", ["spectral", "inconsistency", "export-system"])
 @pytest.mark.parametrize("source", ["flags", "config"])
 def test_single_problem_subcommands_reject_several_viscosities(monkeypatch, tmp_path, capsys,

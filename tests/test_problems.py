@@ -23,20 +23,22 @@ BUILTIN_EXPRESSIONS = {
 
 
 def assert_satisfies_strong_form(prob):
-    """prob's hand-written forcing is -mu*Lap(u) + grad p, derived symbolically
-    from the same (u, p), to rounding, and its velocity is divergence-free."""
+    """prob's hand-written forcing terms are -Lap(u) and grad p, each derived
+    symbolically from the same (u, p), to rounding, and its velocity is
+    divergence-free."""
     velocity, pressure = BUILTIN_EXPRESSIONS[prob.name]
     derived = problem_from_expressions(prob.dim, velocity, pressure, prob.mu)
     pts = 0.15 + 0.7 * np.random.default_rng(3).random((12, prob.dim))
     for field in ("velocity", "pressure"):  # the strings are prob's solution
         ours, theirs = getattr(prob, field)(pts), getattr(derived, field)(pts)
         assert np.abs(ours - theirs).max() <= 1e-14 * np.abs(theirs).max()
-    # the two terms separately: at mu=1 the 2D forcing is zero, so the
-    # rounding bound is relative to the largest term, not to f
-    viscous = problem_from_expressions(prob.dim, velocity, "0", prob.mu).forcing(pts)
-    grad_p = problem_from_expressions(prob.dim, ["0"] * prob.dim, pressure).forcing(pts)
-    largest = max(np.abs(viscous).max(), np.abs(grad_p).max())
-    assert np.abs(prob.forcing(pts) - derived.forcing(pts)).max() <= 1e-12 * largest
+    # each term against its own derivative: at mu=1 the 2D forcing is zero,
+    # so no bound relative to the forcing f itself could hold
+    ours, theirs = prob.forcing_terms(pts), derived.forcing_terms(pts)
+    assert ours.shape == theirs.shape == (len(pts), 2, prob.dim)
+    for term in range(2):
+        scale = np.abs(theirs[:, term]).max()
+        assert np.abs(ours[:, term] - theirs[:, term]).max() <= 1e-12 * scale
     grad = derived.velocity_gradient(pts)
     assert np.abs(np.trace(grad, axis1=1, axis2=2)).max() <= 1e-14 * np.abs(grad).max()
 
@@ -96,13 +98,17 @@ def test_with_mu_rebuilds_forcing():
     p1 = builtin_problem("stokes2d_exp", 1.0)
     p2 = p1.with_mu(1e-4)
     assert p2.mu == 1e-4
+    # the terms do not depend on mu: with_mu keeps every callable
+    assert p2.forcing_terms is p1.forcing_terms and p2.velocity is p1.velocity
     x = np.array([0.3, 0.7])
-    # f = 2(1-mu) e^x (sin y, cos y): zero at mu=1, nonzero at mu=1e-4
-    assert np.allclose(p1.forcing(x), 0.0)
+    viscous, grad_p = p2.forcing_terms(x)
+    # f = mu*(-Lap u) + grad p = 2(1-mu) e^x (sin y, cos y): zero at mu=1,
+    # nonzero at mu=1e-4
+    assert np.all(1.0 * viscous + grad_p == 0.0)
     expected = 2.0 * (1.0 - 1e-4) * np.exp(x[0]) * np.array(
         [np.sin(x[1]), np.cos(x[1])]
     )
-    assert np.allclose(p2.forcing(x), expected, rtol=1e-12)
+    assert np.allclose(1e-4 * viscous + grad_p, expected, rtol=1e-12)
     assert_satisfies_strong_form(p2)
 
 
@@ -120,7 +126,8 @@ def test_problem_from_expressions_derives_forcing():
         0.7 * pi**2 * np.sin(pi * x[1]) - pi * np.sin(pi * x[0]) * np.cos(pi * x[1]),
         0.7 * pi**2 * np.sin(pi * x[0]) - pi * np.cos(pi * x[0]) * np.sin(pi * x[1]),
     ]
-    assert prob.forcing(x) == pytest.approx(expected, rel=1e-12)
+    viscous, grad_p = prob.forcing_terms(x)
+    assert prob.mu * viscous + grad_p == pytest.approx(expected, rel=1e-12)
     # derived f must make (u, p) an exact solution: it matches a built-in's
     # hand-derived forcing at the same viscosity
     assert_satisfies_strong_form(builtin_problem("stokes3d_trig", prob.mu))
@@ -136,7 +143,25 @@ def test_problem_from_expressions_3d():
     ref = builtin_problem("stokes3d_trig", 1.0)
     pt = np.array([0.2, 0.4, 0.6])
     assert np.allclose(prob.velocity(pt), ref.velocity(pt), rtol=1e-12)
-    assert np.allclose(prob.forcing(pt), ref.forcing(pt), rtol=1e-10)
+    assert np.allclose(prob.forcing_terms(pt), ref.forcing_terms(pt), rtol=1e-10)
+
+
+def test_with_mu_makes_no_sympy_call(monkeypatch):
+    # a custom problem at another viscosity is the same problem with another
+    # mu: nothing is parsed, derived or lambdified again
+    import sympy
+
+    prob = problem_from_expressions(2, ["sin(pi*y)", "sin(pi*x)"], "x*y", mu=0.7)
+
+    def no_sympy(*args, **kwargs):
+        raise AssertionError("sympy called")
+
+    for name in ("sympify", "lambdify", "diff", "symbols"):
+        monkeypatch.setattr(sympy, name, no_sympy)
+    other = prob.with_mu(1e-4)
+    assert (other.mu, prob.mu) == (1e-4, 0.7)
+    for name in ("velocity", "pressure", "forcing_terms", "boundary", "velocity_gradient"):
+        assert getattr(other, name) is getattr(prob, name), name
 
 
 def test_expression_validation():
@@ -156,4 +181,6 @@ def test_viscosity_checked_by_every_constructor():
         with pytest.raises(ValueError, match="viscosity must be positive"):
             problem_from_expressions(2, ["y", "-x"], "0", mu=mu)
     with pytest.raises(ValueError, match="viscosity must be positive"):
-        StokesProblem("custom", 2, -1.0, base.velocity, base.pressure, base.forcing, base.boundary)
+        StokesProblem(
+            "custom", 2, -1.0, base.velocity, base.pressure, base.forcing_terms, base.boundary
+        )
