@@ -29,7 +29,7 @@ from __future__ import annotations
 import argparse
 
 from wgstokes import builtin_problem, solve_system, structured_simplex_mesh
-from wgstokes.verification import _each_viscosity
+from wgstokes.assembly import each_viscosity
 
 
 def main():
@@ -60,7 +60,7 @@ def main():
     for n in levels:
         # the two viscosities of one mesh share its factor and solve concurrently
         mesh = structured_simplex_mesh(args.dim, n)
-        print("\n".join(_each_viscosity(mesh, problem, (1.0, 1e-4), "barycenter", True, row)))
+        print("\n".join(each_viscosity(mesh, problem, (1.0, 1e-4), "barycenter", True, row)))
     print("\n* hit the iteration cap (1000) before reaching the tolerance")
 
 

@@ -28,7 +28,7 @@ the facets between two halves of the elements separate its graph exactly.
 and b2; every system derived from it shares the factor (`SaddleSystem.inner`).
 It keeps the parts of b1 that do not depend on the viscosity (`LoadParts`)
 for `SaddleSystem.for_viscosity`. In studies the same one worker runs every
-viscosity's solve but the last.
+viscosity's solve but the last (`each_viscosity`).
 
 Every block is built from the mesh's per-element arrays and the dof map's
 element-to-dof table: local blocks for all elements at once, then one
@@ -63,14 +63,9 @@ __all__ = [
     "assemble_b2",
     "project_boundary_values",
     "build_saddle_system",
+    "each_viscosity",
     "export_system",
 ]
-
-# the one worker: each build's factor of A, beside its B, b1 and b2, and in
-# studies every viscosity's solve but the last (SuperLU and numpy release the
-# GIL). Tasks run first in, first out, so a queued solve may wait on its
-# system's factor only because the build submitted that factor before it
-_WORKER = ThreadPoolExecutor(max_workers=1)
 
 
 @dataclass(frozen=True)
@@ -87,6 +82,14 @@ class DofMap:
     @property
     def n_u(self) -> int:
         return self.n_interior + self.n_facet
+
+    @cached_property
+    def velocity_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(kept, rows): the (ne, d+2, d) mask of the (element, local basis,
+        component) slots that are unknowns, and their rows, in mask order."""
+        base = self.elem_dofs[..., None]
+        kept = np.repeat(base >= 0, self.dim, axis=2)
+        return kept, (self.dim * base + np.arange(self.dim))[kept]
 
 
 # parts of at most this many elements are not bisected further; 4 to 8 give
@@ -288,11 +291,8 @@ class LoadParts:
         # eliminated boundary facets: -mu * sum_i gram[q, 1+i] * ghat_i
         local = -mu * self.gram_datum
         local[:, 1:] += load[..., None] * mesh.elem_normals
-        base = dof.elem_dofs[..., None]  # (ne, d+2, 1)
-        keep = np.broadcast_to(base >= 0, local.shape)
-        return np.bincount(
-            (d * base + np.arange(d))[keep], weights=local[keep], minlength=dof.n_u
-        )
+        kept, rows = dof.velocity_rows
+        return np.bincount(rows, weights=local[kept], minlength=dof.n_u)
 
 
 def _load_parts(
@@ -411,11 +411,6 @@ class SaddleSystem:
         np.negative(self.B @ x[:n_u], out=y[n_u:])
         return y
 
-    def dense_operator(self) -> np.ndarray:
-        a = np.kron(self.A.toarray(), np.eye(self.dof.dim))
-        b = self.B.toarray()
-        return np.block([[a, -b.T], [-b, np.zeros((self.n_p, self.n_p))]])
-
     def split(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Unscaled (interior velocity, facet velocity, pressure) from a solution
         vector; the facet rows follow `mesh.interior_facets`."""
@@ -425,6 +420,14 @@ class SaddleSystem:
         slots = self.dof.facet_slot[self.mesh.interior_facets]
         facet = u[self.dof.n_interior :].reshape(-1, d)[slots]
         return interior, facet, x[self.n_u :].copy()
+
+
+# the one worker: each build's factor of A, beside its B, b1 and b2, and in
+# studies every viscosity's solve but the last (SuperLU and numpy release the
+# GIL). Only the two functions below submit to it. Tasks run first in, first
+# out, so a queued solve may wait on its system's factor only because the
+# build submitted that factor before it
+_WORKER = ThreadPoolExecutor(max_workers=1)
 
 
 def build_saddle_system(
@@ -465,6 +468,29 @@ def build_saddle_system(
         load=load,
         factor=factor,
     )
+
+
+def each_viscosity(
+    mesh: Mesh, problem: StokesProblem, mu_values, qg_method: str, consistent: bool, task
+) -> list:
+    """`task(system)` for each viscosity's system on `mesh`, in `mu_values` order.
+
+    One build; the other systems come from `SaddleSystem.for_viscosity` and
+    share its A, B, load parts and factor. Every task but the last runs on
+    the worker while this thread derives the next system, and the last runs
+    here. Every task has finished when this returns or raises, and an
+    exception from either thread reaches the caller.
+    """
+    system = build_saddle_system(mesh, problem.with_mu(mu_values[0]), qg_method, consistent)
+    pending = []
+    try:
+        for mu in mu_values[1:]:
+            pending.append(_WORKER.submit(task, system))  # queued behind system's factor
+            system = system.for_viscosity(mu)
+        last = task(system)
+    finally:
+        done = [f.result() for f in pending]
+    return done + [last]
 
 
 def export_system(system: SaddleSystem, outdir: str | Path) -> list[Path]:

@@ -24,12 +24,11 @@ import typing
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .assembly import build_saddle_system, export_system
+from .assembly import build_saddle_system, each_viscosity, export_system
 from .krylov import METHODS, PRECONDITIONERS, preconditioner_for, solve_system
 from .mesh import Mesh, load_mesh, structured_simplex_mesh
 from .problems import BUILTIN_PROBLEMS, StokesProblem, builtin_problem, problem_from_expressions
 from .verification import ERROR_FIELDS, convergence_study, inconsistency_demo, spectral_report
-from .verification import _each_viscosity
 from .wg_core import FACET_METHODS
 
 EXIT_OK = 0
@@ -215,7 +214,7 @@ def run_solver_study(cfg: ExperimentConfig) -> int:
     def solve(system):
         return solve_system(system, cfg.method, precond, cfg.tol, cfg.maxit, cfg.restart).report
 
-    grid = [_each_viscosity(m, problem, cfg.mu, cfg.qg, cfg.consistent, solve) for m in meshes]
+    grid = [each_viscosity(m, problem, cfg.mu, cfg.qg, cfg.consistent, solve) for m in meshes]
     out = _outdir(cfg)
     csv_path = out / "solver_study.csv"
     with csv_path.open("w", encoding="utf-8") as fh:
@@ -243,19 +242,14 @@ def run_solver_study(cfg: ExperimentConfig) -> int:
 
 
 def run_spectral(cfg: ExperimentConfig) -> int:
-    _only_one("viscosity", cfg.mu)
-    problem = make_problem(cfg)
-    meshes = resolve_meshes(cfg, problem.dim)
+    meshes = resolve_meshes(cfg, make_problem(cfg).dim)
     out = _outdir(cfg)
     summary_rows = []
     for mesh in meshes:
-        system = build_saddle_system(mesh, problem, cfg.qg, cfg.consistent)
         try:
-            report = spectral_report(system)
+            report = spectral_report(mesh)
         except ValueError as exc:
-            raise ConfigError(
-                f"mesh with {mesh.num_elements} elements: {exc}"
-            ) from exc
+            raise ConfigError(f"mesh with {mesh.num_elements} elements: {exc}") from exc
         path = out / f"spectral_eigs_N{mesh.num_elements}.csv"
         report.write_csv(path)
         print(f"N = {mesh.num_elements}")
@@ -356,15 +350,15 @@ _SOLVER = ("method", "tol", "restart", "maxit")
 # Each subcommand and the settings it reads; its parser offers only these
 # flags and its config file may hold only these keys. convergence and
 # inconsistency use the method's default preconditioner, convergence solves
-# the corrected system and inconsistency both; spectral and export-system
-# solve nothing.
+# the corrected system and inconsistency both; export-system solves nothing,
+# and spectral reads only the meshes, whose dimension the problem sets.
 _COMMANDS = {
     "convergence": (run_convergence, "error table with rates over a mesh sequence",
                     _PROBLEM_AND_MESHES + _SOLVER),
     "solver-study": (run_solver_study, "iteration counts over levels and viscosities",
                      _PROBLEM_AND_MESHES + _SOLVER + ("precond", "consistent")),
     "spectral": (run_spectral, "dense eigenvalue verification on small meshes",
-                 _PROBLEM_AND_MESHES + ("consistent",)),
+                 ("out", "problem", "dim", "levels", "mesh_files", "velocity", "pressure")),
     "inconsistency": (run_inconsistency, "compare raw and corrected right-hand sides",
                       _PROBLEM_AND_MESHES + _SOLVER),
     "export-system": (run_export, "write the assembled system in Matrix Market form",

@@ -131,7 +131,7 @@ def test_a5_dense_spectral_bounds():
     t0 = time.perf_counter()
     reports = {}
     for n in (2, 3, 4):
-        reports[n] = (system(2, n), spectral_report(system(2, n)))
+        reports[n] = (system(2, n), spectral_report(mesh(2, n)))
     wall = time.perf_counter() - t0
 
     gamma_ok = True
@@ -178,7 +178,7 @@ def test_a5_dense_spectral_bounds():
 
 def test_a6_residual_bounds_match_theory():
     sys_ = system(2, 4)
-    spec = spectral_report(sys_)
+    spec = spectral_report(sys_.mesh)
     minres_check = residual_bound_check(solve_system(sys_, "minres").report, spec)
     gmres_check = residual_bound_check(solve_system(sys_, "gmres").report, spec)
     ok = minres_check.passed and gmres_check.passed

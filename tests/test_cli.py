@@ -32,7 +32,7 @@ SOLVER = {"--method", "--tol", "--restart", "--maxit"}
 FLAGS = {
     "convergence": PROBLEM_AND_MESHES | SOLVER,
     "solver-study": PROBLEM_AND_MESHES | SOLVER | {"--precond", "--inconsistent"},
-    "spectral": PROBLEM_AND_MESHES | {"--inconsistent"},
+    "spectral": PROBLEM_AND_MESHES - {"--mu", "--qg"},
     "inconsistency": PROBLEM_AND_MESHES | SOLVER,
     "export-system": PROBLEM_AND_MESHES | {"--inconsistent"},
 }
@@ -295,7 +295,38 @@ def test_single_problem_subcommands_reject_several_viscosities(monkeypatch, tmp_
     mus = ["--mu", "1", "--mu", "1e-4"] if source == "flags" else ["--config", str(cfg)]
     out = tmp_path / "out"
     assert cli.main([command, "--levels", "2", *mus, "--out", str(out)]) == 2
-    assert "takes one viscosity, got 2" in capsys.readouterr().err
+    # spectral reads no viscosity at all
+    expected = {"flags": "spectral takes no --mu", "config": "spectral takes no config key 'mu'"}
+    message = expected[source] if command == "spectral" else "takes one viscosity, got 2"
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, key, value",
+    [
+        (["--mu", "1e-4"], "mu", 1e-4),
+        (["--qg", "gauss3"], "qg", "gauss3"),
+        (["--inconsistent"], "consistent", False),
+    ],
+    ids=["mu", "qg", "inconsistent"],
+)
+@pytest.mark.parametrize("source", ["flags", "config"])
+def test_spectral_takes_no_setting_its_report_ignores(monkeypatch, tmp_path, capsys, source,
+                                                      flags, key, value):
+    # the preconditioned operator is made of A, B and Mp, which depend only
+    # on the mesh: no viscosity, projection rule or right-hand side reaches it
+    def no_mesh(*args):
+        raise AssertionError("a mesh was built before the settings were checked")
+
+    monkeypatch.setattr(cli, "structured_simplex_mesh", no_mesh)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    given = flags if source == "flags" else ["--config", str(cfg)]
+    out = tmp_path / "out"
+    assert cli.main(["spectral", "--levels", "2", *given, "--out", str(out)]) == 2
+    named = flags[0] if source == "flags" else f"config key {key!r}"
+    assert f"spectral takes no {named}" in capsys.readouterr().err
     assert not out.exists()
 
 

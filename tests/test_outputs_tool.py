@@ -28,6 +28,7 @@ def test_compare_names_what_differs_and_by_how_much(outputs, monkeypatch, tmp_pa
     assert outputs.compare(tmp_path / "a", tmp_path / "b") == 0
     report = capsys.readouterr().out
     assert "b1: equal on all 4 inputs" in report
+    assert "vertices: equal on all 2 inputs" in report
     assert "minres iterates: equal on all 4 inputs" in report
     assert "iteration counts: all equal" in report
 

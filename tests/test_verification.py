@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from oracles import jittered_mesh
-from wgstokes.assembly import build_dofmap, build_saddle_system
+from oracles import dense_A_oracle, dense_B_oracle, jittered_mesh
+from wgstokes import assembly
+from wgstokes.assembly import assemble_A, build_dofmap, build_saddle_system
 from wgstokes.krylov import SolveReport, StokesSolution, solve_system
 from wgstokes.mesh import structured_simplex_mesh
 from wgstokes.problems import StokesProblem, builtin_problem, problem_from_expressions
@@ -148,8 +149,6 @@ def test_velocity_errors_independent_of_viscosity():
 def test_convergence_study_factors_each_mesh_once(monkeypatch):
     # A does not depend on mu, so both viscosities share one factorization
     # per mesh, and each mesh gets its own; the builds start them
-    import wgstokes.assembly as assembly
-
     built = []
     real = assembly.InnerSolver
 
@@ -190,7 +189,7 @@ def test_convergence_study_matches_per_viscosity_loop(monkeypatch, dim, levels, 
 
     builds, grads = [], []
     solves = {}  # keyed, since the two threads record in no fixed order
-    real_build, real_solve = verification.build_saddle_system, verification.solve_system
+    real_build, real_solve = assembly.build_saddle_system, verification.solve_system
 
     def build(mesh, *args):
         builds.append(mesh)
@@ -202,7 +201,7 @@ def test_convergence_study_matches_per_viscosity_loop(monkeypatch, dim, levels, 
         solves[key] = real_solve(system, *args, **kwargs)
         return solves[key]
 
-    monkeypatch.setattr(verification, "build_saddle_system", build)
+    monkeypatch.setattr(assembly, "build_saddle_system", build)
     monkeypatch.setattr(verification, "solve_system", solve)
     table = convergence_study(gradient_counted(prob, grads), meshes, mu_values=mu_values)
     assert builds == meshes
@@ -252,7 +251,7 @@ def test_error_on_the_worker_reaches_the_study_caller(monkeypatch):
 
 
 def test_convergence_study_needs_a_viscosity(monkeypatch):
-    monkeypatch.setattr(verification, "build_saddle_system", lambda *a: pytest.fail("built"))
+    monkeypatch.setattr(assembly, "build_saddle_system", lambda *a: pytest.fail("built"))
     with pytest.raises(ValueError, match="need at least one viscosity"):
         convergence_study(builtin_problem("stokes2d_exp"), [2, 4], mu_values=())
 
@@ -341,10 +340,9 @@ def test_convergence_table_serialization(tmp_path):
 
 
 def test_spectral_report_gamma_side():
-    prob = builtin_problem("stokes2d_exp")
     for n in (2, 3):
-        sys_ = build_saddle_system(structured_simplex_mesh(2, n), prob)
-        rep = spectral_report(sys_)
+        mesh = structured_simplex_mesh(2, n)
+        rep = spectral_report(mesh)
         assert rep.zero_gamma_count == 1
         assert rep.gamma_upper_ok
         assert rep.gammas[-1] <= 2.0 + 1e-8
@@ -352,7 +350,7 @@ def test_spectral_report_gamma_side():
         assert rep.zero_lambda_count == 1
         assert rep.quad_map_max_dist < 1e-8
         # read from the scalar A: the velocity block kron(A, I_d) has its spectrum
-        block = np.kron(sys_.A.toarray(), np.eye(2))
+        block = np.kron(assemble_A(mesh).toarray(), np.eye(2))
         smallest = scipy.linalg.eigh(block, eigvals_only=True)[0]
         assert rep.lambda_min_A == pytest.approx(smallest, rel=1e-12)
 
@@ -362,37 +360,32 @@ def test_spectral_interval_outliers_are_exactly_the_divergence_free_modes():
     # are fixed points of the preconditioned operator, so the eigenvalue 1
     # appears with multiplicity n_u - N + 1; the checked set admits that
     # point, while the positive interval itself starts strictly above 1
-    prob = builtin_problem("stokes2d_exp")
-    sys_ = build_saddle_system(structured_simplex_mesh(2, 2), prob)
-    rep = spectral_report(sys_)
+    mesh = structured_simplex_mesh(2, 2)
+    rep = spectral_report(mesh)
     assert rep.lambda_interval_violations.size == 0
     near_one = np.abs(rep.lambdas - 1.0) < 1e-9
-    assert int(np.sum(near_one)) == sys_.n_u - sys_.n_p + 1
+    assert int(np.sum(near_one)) == build_dofmap(mesh).n_u - mesh.num_elements + 1
     lo_pos = rep.intervals()[2][0]
     assert lo_pos > 1.0 + 1e-3
 
 
 def test_inf_sup_estimate_stable_under_refinement():
-    prob = builtin_problem("stokes2d_exp")
     betas = []
     for n in (2, 4, 8):
-        sys_ = build_saddle_system(structured_simplex_mesh(2, n), prob)
-        betas.append(spectral_report(sys_).beta)
+        betas.append(spectral_report(structured_simplex_mesh(2, n)).beta)
     for b0, b1 in zip(betas, betas[1:]):
         assert abs(b1 - b0) / b0 < 0.2
 
 
 def test_spectral_report_guards_large_systems():
-    prob = builtin_problem("stokes2d_exp")
-    sys_ = build_saddle_system(structured_simplex_mesh(2, 16), prob)
     with pytest.raises(ValueError):
-        spectral_report(sys_)
+        spectral_report(structured_simplex_mesh(2, 16))
 
 
 def test_minres_residual_bound_holds_at_odd_iterations():
     prob = builtin_problem("stokes2d_exp")
     sys_ = build_saddle_system(structured_simplex_mesh(2, 4), prob)
-    spec = spectral_report(sys_)
+    spec = spectral_report(sys_.mesh)
     sol = solve_system(sys_, "minres")
     check = residual_bound_check(sol.report, spec)
     assert check.passed
@@ -406,7 +399,7 @@ def test_minres_residual_bound_holds_at_odd_iterations():
 def test_gmres_residual_bound_holds_from_iteration_two():
     prob = builtin_problem("stokes2d_exp")
     sys_ = build_saddle_system(structured_simplex_mesh(2, 4), prob)
-    spec = spectral_report(sys_)
+    spec = spectral_report(sys_.mesh)
     sol = solve_system(sys_, "gmres")
     check = residual_bound_check(sol.report, spec)
     assert check.passed
@@ -417,7 +410,7 @@ def test_gmres_residual_bound_holds_from_iteration_two():
 def test_residual_bound_check_rejects_flat_history():
     prob = builtin_problem("stokes2d_exp")
     sys_ = build_saddle_system(structured_simplex_mesh(2, 4), prob)
-    spec = spectral_report(sys_)
+    spec = spectral_report(sys_.mesh)
     flat = [1.0] * 40
     fake = SolveReport(
         "minres", "block_diag", 39, False, False, flat, flat, 1e-9, 39, 0.0
@@ -466,3 +459,35 @@ def test_inconsistency_demo_no_op_for_zero_boundary_data():
     demo = inconsistency_demo(mesh, prob)
     assert demo.alpha_h == 0.0
     assert demo.report_raw.residuals == demo.report_fixed.residuals
+
+
+def dense_floor(system):
+    """Relative residual of the dense least-squares solution of the system,
+    with the operator from the per-element oracles."""
+    a, b = dense_A_oracle(system.mesh), dense_B_oracle(system.mesh)
+    op = np.block([[a, -b.T], [-b, np.zeros((system.n_p, system.n_p))]])
+    rhs = system.rhs()
+    x, *_ = np.linalg.lstsq(op, rhs, rcond=None)
+    return np.linalg.norm(rhs - op @ x) / np.linalg.norm(rhs)
+
+
+@pytest.mark.parametrize("mu", [1.0, 1e-4])
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_inconsistency_floor_matches_dense_least_squares(n, mu):
+    # the closed form |mu alpha_h| / (sqrt(N) ||b||) is the least-squares floor
+    mesh = structured_simplex_mesh(2, n)
+    prob = builtin_problem("stokes2d_exp", mu=mu)
+    demo = inconsistency_demo(mesh, prob, maxit=20)
+    reference = dense_floor(build_saddle_system(mesh, prob, consistent=False))
+    assert isinstance(demo.residual_floor, float)
+    assert demo.residual_floor == pytest.approx(reference, rel=1e-10)
+
+
+def test_inconsistency_floor_past_the_dense_guard():
+    # 2D n=16 has more unknowns than DENSE_GUARD; the floor is still reported
+    # and bounds the raw solve's best residual from below
+    mesh = structured_simplex_mesh(2, 16)
+    demo = inconsistency_demo(mesh, builtin_problem("stokes2d_exp"))
+    assert build_dofmap(mesh).n_u + mesh.num_elements > verification.DENSE_GUARD
+    assert isinstance(demo.residual_floor, float)
+    assert 0.0 < demo.residual_floor <= min(demo.report_raw.residuals)

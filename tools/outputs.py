@@ -9,14 +9,15 @@ perfbench/workloads.py). BLAS and OpenMP are pinned to one thread.
 
 `write` builds a fixed set of inputs: jittered 2D n=64 and 3D n=4, 6 and 12,
 seeds 1-3, each at mu 1 and 1e-4. For each it writes DIR/digests.json with
-the SHA-256 digest and the largest entry of A, B, b2 and alpha_h (once per
-mesh) and of b1 and rhs() (per viscosity). For a MINRES and a GMRES solve
-with the default preconditioner and tolerance it adds the iteration count
-and the digests of every iterate the method forms (MINRES: every step;
-GMRES: the start and the end of every cycle) and of both residual
-histories. The environment holds the numpy and scipy versions, the thread
-variables and the OpenBLAS kernel (core name) of each OpenBLAS library the
-process loaded. DIR/arrays.npz keeps the arrays, for `compare`.
+the SHA-256 digest and the largest entry of the mesh's arrays
+(`MESH_ARRAYS`), A, B, b2 and alpha_h (once per mesh) and of b1 and rhs()
+(per viscosity). For a MINRES and a GMRES solve with the default
+preconditioner and tolerance it adds the iteration count and the digests
+of every iterate the method forms (MINRES: every step; GMRES: the start
+and the end of every cycle) and of both residual histories. The
+environment holds the numpy and scipy versions, the thread variables and
+the OpenBLAS kernel (core name) of each OpenBLAS library the process
+loaded. DIR/arrays.npz keeps the arrays, for `compare`.
 
 `compare` names each array, history and iterate sequence whose digest
 differs, with the number of inputs on which it differs and its largest
@@ -55,6 +56,10 @@ MESHES = ((2, 64), (3, 4), (3, 6), (3, 12))
 SEEDS = (1, 2, 3)
 VISCOSITIES = (1.0, 1e-4)
 METHODS = ("minres", "gmres")
+MESH_ARRAYS = (
+    "vertices", "elements", "elem_volumes", "elem_centroids", "elem_normals",
+    "elem_facet_measures", "elem_second_moments", "facet_elems", "interior_facets",
+)
 _CORENAME_SYMBOLS = (
     "scipy_openblas_get_corename64_",
     "scipy_openblas_get_corename",
@@ -150,6 +155,8 @@ def write(outdir: Path) -> None:
                 system = build_saddle_system(mesh, problem.with_mu(mu))
                 if mu == VISCOSITIES[0]:
                     rec = _Recorder(arrays)
+                    for name in MESH_ARRAYS:
+                        rec.add(mesh_key, name, getattr(mesh, name))
                     for name in ("A", "B", "b2"):
                         rec.add(mesh_key, name, getattr(system, name))
                     rec.add(mesh_key, "alpha_h", [system.alpha_h])
