@@ -26,9 +26,10 @@ facet Schur complement of A couples only facets that share an element, so
 the facets between two halves of the elements separate its graph exactly.
 `build_saddle_system` factors A on a worker thread while it assembles B, b1
 and b2; every system derived from it shares the factor (`SaddleSystem.inner`).
-It keeps the parts of b1 that do not depend on the viscosity (`LoadParts`)
-for `SaddleSystem.for_viscosity`. In studies the same one worker runs every
-viscosity's solve but the last (`each_viscosity`).
+The system keeps the parts of b1 that do not depend on the viscosity
+(`LoadParts`) and forms b1 from them, so ``dataclasses.replace(system,
+mu=...)`` is the system at another viscosity. In studies the same one
+worker runs every viscosity's solve but the last (`each_viscosity`).
 
 Every block is built from the mesh's per-element arrays and the dof map's
 element-to-dof table: local blocks for all elements at once, then one
@@ -225,7 +226,7 @@ def project_boundary_values(
 ) -> np.ndarray:
     """Projected boundary datum, one d-vector per boundary facet (mesh ordering)."""
     rule = facet_projection_rule(mesh.dim, qg_method)
-    return facet_means(mesh, problem.boundary, mesh.boundary_facets, rule, "boundary")
+    return facet_means(mesh, problem.velocity, mesh.boundary_facets, rule, "velocity")
 
 
 def _local_boundary_values(mesh: Mesh, g_proj: np.ndarray) -> np.ndarray:
@@ -345,22 +346,36 @@ def assemble_b2(
 
 @dataclass
 class SaddleSystem:
-    """Rescaled singular saddle system and everything needed to solve/verify it."""
+    """Rescaled singular saddle system and everything needed to solve/verify it.
+
+    b1 and alpha_h are formed from `load`, `mu` and `b2` on construction, so
+    ``dataclasses.replace(system, mu=...)`` gives the system at another
+    viscosity, sharing every block and the factor of A.
+    """
 
     mesh: Mesh
     dof: DofMap
     mu: float
     A: sp.csr_matrix  # scalar stiffness; the velocity block is kron(A, I_d)
     B: sp.csr_matrix
-    b1: np.ndarray
     b2: np.ndarray
-    Mp: np.ndarray  # diagonal entries: the element measures
-    alpha_h: float  # sum of b2, the boundary-flux defect; zero iff b2 is consistent
     consistent: bool
-    qg_method: str
     g_boundary: np.ndarray  # projected datum per boundary facet
     load: LoadParts  # what b1 is made of at any viscosity
     factor: Future = field(compare=False, repr=False)  # of InnerSolver(A)
+    b1: np.ndarray = field(init=False)
+    alpha_h: float = field(init=False)  # sum of b2, the boundary-flux defect; zero iff b2 is consistent
+
+    def __post_init__(self):
+        if not self.mu > 0:
+            raise ValueError("viscosity must be positive")
+        self.b1 = self.load.b1(self.mu, self.mesh, self.dof)
+        self.alpha_h = float(np.sum(self.b2))
+
+    @property
+    def Mp(self) -> np.ndarray:
+        """Diagonal of the pressure mass matrix: the element measures."""
+        return self.mesh.elem_volumes
 
     @property
     def n_u(self) -> int:
@@ -378,14 +393,6 @@ class SaddleSystem:
     def inner(self) -> InnerSolver:
         """The factor of A, once it is done; raises what factoring raised."""
         return self.factor.result()
-
-    def for_viscosity(self, mu: float) -> SaddleSystem:
-        """This system at viscosity `mu`: b1 is recombined from `load`, bit
-        for bit as a fresh build, with no problem callable evaluated; every
-        other block, and the factor of A, is shared, not copied."""
-        if not mu > 0:
-            raise ValueError("viscosity must be positive")
-        return replace(self, mu=mu, b1=self.load.b1(mu, self.mesh, self.dof))
 
     def rhs(self) -> np.ndarray:
         """[b1; mu*b2], with b2~ = b2 - alpha_h/N in place of b2 if `consistent`."""
@@ -451,19 +458,14 @@ def build_saddle_system(
     factor = _WORKER.submit(InnerSolver, a)
     b = assemble_B(mesh, dof)
     load = _load_parts(mesh, problem, g_proj, gram)
-    b2 = assemble_b2(mesh, problem, qg_method, g_proj)
     return SaddleSystem(
         mesh=mesh,
         dof=dof,
         mu=problem.mu,
         A=a,
         B=b,
-        b1=load.b1(problem.mu, mesh, dof),
-        b2=b2,
-        Mp=mesh.elem_volumes.copy(),
-        alpha_h=float(np.sum(b2)),
+        b2=assemble_b2(mesh, problem, qg_method, g_proj),
         consistent=consistent,
-        qg_method=qg_method,
         g_boundary=g_proj,
         load=load,
         factor=factor,
@@ -475,8 +477,8 @@ def each_viscosity(
 ) -> list:
     """`task(system)` for each viscosity's system on `mesh`, in `mu_values` order.
 
-    One build; the other systems come from `SaddleSystem.for_viscosity` and
-    share its A, B, load parts and factor. Every task but the last runs on
+    One build; the other systems are ``replace(system, mu=mu)`` and share
+    its A, B, load parts and factor. Every task but the last runs on
     the worker while this thread derives the next system, and the last runs
     here. Every task has finished when this returns or raises, and an
     exception from either thread reaches the caller.
@@ -486,7 +488,7 @@ def each_viscosity(
     try:
         for mu in mu_values[1:]:
             pending.append(_WORKER.submit(task, system))  # queued behind system's factor
-            system = system.for_viscosity(mu)
+            system = replace(system, mu=mu)
         last = task(system)
     finally:
         done = [f.result() for f in pending]

@@ -306,7 +306,7 @@ def run_export(cfg: ExperimentConfig) -> int:
         "mu": system.mu,
         "alpha_h": system.alpha_h,
         "consistent": system.consistent,
-        "qg_method": system.qg_method,
+        "qg_method": cfg.qg,
         "problem": problem.name,
     }
     meta_path = out / "system_meta.json"

@@ -111,17 +111,29 @@ class SaddlePreconditioner:
 
 @dataclass
 class SolveReport:
+    """One solve's record; its iteration count and verdicts are read off
+    the residual history."""
+
     method: str
     preconditioner: str
-    iterations: int
-    converged: bool
-    stagnated: bool
     residuals: list[float]  # true relative residuals, entry 0 for the initial guess
     precond_residuals: list[float]  # recurrence estimate in the preconditioner norm
     tol: float
     maxit: int
     wall_time: float  # concurrent solves overlap, so a study's times need not add up
     restart: int | None = None
+
+    @property
+    def iterations(self) -> int:
+        return len(self.residuals) - 1
+
+    @property
+    def converged(self) -> bool:
+        return bool(self.residuals[-1] <= self.tol)
+
+    @property
+    def stagnated(self) -> bool:
+        return _detect_stagnation(self.residuals, self.tol)
 
     def summary(self) -> str:
         flag = "converged" if self.converged else "NOT converged"
@@ -176,8 +188,7 @@ def minres(
     x = np.zeros(n)
     if normb == 0.0:
         report = SolveReport(
-            "minres", precond.kind, 0, True, False, [0.0], [0.0], tol, maxit,
-            time.perf_counter() - t0,
+            "minres", precond.kind, [0.0], [0.0], tol, maxit, time.perf_counter() - t0
         )
         return x, report
 
@@ -195,7 +206,6 @@ def minres(
     cs, sn = -1.0, 0.0
     w = np.zeros(n)
     w2 = np.zeros(n)
-    converged = False
     it = 0
     while it < maxit:
         it += 1
@@ -237,20 +247,10 @@ def minres(
         true_rel = float(np.linalg.norm(b - system.apply(x))) / normb
         residuals.append(true_rel)
         if true_rel <= tol:
-            converged = True
             break
 
     report = SolveReport(
-        "minres",
-        precond.kind,
-        it,
-        converged,
-        _detect_stagnation(residuals, tol),
-        residuals,
-        precond_res,
-        tol,
-        maxit,
-        time.perf_counter() - t0,
+        "minres", precond.kind, residuals, precond_res, tol, maxit, time.perf_counter() - t0
     )
     return x, report
 
@@ -276,19 +276,16 @@ def gmres_restart(
     x = np.zeros(n)
     if normb == 0.0:
         report = SolveReport(
-            "gmres", precond.kind, 0, True, False, [0.0], [0.0], tol, maxit,
-            time.perf_counter() - t0, restart,
+            "gmres", precond.kind, [0.0], [0.0], tol, maxit, time.perf_counter() - t0, restart
         )
         return x, report
 
     residuals = [1.0]
     it = 0
-    converged = False
     while it < maxit:
         r = b - system.apply(x)
         beta = float(np.linalg.norm(r))
         if beta / normb <= tol:
-            converged = True
             break
         m = min(restart, maxit - it)
         v = np.zeros((m + 1, n))
@@ -333,21 +330,11 @@ def gmres_restart(
         true_rel = float(np.linalg.norm(b - system.apply(x))) / normb
         residuals[-1] = true_rel
         if true_rel <= tol:
-            converged = True
             break
 
     report = SolveReport(
-        "gmres",
-        precond.kind,
-        it,
-        converged,
-        _detect_stagnation(residuals, tol),
-        residuals,
-        list(residuals),
-        tol,
-        maxit,
-        time.perf_counter() - t0,
-        restart,
+        "gmres", precond.kind, residuals, list(residuals), tol, maxit,
+        time.perf_counter() - t0, restart,
     )
     return x, report
 

@@ -35,8 +35,8 @@ _COMPAT_DEGREE = 8  # exactness degree of the facet rule in boundary_compatibili
 class StokesProblem:
     """A Stokes problem with known exact solution.
 
-    Batch contract: `velocity` and `boundary` take an (n, d) array of
-    points and return (n, d) values; `pressure` returns (n,);
+    Batch contract: `velocity` takes an (n, d) array of points and
+    returns (n, d) values; `pressure` returns (n,);
     `velocity_gradient` returns (n, d, d) with [i, r, c] = du_r/dx_c at
     point i. `forcing_terms` returns (n, 2, d): [i, 0] is -Lap(u) and
     [i, 1] is grad p, so the forcing is mu*[i, 0] + [i, 1] and no callable
@@ -47,8 +47,9 @@ class StokesProblem:
     `np.vectorize(f, signature="(d)->(d)")` (`"(d)->()"` for the pressure,
     `"(d)->(d,d)"` for the gradient, `"(d)->(t,d)"` for the forcing terms).
 
-    The gradient is needed only by `compute_errors`; a problem without one
-    can be assembled and solved.
+    The boundary datum is the trace of `velocity`. The gradient is needed
+    only by `compute_errors`; a problem without one can be assembled and
+    solved.
     """
 
     name: str
@@ -57,7 +58,6 @@ class StokesProblem:
     velocity: Vec
     pressure: Callable[[np.ndarray], float]
     forcing_terms: Callable[[np.ndarray], np.ndarray]  # (-Lap(u), grad p)
-    boundary: Vec  # trace of the velocity; kept separate for clarity at call sites
     velocity_gradient: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
@@ -107,7 +107,7 @@ def _problem_2d() -> StokesProblem:
         # -Lap(u) = -2 e^x (sin y, cos y) = -grad p: the load vanishes at mu=1
         return _entries_last([[-g for g in grad_p], grad_p], 2)
 
-    return StokesProblem("stokes2d_exp", 2, 1.0, u, pres, terms, u, grad)
+    return StokesProblem("stokes2d_exp", 2, 1.0, u, pres, terms, grad)
 
 
 def _problem_3d() -> StokesProblem:
@@ -148,7 +148,7 @@ def _problem_3d() -> StokesProblem:
         ]
         return _entries_last(rows, 2)
 
-    return StokesProblem("stokes3d_trig", 3, 1.0, u, pres, terms, u, grad)
+    return StokesProblem("stokes3d_trig", 3, 1.0, u, pres, terms, grad)
 
 
 _BUILTIN_FACTORIES = {"stokes2d_exp": _problem_2d, "stokes3d_trig": _problem_3d}
@@ -224,7 +224,7 @@ def problem_from_expressions(
     grad = batch([sp.diff(e, c) for e in u_sym for c in coords], (dim, dim), False)
     terms = batch(viscous + grad_p, (2, dim), True)
     pres = batch([p_sym], (), False)
-    return StokesProblem(name, dim, mu, u, pres, terms, u, grad)
+    return StokesProblem(name, dim, mu, u, pres, terms, grad)
 
 
 def evaluate_batch(fn, points: np.ndarray, name: str, shape: tuple) -> np.ndarray:
@@ -255,11 +255,11 @@ def facet_means(mesh, fn, facets: np.ndarray, rule: tuple, name: str) -> np.ndar
 
 
 def boundary_compatibility(problem: StokesProblem, mesh) -> float:
-    """integral over the boundary of g.n (zero for a well-posed problem)."""
+    """integral over the boundary of u.n (zero for a well-posed problem)."""
     from .quadrature import facet_rule
 
     bf = mesh.boundary_facets
     rule = facet_rule(mesh.dim, _COMPAT_DEGREE)
-    means = facet_means(mesh, problem.boundary, bf, rule, "boundary")
+    means = facet_means(mesh, problem.velocity, bf, rule, "velocity")
     flux = np.einsum("fd,fd->f", means, mesh.facet_normals[bf])
     return float(mesh.facet_measures[bf] @ flux)

@@ -5,11 +5,12 @@ one, so that
 
     integral_K f dx  ~=  |K| * sum_q w_q f(x_q),   x_q = sum_i bary[q, i] * v_i.
 
-Short fixed-degree rules cover the assembly paths. Every other degree gets a
-conical product rule (Stroud 1971, ch. 2): a tensor Gauss-Jacobi rule on the
-unit cube collapsed onto the simplex, with the Jacobian of the collapse
-absorbed into the Jacobi weights. With m points per axis it is exact to
-degree 2m - 1 and all its weights are positive.
+Two short triangle rules, of degree 2 and 4, serve the facet projections
+of 3D meshes. Every other degree gets a conical product rule (Stroud 1971,
+ch. 2): a tensor Gauss-Jacobi rule on the unit cube collapsed onto the
+simplex, with the Jacobian of the collapse absorbed into the Jacobi weights.
+With m points per axis it is exact to degree 2m - 1 and all its weights are
+positive.
 """
 
 from __future__ import annotations
@@ -84,19 +85,6 @@ def _orbit3(a: float) -> np.ndarray:
 _TRI_DEG4_BARY = np.vstack([_orbit3(_TRI_A1), _orbit3(_TRI_A2)])
 _TRI_DEG4_W = np.concatenate([np.full(3, _TRI_W1), np.full(3, _TRI_W2)])
 
-# Tetrahedron, degree 2, 4 points.
-_TET_A = (5.0 + 3.0 * math.sqrt(5.0)) / 20.0
-_TET_B = (5.0 - math.sqrt(5.0)) / 20.0
-_TET_DEG2_BARY = np.array(
-    [
-        [_TET_A, _TET_B, _TET_B, _TET_B],
-        [_TET_B, _TET_A, _TET_B, _TET_B],
-        [_TET_B, _TET_B, _TET_A, _TET_B],
-        [_TET_B, _TET_B, _TET_B, _TET_A],
-    ]
-)
-_TET_DEG2_W = np.full(4, 0.25)
-
 
 def conical_rule(dim: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Conical product rule on the unit dim-simplex, exact to degree 2*m - 1.
@@ -120,21 +108,13 @@ def simplex_rule(dim: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
         n = max(1, (degree + 2) // 2)
         x, w = gauss_legendre_01(n)
         return np.column_stack([1.0 - x, x]), w
-    if dim == 2:
-        if degree <= 1:
-            return np.array([[1.0, 1.0, 1.0]]) / 3.0, np.array([1.0])
-        if degree == 2:
-            return _TRI_DEG2_BARY.copy(), _TRI_DEG2_W.copy()
-        if degree <= 4:
-            return _TRI_DEG4_BARY.copy(), _TRI_DEG4_W.copy()
-        return conical_rule(2, (degree + 2) // 2)
-    if dim == 3:
-        if degree <= 1:
-            return np.array([[1.0, 1.0, 1.0, 1.0]]) / 4.0, np.array([1.0])
-        if degree == 2:
-            return _TET_DEG2_BARY.copy(), _TET_DEG2_W.copy()
-        return conical_rule(3, (degree + 2) // 2)
-    raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
+    if dim not in (2, 3):
+        raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
+    if dim == 2 and degree == 2:
+        return _TRI_DEG2_BARY.copy(), _TRI_DEG2_W.copy()
+    if dim == 2 and degree in (3, 4):
+        return _TRI_DEG4_BARY.copy(), _TRI_DEG4_W.copy()
+    return conical_rule(dim, (degree + 2) // 2)
 
 
 def facet_rule(dim: int, degree: int) -> tuple[np.ndarray, np.ndarray]:

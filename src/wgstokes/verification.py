@@ -230,7 +230,7 @@ def convergence_study(
     meshes may hold Mesh objects or integers (structured subdivision levels,
     dimension taken from the problem). On each mesh the system is built
     once, and the other viscosities only recombine b1
-    (`SaddleSystem.for_viscosity`); all share one sample of the exact
+    (``replace(system, mu=...)``); all share one sample of the exact
     solution for the errors, and solve concurrently. A problem without a
     `velocity_gradient` raises a ValueError before the first solve.
     """
@@ -274,18 +274,58 @@ def _lambda_intervals(dim: int, beta: float) -> tuple:
 
 @dataclass
 class SpectralReport:
+    """The spectra of one mesh's system; every check is read off them."""
+
     dim: int
     gammas: np.ndarray  # generalized Schur eigenvalues, ascending
-    beta: float  # inf-sup estimate, sqrt of the smallest positive gamma
-    lambdas: np.ndarray  # eigenvalues of the preconditioned operator
-    margin: float
-    zero_gamma_count: int
-    gamma_upper_ok: bool  # all gammas <= d + margin
-    zero_lambda_count: int
-    lambda_interval_violations: np.ndarray  # eigenvalues outside the checked set
-    quad_map_max_dist: float  # worst |lambda^2 - lambda - gamma| mismatch
+    lambdas: np.ndarray  # eigenvalues of the preconditioned operator, ascending
     lambda_min_A: float
     lambda_max_Mp: float
+
+    @property
+    def margin(self) -> float:
+        return SPECTRAL_MARGIN
+
+    @property
+    def beta(self) -> float:
+        """Inf-sup estimate, the square root of the smallest positive gamma."""
+        return math.sqrt(max(float(self.gammas[1]), 0.0))
+
+    @property
+    def zero_gamma_count(self) -> int:
+        return int(np.sum(np.abs(self.gammas) < 1e-10))
+
+    @property
+    def gamma_upper_ok(self) -> bool:
+        """Whether every gamma is at most d + margin."""
+        return bool(self.gammas[-1] <= self.dim + SPECTRAL_MARGIN)
+
+    @property
+    def zero_lambda_count(self) -> int:
+        return int(np.sum(np.abs(self.lambdas) < 1e-10))
+
+    @property
+    def lambda_interval_violations(self) -> np.ndarray:
+        """The eigenvalues outside the checked set (see `intervals`)."""
+        lam, m = self.lambdas, SPECTRAL_MARGIN
+        (lo_neg, hi_neg), _, (lo_pos, hi_pos) = self.intervals()
+        # lambda = 1 belongs to the n_u - rank(B) modes (u, 0) with Bu = 0; no
+        # eigenvector with p != 0 can reach it (it would need B^T p = 0 and a
+        # zero weighted mean of p at once), so the point admits only that family
+        inside = (
+            ((lam >= lo_neg - m) & (lam <= hi_neg + m))
+            | (np.abs(lam) <= m)
+            | (np.abs(lam - 1.0) <= m)
+            | ((lam >= lo_pos - m) & (lam <= hi_pos + m))
+        )
+        return lam[~inside]
+
+    @property
+    def quad_map_max_dist(self) -> float:
+        """Worst |lambda^2 - lambda - gamma| over the lambdas, each against its
+        nearest gamma."""
+        mapped = self.lambdas * self.lambdas - self.lambdas
+        return float(np.abs(mapped[:, None] - self.gammas[None, :]).min(axis=1).max())
 
     @property
     def lambda_intervals_ok(self) -> bool:
@@ -361,43 +401,13 @@ def spectral_report(mesh: Mesh) -> SpectralReport:
     s = b @ scipy.linalg.cho_solve(cho, b.T.reshape(len(cho[0]), -1)).reshape(b.T.shape)
     s = 0.5 * (s + s.T)
     gammas = scipy.linalg.eigh(s, mp, eigvals_only=True)
-    zero_gamma = int(np.sum(np.abs(gammas) < 1e-10))
-    gamma_upper_ok = bool(gammas[-1] <= d + SPECTRAL_MARGIN)
-    beta = math.sqrt(max(float(gammas[1]), 0.0))
-
-    pd = scipy.linalg.block_diag(a, mp)
-    lambdas = scipy.linalg.eigh(op, pd, eigvals_only=True)
-    zero_lambda = int(np.sum(np.abs(lambdas) < 1e-10))
-
-    (lo_neg, hi_neg), _, (lo_pos, hi_pos) = _lambda_intervals(d, beta)
-    # lambda = 1 belongs to the n_u - rank(B) modes (u, 0) with Bu = 0; no
-    # eigenvector with p != 0 can reach it (it would need B^T p = 0 and a
-    # zero weighted mean of p at once), so the point admits only that family
-    inside = (
-        ((lambdas >= lo_neg - SPECTRAL_MARGIN) & (lambdas <= hi_neg + SPECTRAL_MARGIN))
-        | (np.abs(lambdas) <= SPECTRAL_MARGIN)
-        | (np.abs(lambdas - 1.0) <= SPECTRAL_MARGIN)
-        | ((lambdas >= lo_pos - SPECTRAL_MARGIN) & (lambdas <= hi_pos + SPECTRAL_MARGIN))
-    )
-    violations = lambdas[~inside]
-
-    mapped = lambdas * lambdas - lambdas
-    dist = np.abs(mapped[:, None] - gammas[None, :]).min(axis=1)
-    quad_map_max_dist = float(dist.max())
-
+    lambdas = scipy.linalg.eigh(op, scipy.linalg.block_diag(a, mp), eigvals_only=True)
     # kron(A, I_d) has the spectrum of the scalar A, each eigenvalue d times
     lambda_min_A = float(scipy.linalg.eigh(a_scalar, eigvals_only=True)[0])
     return SpectralReport(
         dim=d,
         gammas=gammas,
-        beta=beta,
         lambdas=lambdas,
-        margin=SPECTRAL_MARGIN,
-        zero_gamma_count=zero_gamma,
-        gamma_upper_ok=gamma_upper_ok,
-        zero_lambda_count=zero_lambda,
-        lambda_interval_violations=violations,
-        quad_map_max_dist=quad_map_max_dist,
         lambda_min_A=lambda_min_A,
         lambda_max_Mp=float(mesh.elem_volumes.max()),
     )
@@ -409,7 +419,11 @@ class BoundCheck:
     rho: float
     prefactor: float
     checked: list  # (iteration, measured, bound)
-    worst_margin: float  # min over checked iterations of bound - measured
+
+    @property
+    def worst_margin(self) -> float:
+        """Min over the checked iterations of bound - measured."""
+        return float(min((b - m for _, m, b in self.checked), default=float("inf")))
 
     @property
     def passed(self) -> bool:
@@ -445,11 +459,7 @@ def residual_bound_check(report: SolveReport, spectral: SpectralReport) -> Bound
             checked.append((j, history[j], bound))
     else:
         raise ValueError(f"unknown method {report.method!r}")
-    worst = min((b - m for _, m, b in checked), default=float("inf"))
-    return BoundCheck(
-        method=report.method, rho=rho, prefactor=prefactor, checked=checked,
-        worst_margin=float(worst),
-    )
+    return BoundCheck(method=report.method, rho=rho, prefactor=prefactor, checked=checked)
 
 
 @dataclass

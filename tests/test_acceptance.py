@@ -8,6 +8,7 @@ messages carry the measured numbers and what was ruled out.
 """
 
 import time
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -52,7 +53,7 @@ def system(dim, n, mu=1.0, qg="barycenter"):
         _C[key] = (
             build_saddle_system(mesh(dim, n), prob, qg)
             if mu == 1.0
-            else system(dim, n, 1.0, qg).for_viscosity(mu)
+            else replace(system(dim, n, 1.0, qg), mu=mu)
         )
     return _C[key]
 

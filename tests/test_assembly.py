@@ -54,7 +54,7 @@ def halves(forcing):
 
 
 def zero_problem(dim, mu=1.0):
-    return StokesProblem("zero", dim, mu, zeros_vec, zeros_scalar, zero_terms, zeros_vec)
+    return StokesProblem("zero", dim, mu, zeros_vec, zeros_scalar, zero_terms)
 
 
 def linear_forcing(p):
@@ -64,7 +64,7 @@ def linear_forcing(p):
 def linear_problem(mu=1.0, scale=1.0):
     # u = scale*(x + y, x - y) is divergence free; f = grad p with p = 0
     u = lambda p: scale * np.stack([p[:, 0] + p[:, 1], p[:, 0] - p[:, 1]], axis=-1)
-    return StokesProblem("linear", 2, mu, u, zeros_scalar, zero_terms, u)
+    return StokesProblem("linear", 2, mu, u, zeros_scalar, zero_terms)
 
 
 def oracle_mesh(dim, n, jitter):
@@ -253,12 +253,11 @@ def test_b1_zero_data():
 
 
 def test_b1_interior_dofs_receive_no_load():
-    # pressure robustness hinges on the load acting through facet liftings only
+    # pressure robustness hinges on the load acting through facet liftings
+    # only; a zero velocity gives a zero boundary datum, so b1 is the load
     mesh = generate_structured_tri(2)
     prob = builtin_problem("stokes2d_exp", mu=0.5)
-    prob_nog = StokesProblem(
-        "noload", 2, 0.5, prob.velocity, prob.pressure, prob.forcing_terms, zeros_vec
-    )
+    prob_nog = StokesProblem("noload", 2, 0.5, zeros_vec, prob.pressure, prob.forcing_terms)
     dof = build_dofmap(mesh)
     b1 = assemble_b1(mesh, prob_nog)
     assert np.all(b1[: dof.n_interior] == 0.0)
@@ -274,7 +273,7 @@ def test_b1_constant_forcing_against_lifting_quadrature():
         (oracle_mesh(2, 3, True), linear_forcing),
     ]
     for mesh, forcing in cases:
-        prob = StokesProblem("f", 2, 1.0, zeros_vec, zeros_scalar, halves(forcing), zeros_vec)
+        prob = StokesProblem("f", 2, 1.0, zeros_vec, zeros_scalar, halves(forcing))
         dof = build_dofmap(mesh)
         b1 = assemble_b1(mesh, prob)
         expected = lifted_load_oracle(mesh, forcing)
@@ -283,9 +282,7 @@ def test_b1_constant_forcing_against_lifting_quadrature():
 
 def test_b1_oracle_ignores_mesh_geometry_arrays():
     mesh = oracle_mesh(2, 3, True)
-    prob = StokesProblem(
-        "f", 2, 1.0, zeros_vec, zeros_scalar, halves(linear_forcing), zeros_vec
-    )
+    prob = StokesProblem("f", 2, 1.0, zeros_vec, zeros_scalar, halves(linear_forcing))
     mesh.elem_volumes *= 1.01
     b1 = assemble_b1(mesh, prob)
     expected = lifted_load_oracle(mesh, linear_forcing)
@@ -383,7 +380,8 @@ def test_enforce_consistency():
     assert abs(out.sum()) < 1e-13 * np.abs(sys_.b2).sum()
     assert np.all(build_saddle_system(mesh, zero_problem(2)).rhs()[n_u:] == 0.0)
     const = np.full(50, 3.3)
-    fixed = replace(sys_, b2=const, alpha_h=float(np.sum(const)))
+    fixed = replace(sys_, b2=const)
+    assert fixed.alpha_h == float(np.sum(const))
     assert np.allclose(fixed.rhs()[n_u:], 0.0)
 
 
@@ -435,13 +433,13 @@ def test_velocity_block_is_kron_of_scalar_stiffness(dim, n):
 @pytest.mark.parametrize("consistent", [True, False], ids=["consistent", "raw"])
 @pytest.mark.parametrize("dim,n", [(2, 4), (3, 2)], ids=["2d-4-jittered", "3d-2-jittered"])
 def test_system_for_viscosity_equals_fresh_build(dim, n, consistent, qg):
-    # only b1 and mu depend on the viscosity: the derived b1 and right-hand
-    # side are bitwise those of a fresh build, and every other block is the
-    # base system's own object
+    # only b1 and mu depend on the viscosity: a system replaced at another
+    # viscosity has the b1 and right-hand side of a fresh build, bit for bit,
+    # and every other block is the base system's own object
     mesh = jittered_mesh(dim, n, 6)
     prob = builtin_problem("stokes2d_exp" if dim == 2 else "stokes3d_trig")
     base = build_saddle_system(mesh, prob, qg, consistent)
-    derived = base.for_viscosity(1e-4)
+    derived = replace(base, mu=1e-4)
     fresh = build_saddle_system(mesh, prob.with_mu(1e-4), qg, consistent)
     assert derived.mu == fresh.mu == 1e-4 and base.mu == 1.0
     assert derived.b1.tobytes() == fresh.b1.tobytes()
@@ -452,12 +450,12 @@ def test_system_for_viscosity_equals_fresh_build(dim, n, consistent, qg):
     # one factor of A serves the base, the derived and any replace() copy
     assert derived.inner is base.inner is replace(base, consistent=not consistent).inner
     assert derived.alpha_h == base.alpha_h == fresh.alpha_h
-    assert (derived.consistent, derived.qg_method) == (consistent, qg)
+    assert derived.consistent == consistent
 
 
 def counted_callables(problem, calls):
     """`problem` with every callable counting its calls in `calls`, by field name."""
-    names = ("velocity", "pressure", "forcing_terms", "boundary", "velocity_gradient")
+    names = ("velocity", "pressure", "forcing_terms", "velocity_gradient")
 
     def counted(name):
         real = getattr(problem, name)
@@ -480,13 +478,21 @@ def test_for_viscosity_calls_no_problem_callable(dim):
         builtin_problem("stokes2d_exp" if dim == 2 else "stokes3d_trig"), calls
     )
     base = build_saddle_system(jittered_mesh(dim, 3, 6), prob)
-    assert calls["forcing_terms"] >= 1 and calls["boundary"] >= 1
+    assert calls["forcing_terms"] >= 1 and calls["velocity"] >= 1
     calls.clear()
-    derived = base.for_viscosity(1e-4)
+    derived = replace(base, mu=1e-4)
     assert calls == {}
     assert derived.mu == 1e-4 and derived.b1.tobytes() != base.b1.tobytes()
     with pytest.raises(ValueError, match="viscosity must be positive"):
-        base.for_viscosity(0.0)
+        replace(base, mu=0.0)
+
+
+@pytest.mark.parametrize("mu", [0.0, -1.0, float("nan")])
+def test_replace_rejects_a_nonpositive_viscosity(mu):
+    # the system checks its own viscosity, however it is made
+    system = build_saddle_system(generate_structured_tri(2), builtin_problem("stokes2d_exp"))
+    with pytest.raises(ValueError, match="viscosity must be positive"):
+        replace(system, mu=mu)
 
 
 @pytest.mark.parametrize("n,jitter", [(16, False), (16, True)], ids=["16", "jittered-16"])
@@ -500,7 +506,7 @@ def test_b1_of_stokes2d_exp_at_mu_1_is_its_boundary_term(n, jitter):
     boundary_only = build_saddle_system(mesh, replace(prob, forcing_terms=zero_terms)).b1
     assert np.abs(boundary_only).max() > 0.0
     built = build_saddle_system(mesh, prob).b1
-    derived = build_saddle_system(mesh, prob.with_mu(1e-4)).for_viscosity(1.0).b1
+    derived = replace(build_saddle_system(mesh, prob.with_mu(1e-4)), mu=1.0).b1
     assert built.tobytes() == boundary_only.tobytes()
     assert derived.tobytes() == boundary_only.tobytes()
 
@@ -555,7 +561,6 @@ def test_incompatible_boundary_datum_rejected():
         lambda p: p.copy(),  # u = (x, y): div u = 2, net outflow
         zeros_scalar,
         zero_terms,
-        lambda p: p.copy(),
     )
     with pytest.raises(ValueError, match="compatibility"):
         build_saddle_system(mesh, bad)
@@ -567,7 +572,7 @@ def test_pointwise_forcing_rejected_by_name():
     mesh = generate_structured_tri(2)
     prob = StokesProblem(
         "fixed_f", 2, 1.0, zeros_vec, zeros_scalar,
-        lambda p: np.array([[1.0, 0.0], [0.0, 0.0]]), zeros_vec,
+        lambda p: np.array([[1.0, 0.0], [0.0, 0.0]]),
     )
     with pytest.raises(ValueError, match="forcing"):
         build_saddle_system(mesh, prob)

@@ -204,6 +204,18 @@ def test_unpreconditioned_solve_never_waits_for_the_factor(method):
 
 
 @pytest.mark.parametrize("method", ["minres", "gmres"])
+def test_report_reads_its_count_and_verdicts_off_the_residuals(method):
+    # one entry per iteration after the initial one; the verdicts are plain
+    # bools, as the CSV and JSON writers expect
+    sys_ = small_system(n=4)
+    done = solve_system(sys_, method).report
+    cut = solve_system(sys_, method, maxit=3, restart=2).report
+    assert done.iterations == len(done.residuals) - 1 > 3
+    assert type(done.converged) is bool and done.converged
+    assert cut.iterations == 3 and cut.converged is False and cut.stagnated is False
+
+
+@pytest.mark.parametrize("method", ["minres", "gmres"])
 @pytest.mark.parametrize("dim,n", [(2, 8), (3, 3)], ids=["2d-8-jittered", "3d-3-jittered"])
 def test_own_factor_solves_as_a_fresh_inner_solver(dim, n, method):
     # the factor started on the worker thread is the same SuperLU call on

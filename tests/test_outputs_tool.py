@@ -35,8 +35,15 @@ def test_compare_names_what_differs_and_by_how_much(outputs, monkeypatch, tmp_pa
     build = outputs.build_saddle_system
 
     def perturbed(mesh, problem):
+        # b1 is formed from the load parts, and linearly in all but the
+        # lifting inverse, so scaling those scales b1
         system = build(mesh, problem)
-        return replace(system, b1=system.b1 * (1.0 + 1e-12))
+        load, s = system.load, 1.0 + 1e-12
+        scaled = replace(
+            load, moments=load.moments * s, radial_moments=load.radial_moments * s,
+            gram_datum=load.gram_datum * s,
+        )
+        return replace(system, load=scaled)
 
     monkeypatch.setattr(outputs, "build_saddle_system", perturbed)
     outputs.write(tmp_path / "c")

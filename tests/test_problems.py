@@ -160,7 +160,7 @@ def test_with_mu_makes_no_sympy_call(monkeypatch):
         monkeypatch.setattr(sympy, name, no_sympy)
     other = prob.with_mu(1e-4)
     assert (other.mu, prob.mu) == (1e-4, 0.7)
-    for name in ("velocity", "pressure", "forcing_terms", "boundary", "velocity_gradient"):
+    for name in ("velocity", "pressure", "forcing_terms", "velocity_gradient"):
         assert getattr(other, name) is getattr(prob, name), name
 
 
@@ -181,6 +181,4 @@ def test_viscosity_checked_by_every_constructor():
         with pytest.raises(ValueError, match="viscosity must be positive"):
             problem_from_expressions(2, ["y", "-x"], "0", mu=mu)
     with pytest.raises(ValueError, match="viscosity must be positive"):
-        StokesProblem(
-            "custom", 2, -1.0, base.velocity, base.pressure, base.forcing_terms, base.boundary
-        )
+        StokesProblem("custom", 2, -1.0, base.velocity, base.pressure, base.forcing_terms)

@@ -36,9 +36,7 @@ def study(qg):
 
 
 def dummy_report():
-    return SolveReport(
-        "minres", "block_diag", 0, True, False, [0.0], [0.0], 1e-9, 1000, 0.0
-    )
+    return SolveReport("minres", "block_diag", [0.0], [0.0], 1e-9, 1000, 0.0)
 
 
 def projected_solution(mesh, problem, degree=4):
@@ -88,7 +86,6 @@ def test_constant_solution_gives_zero_errors():
         lambda p: np.broadcast_to(c, np.shape(p)),
         lambda p: 0.7 * np.ones(np.shape(p)[:-1])[()],
         lambda p: np.zeros(np.shape(p)[:-1] + (2,) + np.shape(p)[-1:]),
-        lambda p: np.broadcast_to(c, np.shape(p)),
         lambda p: np.zeros(np.shape(p) + np.shape(p)[-1:]),
     )
     nf, nb = len(mesh.interior_facets), len(mesh.boundary_facets)
@@ -284,10 +281,10 @@ def test_compute_errors_accepts_batch_only_velocity():
     def grad(p):
         return np.broadcast_to(rotation, (len(p), 2, 2))
 
-    batch_only = StokesProblem("rotation", 2, 1.0, u, zero_p, zero_terms, u, grad)
+    batch_only = StokesProblem("rotation", 2, 1.0, u, zero_p, zero_terms, grad)
     u_pt = np.vectorize(lambda x: np.array([x[1], -x[0]]), signature="(d)->(d)")
     grad_pt = np.vectorize(lambda x: rotation, signature="(d)->(d,d)")
-    pointwise = StokesProblem("rotation", 2, 1.0, u_pt, zero_p, zero_terms, u_pt, grad_pt)
+    pointwise = StokesProblem("rotation", 2, 1.0, u_pt, zero_p, zero_terms, grad_pt)
     mesh = structured_simplex_mesh(2, 3)
     sol = solve_system(build_saddle_system(mesh, batch_only))
     rep = compute_errors(mesh, batch_only, sol)
@@ -412,9 +409,8 @@ def test_residual_bound_check_rejects_flat_history():
     sys_ = build_saddle_system(structured_simplex_mesh(2, 4), prob)
     spec = spectral_report(sys_.mesh)
     flat = [1.0] * 40
-    fake = SolveReport(
-        "minres", "block_diag", 39, False, False, flat, flat, 1e-9, 39, 0.0
-    )
+    fake = SolveReport("minres", "block_diag", flat, flat, 1e-9, 39, 0.0)
+    assert (fake.iterations, fake.converged, fake.stagnated) == (39, False, False)
     check = residual_bound_check(fake, spec)
     assert not check.passed
     assert check.worst_margin < 0.0
@@ -484,10 +480,12 @@ def test_inconsistency_floor_matches_dense_least_squares(n, mu):
 
 
 def test_inconsistency_floor_past_the_dense_guard():
-    # 2D n=16 has more unknowns than DENSE_GUARD; the floor is still reported
-    # and bounds the raw solve's best residual from below
+    # 2D n=16 has more unknowns than DENSE_GUARD; the floor is still reported,
+    # and the raw solve's best residual reaches it up to rounding, which can
+    # put the computed residual a little below the exact floor
     mesh = structured_simplex_mesh(2, 16)
     demo = inconsistency_demo(mesh, builtin_problem("stokes2d_exp"))
     assert build_dofmap(mesh).n_u + mesh.num_elements > verification.DENSE_GUARD
     assert isinstance(demo.residual_floor, float)
-    assert 0.0 < demo.residual_floor <= min(demo.report_raw.residuals)
+    assert demo.residual_floor > 0.0
+    assert min(demo.report_raw.residuals) == pytest.approx(demo.residual_floor, rel=1e-10)
