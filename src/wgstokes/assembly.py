@@ -105,9 +105,11 @@ def _nested_dissection(mesh: Mesh) -> np.ndarray:
     The elements are bisected recursively at the median centroid along each
     part's longest extent. The facets whose two elements land on different
     sides are that part's separator and come after both halves. Each level
-    is one stable sort of all elements, with no loop over the parts.
+    is one sort of all elements by (part, rank along the part's axis), keys
+    with no ties, so no stable sort is needed, and there is no loop over the
+    parts. Only the final sort of the facets, whose keys tie, is stable.
     """
-    ne = mesh.num_elements
+    ne, d = mesh.num_elements, mesh.dim
     cent = mesh.elem_centroids
     # rank of each centroid coordinate among all elements, ties broken by
     # element id: (part, rank) then packs into one integer key with no ties
@@ -115,33 +117,38 @@ def _nested_dissection(mesh: Mesh) -> np.ndarray:
     np.put_along_axis(
         rank, np.argsort(cent, axis=0, kind="stable"), np.arange(ne)[:, None], axis=0
     )
-    pairs = mesh.facet_elems[mesh.interior_facets]
-    order = np.arange(ne)  # elements, each part in one contiguous run
+    rank = rank.ravel()  # coordinate a of element e at e*d + a
+    e0, e1 = np.ascontiguousarray(mesh.facet_elems[mesh.interior_facets].T)
+    position = np.arange(ne)
+    order = position  # elements, each part in one contiguous run
     starts = np.zeros(1, dtype=np.int64)  # first position of each part in order
     side = np.empty(ne, dtype=np.int64)
-    together = np.ones(len(pairs), dtype=bool)
+    together = np.ones(len(e0), dtype=bool)
     # base-3 digits, one per level: 0 or 1 for the half that holds both
     # elements, 2 once they are apart or their part is a leaf, so each
     # separator sorts after both of its halves
-    key = np.zeros(len(pairs), dtype=np.int64)
+    key = np.zeros(len(e0), dtype=np.int64)
     while True:
         sizes = np.diff(starts, append=ne)
         split = sizes > _ND_LEAF
         if not split.any():
             break
         part = np.repeat(np.arange(len(starts)), sizes)
-        pts = cent[order]
+        pts = np.take(cent, order, axis=0)
         extent = np.maximum.reduceat(pts, starts) - np.minimum.reduceat(pts, starts)
-        axis = np.argmax(extent, axis=1)[part]
-        order = order[np.argsort(part * ne + rank[order, axis], kind="stable")]
+        along = np.take(rank, order * d + np.take(np.argmax(extent, axis=1), part))
+        along += part * ne
+        # the keys are unique, so any sort gives the same order
+        order = np.take(order, np.argsort(along))
         half = starts + sizes // 2
-        side[order] = np.where(split[part], np.arange(ne) >= half[part], 2)
-        s0, s1 = side[pairs[:, 0]], side[pairs[:, 1]]
+        side[order] = np.where(np.take(split, part), position >= np.take(half, part), 2)
+        s0, s1 = np.take(side, e0), np.take(side, e1)
         together &= s0 == s1
-        key = 3 * key + np.where(together, s0, 2)
-        starts = np.insert(starts, np.flatnonzero(split) + 1, half[split])
-    slots = np.empty(len(pairs), dtype=np.int64)
-    slots[np.argsort(key, kind="stable")] = np.arange(len(pairs))
+        key *= 3
+        key += np.where(together, s0, 2)
+        starts = np.sort(np.concatenate((starts, half[split])))
+    slots = np.empty(len(e0), dtype=np.int64)
+    slots[np.argsort(key, kind="stable")] = np.arange(len(e0))
     return slots
 
 

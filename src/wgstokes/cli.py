@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import types
 import typing
@@ -142,6 +143,12 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("mesh levels must be positive integers")
     if not cfg.levels and not cfg.mesh_files:
         raise ConfigError("no meshes: give --levels or --mesh-file")
+    # the output directory is made only after the study, so a path that
+    # cannot become one is rejected before anything is solved
+    out = Path(cfg.out)
+    nearest = next((p for p in (out, *out.parents) if os.path.lexists(p)), None)
+    if nearest is not None and not os.path.isdir(nearest):
+        raise ConfigError(f"cannot write to {cfg.out}: {nearest} is not a directory")
     if cfg.problem == "custom":
         if not cfg.velocity or cfg.pressure is None:
             raise ConfigError(
@@ -166,7 +173,10 @@ def make_problem(cfg: ExperimentConfig) -> StokesProblem:
 def resolve_meshes(cfg: ExperimentConfig, dim: int) -> list[Mesh]:
     meshes = [structured_simplex_mesh(dim, n) for n in cfg.levels]
     for path in cfg.mesh_files:
-        mesh = load_mesh(path)
+        try:
+            mesh = load_mesh(path)
+        except OSError as exc:
+            raise ConfigError(f"cannot read mesh file {path}: {exc.strerror or exc}") from exc
         if mesh.dim != dim:
             raise ConfigError(f"mesh {path} is {mesh.dim}D, problem is {dim}D")
         meshes.append(mesh)
@@ -181,7 +191,10 @@ def _only_one(what: str, given: list) -> None:
 
 def _outdir(cfg: ExperimentConfig) -> Path:
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write to {cfg.out}: {exc.strerror or exc}") from exc
     return out
 
 

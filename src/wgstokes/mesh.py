@@ -12,12 +12,18 @@ vertex i), volumes, centroids, and the centroid second moment
 in closed form, together with the derived constant d*|K|/m_K that scales the
 piecewise weak-gradient basis.
 
-The topology comes from one stable lexicographic sort of the local facets,
-each written as its sorted vertex indices: a run of equal rows is one facet,
-facets are numbered in lexicographic order, and the rows of a run come in
-increasing element order, so the lower-indexed element is the first one.
-Duplicate elements are found the same way, from a sort of the elements'
-sorted vertex indices.
+The topology comes from one stable sort of the local facets, each written
+as its sorted vertex indices, keyed by the first two packed into one exact
+integer and, in 3D, the third: a run of equal rows is one facet, facets are
+numbered in lexicographic order, and the rows of a run come in increasing
+element order, so the lower-indexed element is the first one. Duplicate
+elements are found from the same runs, as two rows of one facet that omit
+the same vertex.
+
+The geometry is computed from component-major coordinates, so each numpy
+call runs over contiguous rows, and each short sum is written out in the
+order numpy's reduction over that axis adds it: every array is bitwise what
+`.mean`, `.sum` and `np.linalg.norm` over the vertex or component axis give.
 """
 
 from __future__ import annotations
@@ -62,25 +68,92 @@ class UnsupportedCellError(MeshError):
     pass
 
 
-def _signed_volumes(vertices: np.ndarray, elements: np.ndarray) -> np.ndarray:
-    d = vertices.shape[1]
-    v = vertices[elements]
-    edges = v[:, 1:, :] - v[:, :1, :]
-    return np.linalg.det(edges) / math.factorial(d)
+def _signed_volumes(edges: np.ndarray) -> np.ndarray:
+    """Signed volume of each simplex from its (ne, d, d) edges v_k - v_0."""
+    return np.linalg.det(edges) / math.factorial(edges.shape[-1])
 
 
-def _lex_runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stable lexicographic order of the rows, the sorted rows, and a mask
-    that is True where a run of equal rows starts in that order.
-
-    The order is the one `np.unique(rows, axis=0)` gives, and equal rows keep
-    their original order.
+def _ordered_sum(terms: list[np.ndarray]) -> np.ndarray:
+    """Sum of equal-shape arrays in the order `np.add.reduce` adds that many
+    values along a contiguous axis: one by one below 8 terms; from 8 to 15,
+    eight running terms added pairwise, then the rest one by one (numpy's
+    pairwise summation). numpy also starts from +0.0, which changes only a
+    sum whose terms are all -0.0; a caller whose terms can be adds 0.0.
     """
-    order = np.lexsort(rows.T[::-1])  # lexsort keys its last row first
-    ordered = rows[order]
-    starts = np.ones(len(rows), dtype=bool)
-    np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
-    return order, ordered, starts
+    if len(terms) < 8:
+        total = terms[0] + terms[1]
+        rest = terms[2:]
+    else:
+        pairs = [terms[k] + terms[k + 1] for k in range(0, 8, 2)]
+        total = (pairs[0] + pairs[1]) + (pairs[2] + pairs[3])
+        rest = terms[8:]
+    for term in rest:
+        total += term
+    return total
+
+
+def _local_facets(elements: np.ndarray) -> np.ndarray:
+    """(ne*(d+1), d): the vertex ids of every local facet, each row in
+    increasing order. Row k is local facet k % (d+1) of element k // (d+1),
+    the one opposite that local vertex."""
+    ne, d = elements.shape[0], elements.shape[1] - 1
+    keep = [[j for j in range(d + 1) if j != i] for i in range(d + 1)]
+    ids = elements[:, keep]  # (ne, d+1, d)
+    out = np.empty_like(ids)
+    a, b = ids[..., 0], ids[..., 1]
+    if d == 2:
+        np.minimum(a, b, out=out[..., 0])
+        np.maximum(a, b, out=out[..., 1])
+    else:  # a sorting network of three compare-exchanges
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        c = ids[..., 2]
+        np.maximum(hi, c, out=out[..., 2])
+        mid = np.minimum(hi, c, out=hi)
+        np.minimum(lo, mid, out=out[..., 0])
+        np.maximum(lo, mid, out=out[..., 1])
+    return out.reshape(ne * (d + 1), d)
+
+
+def _lex_runs(ids: np.ndarray, nv: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stable lexicographic order of the rows of `ids` (vertex ids below
+    `nv`), and a mask that is True where a run of equal rows starts in that
+    order. Equal rows keep their original order.
+
+    The first two ids pack into one exact key, a*nv + b (nv**2 < 2**63 for
+    any vertex array below 3e9 rows); a third id is one more sort key.
+    """
+    packed = ids[:, 0] * nv
+    packed += ids[:, 1]
+    rest = ids.T[2:]
+    order = np.lexsort((*rest, packed))  # lexsort keys its last entry first
+    new = np.empty(len(order), dtype=bool)
+    new[0] = True
+    key = packed[order]
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    for col in rest:
+        key = col[order]
+        new[1:] |= key[1:] != key[:-1]
+    return order, new
+
+
+def _has_duplicates(elements: np.ndarray, order: np.ndarray, starts: np.ndarray,
+                    counts: np.ndarray) -> bool:
+    """Whether two elements have the same vertex ids, from the runs of their
+    sorted local facets (`_lex_runs` of `_local_facets`).
+
+    Two such elements share every local facet and omit the same vertex from
+    it. When no run is longer than two rows, those two are the whole run, so
+    comparing the vertex each of a run's two rows omits decides. Longer runs
+    come only from meshes that are rejected anyway, and there the elements'
+    sorted rows are compared directly.
+    """
+    if counts.max() > 2:
+        return len(np.unique(np.sort(elements, axis=1), axis=0)) < len(elements)
+    pair = starts[counts == 2]
+    r0, r1 = order[pair], order[pair + 1]
+    omitted = elements.ravel()  # row k of _local_facets omits vertex k of this
+    d1 = elements.shape[1]
+    return bool(np.any((omitted[r0] == omitted[r1]) & (r0 // d1 != r1 // d1)))
 
 
 class Mesh:
@@ -103,23 +176,39 @@ class Mesh:
             raise MeshError("mesh has no elements")
         # numpy would wrap a negative index to a real vertex and fail later
         # on one past the end, so check the range before any indexing
-        outside = np.any((elements < 0) | (elements >= len(vertices)), axis=1)
-        if np.any(outside):
-            bad = int(np.argmax(outside))
+        nv = len(vertices)
+        if elements.min() < 0 or elements.max() >= nv:
+            bad = int(np.argmax(np.any((elements < 0) | (elements >= nv), axis=1)))
             raise MeshError(
                 f"element {bad} has vertex indices {elements[bad].tolist()} outside "
-                f"[0, {len(vertices)})"
+                f"[0, {nv})"
             )
         self.dim = d
         self.vertices = vertices
         self.elements = elements
 
-        # a duplicated element would also share every facet three ways, so
-        # this check runs before the facet count's more general complaint
-        if not np.all(_lex_runs(np.sort(elements, axis=1))[2]):
+        # one sort of the local facets numbers the facets; a duplicated
+        # element would also share every facet three ways, so its check reads
+        # the same runs and comes before the facet count's more general
+        # complaint
+        ids = _local_facets(elements)
+        order, new = _lex_runs(ids, nv)
+        starts = np.flatnonzero(new)
+        counts = np.diff(starts, append=len(order))
+        if _has_duplicates(elements, order, starts, counts):
             raise DuplicateElementError("mesh contains duplicate elements")
 
-        vols = _signed_volumes(vertices, elements)
+        # vertex coordinates component-major, (d, d+1, ne), so that each
+        # operation below runs over contiguous rows
+        x = np.take(vertices.T, elements.T, axis=1)
+        # v_l - v_k for each vertex pair k < l; the first d are the edges
+        # from vertex 0
+        diff = np.empty((d, d * (d + 1) // 2, len(elements)))
+        at = 0
+        for k in range(d):
+            np.subtract(x[:, k + 1 :], x[:, k : k + 1], out=diff[:, at : at + d - k])
+            at += d - k
+        vols = _signed_volumes(diff[:, :d].transpose(2, 1, 0))
         if np.any(vols <= 0.0):
             bad = int(np.argmin(vols))
             raise InvertedElementError(
@@ -127,84 +216,97 @@ class Mesh:
             )
         self.elem_volumes = vols
 
-        ev = vertices[elements]  # (ne, d+1, d)
-        self.elem_centroids = ev.mean(axis=1)
-        i, j = np.triu_indices(d + 1, 1)  # each vertex pair once
-        diff = ev[:, i] - ev[:, j]
-        self.elem_diameters = np.sqrt((diff**2).sum(-1)).max(axis=1)
+        # every sum below is written out in the order numpy's reduction over
+        # the short axis adds it, so each value is bitwise what
+        # .mean/.sum/linalg.norm over that axis gives
+        centroids = _ordered_sum([x[:, k] for k in range(d + 1)])
+        centroids /= d + 1
+        self.elem_centroids = np.ascontiguousarray(centroids.T)
+        # the longest edge: the largest squared length, then one sqrt, which
+        # is monotone and correctly rounded
+        diff *= diff
+        self.elem_diameters = np.sqrt(_ordered_sum(list(diff)).max(axis=0))
 
         # reject slivers: grad_scale = d|K|/m_K blows up as the moment vanishes
         hmax = float(self.elem_diameters.max())
         if np.any(vols < 1e-14 * hmax**d):
             bad = int(np.argmin(vols))
             raise InvertedElementError(f"element {bad} is degenerate")
+        if counts.max() > 2:
+            raise MeshError("non-conforming mesh: facet shared by more than 2 elements")
 
-        self._build_facets()
+        self._build_facets(ids, order, new, starts, counts)
         self._check_connected()
 
         # local facet i is opposite local vertex i; its stored normal is
-        # outward for the element iff the element is the facet's first one
+        # outward for the element iff the element is the facet's first one,
+        # that is iff its row starts the facet's run
         fidx = self.elem_facets
-        first = self.facet_elems[fidx, 0] == np.arange(len(fidx))[:, None]
-        sign = np.where(first, 1.0, -1.0)
-        self.elem_normals = self.facet_normals[fidx] * sign[..., None]  # (ne, d+1, d)
-        self.elem_facet_measures = self.facet_measures[fidx]  # (ne, d+1)
+        first = np.empty(len(order), dtype=bool)
+        first[order] = new
+        sign = np.where(first.reshape(fidx.shape), 1.0, -1.0)
+        self.elem_normals = np.take(self.facet_normals, fidx, axis=0) * sign[..., None]
+        self.elem_facet_measures = np.take(self.facet_measures, fidx)  # (ne, d+1)
         # integral_K |x - x_K|^2 dx over a simplex, in closed form: with x_K
         # the vertex average it equals |K|/((d+1)(d+2)) * sum_i |v_i - x_K|^2
-        r2 = ((ev - self.elem_centroids[:, None, :]) ** 2).sum(axis=(1, 2))
+        dev = x - centroids[:, None, :]
+        dev *= dev
+        r2 = _ordered_sum([dev[c, k] for k in range(d + 1) for c in range(d)])
         self.elem_second_moments = vols * r2 / ((d + 1) * (d + 2))
         self.elem_grad_scales = d * vols / self.elem_second_moments
 
     # ---- connectivity ----------------------------------------------------
 
-    def _build_facets(self) -> None:
+    def _build_facets(self, ids, order, new, starts, counts) -> None:
+        """Number the facets from the runs of the sorted local facets
+        (`_lex_runs` of `_local_facets`) and compute their geometry.
+
+        Facets are numbered in lexicographic order of their vertex ids; row k
+        of `ids` is local facet k % (d+1) of element k // (d+1), so inside a
+        run the lower element comes first.
+        """
         d, ne = self.dim, len(self.elements)
-        # local facet i consists of the element vertices excluding position i
-        keep = np.array([[j for j in range(d + 1) if j != i] for i in range(d + 1)])
-        keys = np.sort(self.elements[:, keep].reshape(ne * (d + 1), d), axis=1)
-        # one sort numbers the facets in lexicographic order; row k of keys is
-        # local facet k % (d+1) of element k // (d+1), so inside a run of equal
-        # keys the lower element comes first
-        order, ordered, new = _lex_runs(keys)
-        starts = np.flatnonzero(new)
-        counts = np.diff(starts, append=len(keys))
-        if np.any(counts > 2):
-            raise MeshError("non-conforming mesh: facet shared by more than 2 elements")
-        facets = ordered[starts]
-        self.facets = facets
-        elem_facets = np.empty(len(keys), dtype=np.int64)
+        lead = order[starts]  # the first row of each run
+        self.facets = facets = np.take(ids, lead, axis=0)
+        elem_facets = np.empty(len(order), dtype=np.int64)
         elem_facets[order] = np.cumsum(new) - 1
         self.elem_facets = elem_facets.reshape(ne, d + 1)
 
         # the normal convention keys off the lower-indexed adjacent element
         second = counts == 2
         facet_elems = np.full((len(facets), 2), -1, dtype=np.int64)
-        facet_elems[:, 0] = order[starts] // (d + 1)
+        facet_elems[:, 0] = lead // (d + 1)
         facet_elems[second, 1] = order[starts[second] + 1] // (d + 1)
         self.facet_elems = facet_elems
         self.boundary_facets = np.flatnonzero(~second)
         self.interior_facets = np.flatnonzero(second)
 
-        fv = self.vertices[facets]  # (nf, d, d)
-        self.facet_barycenters = fv.mean(axis=1)
+        # component-major again, (d, d, nf); sums in numpy's order
+        x = np.take(self.vertices.T, facets.T, axis=1)
+        t = x[:, 1] - x[:, 0]
         if d == 2:
-            t = fv[:, 1] - fv[:, 0]
-            self.facet_measures = np.linalg.norm(t, axis=1)
-            normals = np.column_stack([t[:, 1], -t[:, 0]])
+            measures = np.sqrt(_ordered_sum(list(t * t)))
+            normals = np.stack([t[1], -t[0]])
+            normals /= measures
         else:
-            c = np.cross(fv[:, 1] - fv[:, 0], fv[:, 2] - fv[:, 0])
-            self.facet_measures = 0.5 * np.linalg.norm(c, axis=1)
-            normals = c
-        normals /= np.linalg.norm(normals, axis=1)[:, None]
+            s = x[:, 2] - x[:, 0]
+            normals = np.empty_like(t)  # the cross product t x s
+            for k, (p, q) in enumerate(((1, 2), (2, 0), (0, 1))):
+                np.multiply(t[p], s[q], out=normals[k])
+                normals[k] -= t[q] * s[p]
+            norm = np.sqrt(_ordered_sum(list(normals * normals)))
+            measures = 0.5 * norm
+            normals /= norm
+        self.facet_measures = measures
+        bary = _ordered_sum([x[:, k] for k in range(d)])
+        bary += 0.0  # numpy's sum of -0.0 coordinates is +0.0 (_ordered_sum)
+        bary /= d
+        self.facet_barycenters = bary = np.ascontiguousarray(bary.T)
+        normals = np.ascontiguousarray(normals.T)
         # flip so each normal points away from its first adjacent element
-        sign = np.sign(
-            np.einsum(
-                "fd,fd->f",
-                normals,
-                self.facet_barycenters - self.elem_centroids[facet_elems[:, 0]],
-            )
-        )
-        self.facet_normals = normals * sign[:, None]
+        away = bary - np.take(self.elem_centroids, facet_elems[:, 0], axis=0)
+        normals *= np.sign(np.einsum("fd,fd->f", normals, away))[:, None]
+        self.facet_normals = normals
 
     def _check_connected(self) -> None:
         ne = len(self.elements)
@@ -213,7 +315,7 @@ class Mesh:
         from scipy.sparse import coo_matrix
         from scipy.sparse.csgraph import connected_components
 
-        pairs = self.facet_elems[self.interior_facets]
+        pairs = np.take(self.facet_elems, self.interior_facets, axis=0)
         if len(pairs) == 0:
             raise DisconnectedMeshError("mesh has no interior facets")
         g = coo_matrix(

@@ -458,3 +458,39 @@ def test_mesh_file_with_index_zero_is_config_error(tmp_path, capsys):
     )
     assert code == 2
     assert "outside" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["missing.msh", ""], ids=["missing", "directory"])
+def test_unreadable_mesh_file_is_config_error(tmp_path, capsys, name):
+    path = tmp_path / name
+    code = cli.main(
+        ["convergence", "--levels", "2", "--mesh-file", str(path), "--out", str(tmp_path)]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read mesh file {path}: ")
+
+
+@pytest.mark.parametrize("out", ["results", "results/run1"])
+def test_out_through_a_file_is_rejected_before_solving(monkeypatch, tmp_path, capsys, out):
+    (tmp_path / "results").write_text("keep\n")
+
+    def no_mesh(*args):
+        raise AssertionError("a mesh was built before --out was checked")
+
+    monkeypatch.setattr(cli, "structured_simplex_mesh", no_mesh)
+    code = cli.main(["convergence", "--levels", "2", "4", "--out", str(tmp_path / out)])
+    assert code == 2
+    assert "results is not a directory" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["results"]
+    assert (tmp_path / "results").read_text() == "keep\n"
+
+
+def test_output_directory_that_cannot_be_made_is_config_error(monkeypatch, tmp_path, capsys):
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(cli.Path, "mkdir", refuse)
+    code = cli.main(["export-system", "--levels", "2", "--out", str(tmp_path / "new")])
+    assert code == 2
+    assert f"cannot write to {tmp_path / 'new'}: Permission denied" in capsys.readouterr().err

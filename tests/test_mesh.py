@@ -396,3 +396,52 @@ def test_topology_matches_oracle(tmp_path, build):
     mesh = build(tmp_path)
     for name, expected in mesh_topology_oracle(mesh.elements, mesh.vertices).items():
         assert np.array_equal(getattr(mesh, name), expected), name
+
+
+def test_facet_numbering_is_exact_for_vertex_ids_past_2_to_the_21():
+    # one int64 key packing three ids below nv, (a*nv + b)*nv + c, wraps
+    # around here, and the facet without the smallest id wraps once more
+    # than the others, so its order would flip; the facets must still come
+    # in lexicographic order
+    nv = 3_100_008
+    ids = np.array([3_100_001, 2**21, 3_100_002, 3_100_000])
+    vertices = np.zeros((nv, 3))  # the vertices no element names stay unused
+    vertices[ids] = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    mesh = Mesh(vertices, ids[None, :])
+    assert mesh.num_facets == 4
+    for name, expected in mesh_topology_oracle(mesh.elements, mesh.vertices).items():
+        assert np.array_equal(getattr(mesh, name), expected), name
+
+
+def _negative_zeros(mesh):
+    """The same mesh with every zero coordinate written as -0.0."""
+    vertices = mesh.vertices.copy()
+    vertices[vertices == 0.0] = -0.0
+    return Mesh(vertices, mesh.elements)
+
+
+@pytest.mark.parametrize(
+    "mesh",
+    [jittered_mesh(2, 5, 1), jittered_mesh(3, 3, 2), _negative_zeros(jittered_mesh(3, 2, 3))],
+    ids=["tri-jittered", "tet-jittered", "tet-negative-zeros"],
+)
+def test_geometry_is_bitwise_numpys_axis_reductions(mesh):
+    # the geometry is summed component by component; it must equal, to the
+    # bit, the numpy reductions over the vertex and component axes
+    d = mesh.dim
+    ev, fv = mesh.vertices[mesh.elements], mesh.vertices[mesh.facets]
+    t = fv[:, 1] - fv[:, 0]
+    span = np.column_stack([t[:, 1], -t[:, 0]]) if d == 2 else np.cross(t, fv[:, 2] - fv[:, 0])
+    norm = np.linalg.norm(span, axis=1)
+    pairs = np.triu_indices(d + 1, 1)
+    expected = {
+        "elem_centroids": ev.mean(axis=1),
+        "elem_diameters": np.sqrt(((ev[:, pairs[0]] - ev[:, pairs[1]]) ** 2).sum(-1)).max(axis=1),
+        "facet_barycenters": fv.mean(axis=1),
+        "facet_measures": norm if d == 2 else 0.5 * norm,
+        "elem_second_moments": mesh.elem_volumes
+        * ((ev - ev.mean(axis=1)[:, None, :]) ** 2).sum(axis=(1, 2))
+        / ((d + 1) * (d + 2)),
+    }
+    for name, value in expected.items():
+        assert getattr(mesh, name).tobytes() == value.tobytes(), name

@@ -56,9 +56,11 @@ MESHES = ((2, 64), (3, 4), (3, 6), (3, 12))
 SEEDS = (1, 2, 3)
 VISCOSITIES = (1.0, 1e-4)
 METHODS = ("minres", "gmres")
-MESH_ARRAYS = (
-    "vertices", "elements", "elem_volumes", "elem_centroids", "elem_normals",
-    "elem_facet_measures", "elem_second_moments", "facet_elems", "interior_facets",
+MESH_ARRAYS = (  # every array a Mesh holds
+    "vertices", "elements", "elem_volumes", "elem_centroids", "elem_diameters",
+    "elem_normals", "elem_facet_measures", "elem_second_moments", "elem_grad_scales",
+    "facets", "elem_facets", "facet_elems", "interior_facets", "boundary_facets",
+    "facet_barycenters", "facet_measures", "facet_normals",
 )
 _CORENAME_SYMBOLS = (
     "scipy_openblas_get_corename64_",
