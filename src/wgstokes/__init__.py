@@ -25,7 +25,7 @@ from .verification import (
     residual_bound_check,
     spectral_report,
 )
-from .wg_core import PressureField, WGField, interpolate_field
+from .wg_core import PressureField, WGField
 
 __all__ = [
     "ConvergenceTable",
@@ -44,7 +44,6 @@ __all__ = [
     "convergence_study",
     "export_system",
     "inconsistency_demo",
-    "interpolate_field",
     "load_mesh",
     "problem_from_expressions",
     "residual_bound_check",

@@ -10,6 +10,12 @@ the zero eigenvalue never enters the Krylov space.
 
 Both block preconditioners invert kron(A, I_d) exactly, so each step's
 product with z = P^-1 r needs only B and B^T (`SaddlePreconditioner.product`).
+
+No iteration allocates a vector for an update. MINRES writes each one into
+preallocated arrays in the order numpy evaluates the plain expression, so
+its iterates are bitwise those of that expression. GMRES's modified
+Gram-Schmidt calls BLAS `ddot` and `daxpy`, whose fused update moves its
+iterates in the last bits.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.linalg.blas import daxpy, ddot
 
 from .assembly import SaddleSystem, build_saddle_system
 from .mesh import Mesh
@@ -204,17 +211,17 @@ def minres(
     dbar = epsln = 0.0
     phibar = beta1
     cs, sn = -1.0, 0.0
-    w = np.zeros(n)
-    w2 = np.zeros(n)
+    w, w1, w2 = np.zeros(n), np.empty(n), np.zeros(n)
+    v, tmp = np.empty(n), np.empty(n)
     it = 0
     while it < maxit:
         it += 1
-        v = y / beta
-        y = precond.product(v, r2 / beta)
+        np.divide(y, beta, out=v)
+        y = precond.product(v, np.divide(r2, beta, out=tmp))
         if it >= 2:
-            y -= (beta / oldb) * r1
+            y -= np.multiply(r1, beta / oldb, out=tmp)
         alfa = float(v @ y)
-        y -= (alfa / beta) * r2
+        y -= np.multiply(r2, alfa / beta, out=tmp)
         r1 = r2
         r2 = y
         y = precond.apply(r2)
@@ -238,13 +245,16 @@ def minres(
         phi = cs * phibar
         phibar = sn * phibar
 
-        w1 = w2
-        w2 = w
-        w = (v - oldeps * w1 - delta * w2) / gamma
-        x = x + phi * w
+        # w = (v - oldeps * w1 - delta * w2) / gamma into the oldest buffer
+        w1, w2, w = w2, w, w1
+        np.subtract(v, np.multiply(w1, oldeps, out=w), out=w)
+        w -= np.multiply(w2, delta, out=tmp)
+        w /= gamma
+        x += np.multiply(w, phi, out=tmp)
 
         precond_res.append(abs(phibar) / beta1)
-        true_rel = float(np.linalg.norm(b - system.apply(x))) / normb
+        r = system.apply(x)
+        true_rel = float(np.linalg.norm(np.subtract(b, r, out=r))) / normb
         residuals.append(true_rel)
         if true_rel <= tol:
             break
@@ -289,7 +299,7 @@ def gmres_restart(
             break
         m = min(restart, maxit - it)
         v = np.zeros((m + 1, n))
-        v[0] = r / beta
+        np.divide(r, beta, out=v[0])
         h = np.zeros((m + 1, m))
         cs = np.zeros(m)
         sn = np.zeros(m)
@@ -301,12 +311,12 @@ def gmres_restart(
             z = precond.apply(v[j])
             wv = precond.product(z, v[j])
             for i in range(j + 1):
-                h[i, j] = float(v[i] @ wv)
-                wv -= h[i, j] * v[i]
+                h[i, j] = ddot(v[i], wv)
+                wv = daxpy(v[i], wv, a=-h[i, j])  # returns a copy if wv is strided
             h[j + 1, j] = float(np.linalg.norm(wv))
             breakdown = h[j + 1, j] == 0.0
             if not breakdown:
-                v[j + 1] = wv / h[j + 1, j]
+                np.divide(wv, h[j + 1, j], out=v[j + 1])
             for i in range(j):
                 t = cs[i] * h[i, j] + sn[i] * h[i + 1, j]
                 h[i + 1, j] = -sn[i] * h[i, j] + cs[i] * h[i + 1, j]
@@ -326,7 +336,7 @@ def gmres_restart(
         k = j + 1
         ysmall = np.linalg.solve(h[:k, :k], g[:k]) if k else np.zeros(0)
         if k:
-            x = x + precond.apply(v[:k].T @ ysmall)
+            x += precond.apply(v[:k].T @ ysmall)
         true_rel = float(np.linalg.norm(b - system.apply(x))) / normb
         residuals[-1] = true_rel
         if true_rel <= tol:

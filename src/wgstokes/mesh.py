@@ -160,20 +160,31 @@ class Mesh:
     """Conforming simplicial mesh of a connected domain in 2D or 3D.
 
     Stores struct-of-arrays connectivity and per-element geometry.
-    Construction validates element orientation, conformity, connectedness
-    and nondegeneracy.
+    Construction validates finite coordinates, whole-number vertex indices,
+    element orientation, conformity, connectedness and nondegeneracy.
     """
 
     def __init__(self, vertices: np.ndarray, elements: np.ndarray):
         vertices = np.ascontiguousarray(vertices, dtype=float)
-        elements = np.ascontiguousarray(elements, dtype=np.int64)
+        elements = np.asarray(elements)
         if vertices.ndim != 2 or vertices.shape[1] not in (2, 3):
             raise MeshError("vertices must be (nv, 2) or (nv, 3)")
+        if not np.isfinite(vertices).all():  # a NaN volume passes every test below
+            bad = int(np.argmin(np.isfinite(vertices).all(axis=1)))
+            raise MeshError(f"vertex {bad} has non-finite coordinates {vertices[bad].tolist()}")
         d = vertices.shape[1]
         if elements.ndim != 2 or elements.shape[1] != d + 1:
             raise MeshError(f"elements must be (ne, {d + 1}) for dim {d}")
         if len(elements) == 0:
             raise MeshError("mesh has no elements")
+        if elements.dtype.kind == "f":  # the int64 cast would truncate without a word
+            whole = (np.isfinite(elements) & (elements == np.trunc(elements))).all(axis=1)
+            if not whole.all():
+                bad = int(np.argmin(whole))
+                raise MeshError(
+                    f"element {bad} has non-integer vertex indices {elements[bad].tolist()}"
+                )
+        elements = np.ascontiguousarray(elements, dtype=np.int64)
         # numpy would wrap a negative index to a real vertex and fail later
         # on one past the end, so check the range before any indexing
         nv = len(vertices)

@@ -13,8 +13,8 @@ match; it feeds the load term and makes the velocity error independent of
 the pressure.
 
 Everything here works on every element at once from the mesh's per-element
-arrays: the weak gradients of a field, the lifting system, interpolation
-into the discrete space and the facet rules of the boundary projection.
+arrays: the weak gradients of a field, the lifting system and the facet
+rules of the boundary projection.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import Mesh
-from .problems import evaluate_batch, facet_means
-from .quadrature import facet_rule, simplex_rule
+from .quadrature import facet_rule
 
 __all__ = [
     "WGField",
@@ -33,7 +32,6 @@ __all__ = [
     "field_weak_gradients",
     "lifting_matrix",
     "facet_projection_rule",
-    "interpolate_field",
 ]
 
 
@@ -110,23 +108,3 @@ def facet_projection_rule(dim: int, method: str) -> tuple[np.ndarray, np.ndarray
     if method == "gauss3":
         return facet_rule(dim, 5 if dim == 2 else 4)
     raise ValueError(f"unknown facet projection method {method!r}; use one of {FACET_METHODS}")
-
-
-def interpolate_field(mesh: Mesh, u, interior_degree: int = 4) -> WGField:
-    """Interpolate a vector function into the discrete space by local averaging:
-    a degree-`interior_degree` rule on each element, the gauss3 rule on facets.
-
-    u follows the batch contract of `StokesProblem` callables.
-    """
-    d = mesh.dim
-    bary, w = simplex_rule(d, interior_degree)
-    pts = bary @ mesh.vertices[mesh.elements]  # (ne, q, d)
-    interior = np.einsum("q,nqd->nd", w, evaluate_batch(u, pts, "u", (d,)))
-    rule = facet_projection_rule(d, "gauss3")
-    means = facet_means(mesh, u, np.arange(mesh.num_facets), rule, "u")
-    return WGField(
-        dim=d,
-        interior=interior,
-        facet=means[mesh.interior_facets],
-        boundary=means[mesh.boundary_facets],
-    )

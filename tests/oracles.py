@@ -19,15 +19,24 @@ interior values element-major, then interior-facet values, component-minor.
 The facets take their positions from `build_dofmap(mesh).facet_slot`, the
 one numbering the oracles share with the code they check; `_facet_dofs` is
 the only place that reads it.
+
+Two helpers here are references rather than oracles: `interpolate_field`,
+which builds a `WGField` from a function by local averaging, and the plain
+Krylov loops `reference_minres` and `reference_gmres_restart`.
 """
 
 import math
+import time
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from wgstokes.assembly import build_dofmap
+from wgstokes.assembly import SaddleSystem, build_dofmap
+from wgstokes.krylov import _MINRES_TRI, SaddlePreconditioner, SolveReport
 from wgstokes.mesh import Mesh, structured_simplex_mesh
+from wgstokes.problems import evaluate_batch, facet_means
+from wgstokes.quadrature import facet_rule, simplex_rule
+from wgstokes.wg_core import WGField
 
 
 def map_to_physical(vertices, bary):
@@ -280,3 +289,195 @@ def lifted_load_oracle(mesh, forcing):
                 a, b_rad = lifting_oracle(V, vals)
                 load[base + r] += np.sum(fw * (a + b_rad * (pts - V.mean(axis=0))))
     return load
+
+
+def interpolate_field(mesh: Mesh, u, interior_degree: int = 4) -> WGField:
+    """Interpolate a vector function into the discrete space by local averaging:
+    a degree-`interior_degree` rule on each element, the gauss3 rule on facets.
+
+    u follows the batch contract of `StokesProblem` callables.
+    """
+    d = mesh.dim
+    bary, w = simplex_rule(d, interior_degree)
+    pts = bary @ mesh.vertices[mesh.elements]  # (ne, q, d)
+    interior = np.einsum("q,nqd->nd", w, evaluate_batch(u, pts, "u", (d,)))
+    rule = facet_rule(d, 5 if d == 2 else 4)  # the gauss3 facet projection rule
+    means = facet_means(mesh, u, np.arange(mesh.num_facets), rule, "u")
+    return WGField(
+        dim=d,
+        interior=interior,
+        facet=means[mesh.interior_facets],
+        boundary=means[mesh.boundary_facets],
+    )
+
+
+# Reference Krylov loops: `minres` and `gmres_restart` written with plain
+# array expressions, one new array per update. The library's loops write
+# their updates into preallocated arrays, and tests pin them to these.
+
+
+def reference_minres(
+    system: SaddleSystem,
+    precond: SaddlePreconditioner,
+    tol: float,
+    maxit: int,
+) -> tuple[np.ndarray, SolveReport]:
+    """Preconditioned MINRES with zero initial guess and true-residual stopping."""
+    if precond.kind == "block_lower_tri":
+        raise ValueError(_MINRES_TRI)
+    t0 = time.perf_counter()
+    b = system.rhs()
+    normb = float(np.linalg.norm(b))
+    n = b.shape[0]
+    x = np.zeros(n)
+    if normb == 0.0:
+        report = SolveReport(
+            "minres", precond.kind, [0.0], [0.0], tol, maxit, time.perf_counter() - t0
+        )
+        return x, report
+
+    # Lanczos in the preconditioner inner product with Givens QR updates
+    r2 = b.copy()
+    y = precond.apply(r2)
+    beta1 = math.sqrt(float(r2 @ y))
+    residuals = [1.0]
+    precond_res = [1.0]
+    r1 = r2.copy()
+    oldb = 0.0
+    beta = beta1
+    dbar = epsln = 0.0
+    phibar = beta1
+    cs, sn = -1.0, 0.0
+    w = np.zeros(n)
+    w2 = np.zeros(n)
+    it = 0
+    while it < maxit:
+        it += 1
+        v = y / beta
+        y = precond.product(v, r2 / beta)
+        if it >= 2:
+            y -= (beta / oldb) * r1
+        alfa = float(v @ y)
+        y -= (alfa / beta) * r2
+        r1 = r2
+        r2 = y
+        y = precond.apply(r2)
+        oldb = beta
+        beta2 = float(r2 @ y)
+        if beta2 < 0.0:
+            raise RuntimeError(
+                "preconditioner lost positive definiteness "
+                f"(r'My = {beta2:.3e} at iteration {it})"
+            )
+        beta = math.sqrt(beta2)
+
+        oldeps = epsln
+        delta = cs * dbar + sn * alfa
+        gbar = sn * dbar - cs * alfa
+        epsln = sn * beta
+        dbar = -cs * beta
+        gamma = max(math.hypot(gbar, beta), np.finfo(float).eps)
+        cs = gbar / gamma
+        sn = beta / gamma
+        phi = cs * phibar
+        phibar = sn * phibar
+
+        w1 = w2
+        w2 = w
+        w = (v - oldeps * w1 - delta * w2) / gamma
+        x = x + phi * w
+
+        precond_res.append(abs(phibar) / beta1)
+        true_rel = float(np.linalg.norm(b - system.apply(x))) / normb
+        residuals.append(true_rel)
+        if true_rel <= tol:
+            break
+
+    report = SolveReport(
+        "minres", precond.kind, residuals, precond_res, tol, maxit, time.perf_counter() - t0
+    )
+    return x, report
+
+
+def reference_gmres_restart(
+    system: SaddleSystem,
+    precond: SaddlePreconditioner,
+    tol: float,
+    maxit: int,
+    restart: int,
+) -> tuple[np.ndarray, SolveReport]:
+    """Restarted GMRES, right preconditioning, zero initial guess.
+
+    With right preconditioning the least-squares recurrence residual equals
+    the true residual, so the per-iteration history needs no extra products;
+    the true residual is still recomputed at every restart and on claimed
+    convergence as a safeguard.
+    """
+    t0 = time.perf_counter()
+    b = system.rhs()
+    normb = float(np.linalg.norm(b))
+    n = b.shape[0]
+    x = np.zeros(n)
+    if normb == 0.0:
+        report = SolveReport(
+            "gmres", precond.kind, [0.0], [0.0], tol, maxit, time.perf_counter() - t0, restart
+        )
+        return x, report
+
+    residuals = [1.0]
+    it = 0
+    while it < maxit:
+        r = b - system.apply(x)
+        beta = float(np.linalg.norm(r))
+        if beta / normb <= tol:
+            break
+        m = min(restart, maxit - it)
+        v = np.zeros((m + 1, n))
+        v[0] = r / beta
+        h = np.zeros((m + 1, m))
+        cs = np.zeros(m)
+        sn = np.zeros(m)
+        g = np.zeros(m + 1)
+        g[0] = beta
+        j = -1
+        for j in range(m):
+            it += 1
+            z = precond.apply(v[j])
+            wv = precond.product(z, v[j])
+            for i in range(j + 1):
+                h[i, j] = float(v[i] @ wv)
+                wv -= h[i, j] * v[i]
+            h[j + 1, j] = float(np.linalg.norm(wv))
+            breakdown = h[j + 1, j] == 0.0
+            if not breakdown:
+                v[j + 1] = wv / h[j + 1, j]
+            for i in range(j):
+                t = cs[i] * h[i, j] + sn[i] * h[i + 1, j]
+                h[i + 1, j] = -sn[i] * h[i, j] + cs[i] * h[i + 1, j]
+                h[i, j] = t
+            denom = math.hypot(h[j, j], h[j + 1, j])
+            cs[j] = h[j, j] / denom
+            sn[j] = h[j + 1, j] / denom
+            h[j, j] = denom
+            h[j + 1, j] = 0.0
+            g[j + 1] = -sn[j] * g[j]
+            g[j] = cs[j] * g[j]
+            relres = abs(g[j + 1]) / normb
+            residuals.append(relres)
+            if relres <= tol or breakdown:
+                break
+        # solve the small triangular system and fold the correction back
+        k = j + 1
+        ysmall = np.linalg.solve(h[:k, :k], g[:k]) if k else np.zeros(0)
+        if k:
+            x = x + precond.apply(v[:k].T @ ysmall)
+        true_rel = float(np.linalg.norm(b - system.apply(x))) / normb
+        residuals[-1] = true_rel
+        if true_rel <= tol:
+            break
+
+    report = SolveReport(
+        "gmres", precond.kind, residuals, list(residuals), tol, maxit,
+        time.perf_counter() - t0, restart,
+    )
+    return x, report

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import jittered_mesh
+from oracles import jittered_mesh, reference_gmres_restart, reference_minres
 from wgstokes import assembly
 from wgstokes.assembly import build_saddle_system
 from wgstokes.krylov import (
@@ -34,9 +34,24 @@ def small_system(n=2, mu=1.0, dim=2, consistent=True):
     return _CACHE[key]
 
 
-def jittered_system(dim, n, mu=1.0):
+def jittered_system(dim, n, mu=1.0, consistent=True):
     name = "stokes2d_exp" if dim == 2 else "stokes3d_trig"
-    return build_saddle_system(jittered_mesh(dim, n, 1), builtin_problem(name, mu))
+    mesh = jittered_mesh(dim, n, 1)
+    return build_saddle_system(mesh, builtin_problem(name, mu), consistent=consistent)
+
+
+def recording_iterates(sys_):
+    """A copy of `sys_` whose `apply` keeps a copy of every vector it is given:
+    each iterate whose true residual a Krylov loop computes."""
+    seen = []
+    traced = replace(sys_)
+
+    def apply(x):
+        seen.append(x.copy())
+        return sys_.apply(x)
+
+    traced.apply = apply
+    return traced, seen
 
 
 def velocity_product(sys_, y):
@@ -240,6 +255,62 @@ def test_factor_error_reaches_the_solver_caller(monkeypatch):
     sys_ = build_saddle_system(structured_simplex_mesh(2, 2), builtin_problem("stokes2d_exp"))
     with pytest.raises(FactorError, match="SuperLU failed"):
         solve_system(sys_)
+
+
+# (mu, consistent, preconditioner, maxit) of each MINRES run pinned to the
+# reference loop, and the verdict it must reach
+MINRES_RUNS = {
+    "mu=1": (1.0, True, "block_diag", 1000, "converged"),
+    "mu=1e-4": (1e-4, True, "block_diag", 1000, "converged"),
+    "none-maxit": (1.0, True, "none", 40, "stopped at maxit"),
+    "inconsistent": (1.0, False, "block_diag", 300, "stagnated"),
+}
+
+
+@pytest.mark.parametrize(
+    "dim, n, run",
+    [(d, n, r) for d, n in ((2, 8), (3, 3)) for r in list(MINRES_RUNS)[:3]]
+    + [(2, 8, "inconsistent")],  # the 3D trig problem's inconsistency is too small to stall
+)
+def test_minres_is_bitwise_its_reference_loop(dim, n, run):
+    mu, consistent, kind, maxit, verdict = MINRES_RUNS[run]
+    sys_ = jittered_system(dim, n, mu, consistent)
+    p = SaddlePreconditioner(sys_, kind)
+    traced, seen = recording_iterates(sys_)
+    x, rep = minres(traced, p, 1e-9, maxit)
+    traced, seen_ref = recording_iterates(sys_)
+    x_ref, ref = reference_minres(traced, p, 1e-9, maxit)
+    assert {
+        "converged": rep.converged,
+        "stopped at maxit": rep.iterations == maxit and not rep.converged,
+        "stagnated": rep.stagnated,
+    }[verdict]
+    assert len(seen) == len(seen_ref) == rep.iterations
+    assert all(np.array_equal(a, b) for a, b in zip(seen, seen_ref))
+    assert np.array_equal(x, x_ref)
+    assert rep.residuals == ref.residuals
+    assert rep.precond_residuals == ref.precond_residuals
+
+
+@pytest.mark.parametrize("dim, n", [(2, 8), (3, 3)], ids=["2d-8-jittered", "3d-3-jittered"])
+@pytest.mark.parametrize("kind", PRECONDITIONERS)
+@pytest.mark.parametrize("restart", [30, 5])
+def test_gmres_matches_its_reference_loop(dim, n, kind, restart):
+    # BLAS's fused update in Gram-Schmidt moves the iterates in the last
+    # bits only: the counts are equal and every iterate is within 1e-12
+    maxit = 60 if kind == "none" else 1000
+    sys_ = jittered_system(dim, n)
+    p = SaddlePreconditioner(sys_, kind)
+    traced, seen = recording_iterates(sys_)
+    x, rep = gmres_restart(traced, p, 1e-9, maxit, restart)
+    traced, seen_ref = recording_iterates(sys_)
+    x_ref, ref = reference_gmres_restart(traced, p, 1e-9, maxit, restart)
+    assert rep.converged == (kind != "none")
+    assert rep.iterations == ref.iterations
+    assert len(seen) == len(seen_ref) > 1
+    for a, b in zip(seen[1:] + [x], seen_ref[1:] + [x_ref]):  # seen[0] is the zero start
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+    np.testing.assert_allclose(rep.residuals, ref.residuals, rtol=0, atol=1e-12)
 
 
 def test_minres_converges_with_history_invariants():

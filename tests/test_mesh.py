@@ -167,6 +167,27 @@ def test_vertex_index_out_of_range_rejected(elements):
         Mesh(verts, np.array(elements))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_non_finite_coordinates_rejected(bad):
+    # a NaN volume passes the volume and sliver tests; an inf in vertex 3 made
+    # element 0, which does not use it, look degenerate
+    verts = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [bad, 1.0]]
+    with pytest.raises(MeshError, match=r"^vertex 3 has non-finite coordinates \[.+, 1\.0\]$"):
+        Mesh(verts, [[0, 1, 2], [1, 3, 2]])
+
+
+@pytest.mark.parametrize(
+    "elements", [[[0.7, 1.2, 2.9]], [[0.0, 1.0, 2.0], [1.0, math.nan, 2.0]]], ids=["fraction", "nan"]
+)
+def test_non_integer_element_indices_rejected(elements):
+    verts = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+    bad = len(elements) - 1
+    with pytest.raises(MeshError, match=f"^element {bad} has non-integer vertex indices"):
+        Mesh(verts, elements)
+    # whole numbers stored as floats are indices
+    assert Mesh(verts, [[0.0, 1.0, 2.0]]).elements.tolist() == [[0, 1, 2]]
+
+
 def test_mesh_without_elements_rejected():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(MeshError, match="no elements"):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import local_weak_gradients, map_to_physical
+from oracles import interpolate_field, local_weak_gradients, map_to_physical
 from wgstokes.mesh import Mesh, generate_structured_tet, generate_structured_tri
 from wgstokes.problems import facet_means
 from wgstokes.quadrature import facet_rule, simplex_rule
@@ -14,7 +14,6 @@ from wgstokes.wg_core import (
     WGField,
     facet_projection_rule,
     field_weak_gradients,
-    interpolate_field,
     lifting_matrix,
 )
 
