@@ -38,6 +38,7 @@ scatter per block.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -374,8 +375,8 @@ class SaddleSystem:
     alpha_h: float = field(init=False)  # sum of b2, the boundary-flux defect; zero iff b2 is consistent
 
     def __post_init__(self):
-        if not self.mu > 0:
-            raise ValueError("viscosity must be positive")
+        if not 0 < self.mu < math.inf:
+            raise ValueError("viscosity must be positive and finite")
         self.b1 = self.load.b1(self.mu, self.mesh, self.dof)
         self.alpha_h = float(np.sum(self.b2))
 
@@ -391,10 +392,6 @@ class SaddleSystem:
     @property
     def n_p(self) -> int:
         return self.mesh.num_elements
-
-    @property
-    def size(self) -> int:
-        return self.n_u + self.n_p
 
     @property
     def inner(self) -> InnerSolver:

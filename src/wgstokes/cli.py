@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import types
@@ -46,7 +47,6 @@ class ExperimentConfig:
     """Settings of every subcommand; JSON config files use these field names and types."""
 
     problem: str = "stokes2d_exp"
-    dim: int | None = None
     mu: list[float] = field(default_factory=lambda: [1.0])
     levels: list[int] = field(default_factory=list)
     mesh_files: list[str] = field(default_factory=list)
@@ -113,8 +113,6 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 def _normalize(cfg: ExperimentConfig) -> None:
     cfg.mu = [float(m) for m in cfg.mu]
-    if cfg.problem == "custom" and cfg.dim is None and cfg.velocity:
-        cfg.dim = len(cfg.velocity)
 
 
 def _validate(cfg: ExperimentConfig) -> None:
@@ -125,8 +123,8 @@ def _validate(cfg: ExperimentConfig) -> None:
         )
     if not cfg.mu:
         raise ConfigError("need at least one viscosity value")
-    if any(m <= 0 for m in cfg.mu):
-        raise ConfigError("viscosity values must be positive")
+    if not all(0 < m < math.inf for m in cfg.mu):
+        raise ConfigError("viscosity values must be positive and finite")
     if cfg.tol is not None and not 0.0 < cfg.tol < 1.0:
         raise ConfigError("tol must lie in (0, 1)")
     if cfg.restart < 1:
@@ -154,20 +152,21 @@ def _validate(cfg: ExperimentConfig) -> None:
             raise ConfigError(
                 "custom problems need --velocity (one per component) and --pressure"
             )
-        if cfg.dim not in (2, 3):
-            raise ConfigError("custom problems need --dim 2 or 3")
+        if len(cfg.velocity) not in (2, 3):
+            raise ConfigError(f"custom problems need 2 or 3 --velocity, got {len(cfg.velocity)}")
+    elif cfg.velocity or cfg.pressure is not None:
+        raise ConfigError("--velocity and --pressure are read only with --problem custom")
 
 
 def make_problem(cfg: ExperimentConfig) -> StokesProblem:
     if cfg.problem == "custom":
         try:
-            return problem_from_expressions(cfg.dim, cfg.velocity, cfg.pressure, mu=cfg.mu[0])
+            return problem_from_expressions(
+                len(cfg.velocity), cfg.velocity, cfg.pressure, mu=cfg.mu[0]
+            )
         except ValueError as exc:
             raise ConfigError(f"custom problem: {exc}") from exc
-    prob = builtin_problem(cfg.problem, mu=cfg.mu[0])
-    if cfg.dim is not None and cfg.dim != prob.dim:
-        raise ConfigError(f"{cfg.problem} is {prob.dim}D, but --dim {cfg.dim} given")
-    return prob
+    return builtin_problem(cfg.problem, mu=cfg.mu[0])
 
 
 def resolve_meshes(cfg: ExperimentConfig, dim: int) -> list[Mesh]:
@@ -333,8 +332,6 @@ def run_export(cfg: ExperimentConfig) -> int:
 _FLAGS = {
     "out": ("--out", dict(metavar="DIR", help="output directory (default: current directory)")),
     "problem": ("--problem", dict(help="stokes2d_exp, stokes3d_trig, or custom")),
-    "dim": ("--dim", dict(type=int, choices=(2, 3),
-                          help="space dimension (needed for custom problems)")),
     "mu": ("--mu", dict(type=float, action="append", metavar="MU",
                         help="viscosity; convergence and solver-study take several")),
     "levels": ("--levels", dict(type=int, nargs="+", metavar="N",
@@ -356,7 +353,7 @@ _FLAGS = {
                                           help="keep the raw incompatible right-hand side")),
 }
 _PROBLEM_AND_MESHES = (
-    "out", "problem", "dim", "mu", "levels", "mesh_files", "qg", "velocity", "pressure",
+    "out", "problem", "mu", "levels", "mesh_files", "qg", "velocity", "pressure",
 )
 _SOLVER = ("method", "tol", "restart", "maxit")
 
@@ -371,7 +368,7 @@ _COMMANDS = {
     "solver-study": (run_solver_study, "iteration counts over levels and viscosities",
                      _PROBLEM_AND_MESHES + _SOLVER + ("precond", "consistent")),
     "spectral": (run_spectral, "dense eigenvalue verification on small meshes",
-                 ("out", "problem", "dim", "levels", "mesh_files", "velocity", "pressure")),
+                 ("out", "problem", "levels", "mesh_files", "velocity", "pressure")),
     "inconsistency": (run_inconsistency, "compare raw and corrected right-hand sides",
                       _PROBLEM_AND_MESHES + _SOLVER),
     "export-system": (run_export, "write the assembled system in Matrix Market form",

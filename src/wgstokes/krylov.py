@@ -126,9 +126,7 @@ class SolveReport:
     residuals: list[float]  # true relative residuals, entry 0 for the initial guess
     precond_residuals: list[float]  # recurrence estimate in the preconditioner norm
     tol: float
-    maxit: int
     wall_time: float  # concurrent solves overlap, so a study's times need not add up
-    restart: int | None = None
 
     @property
     def iterations(self) -> int:
@@ -195,7 +193,7 @@ def minres(
     x = np.zeros(n)
     if normb == 0.0:
         report = SolveReport(
-            "minres", precond.kind, [0.0], [0.0], tol, maxit, time.perf_counter() - t0
+            "minres", precond.kind, [0.0], [0.0], tol, time.perf_counter() - t0
         )
         return x, report
 
@@ -260,7 +258,7 @@ def minres(
             break
 
     report = SolveReport(
-        "minres", precond.kind, residuals, precond_res, tol, maxit, time.perf_counter() - t0
+        "minres", precond.kind, residuals, precond_res, tol, time.perf_counter() - t0
     )
     return x, report
 
@@ -286,7 +284,7 @@ def gmres_restart(
     x = np.zeros(n)
     if normb == 0.0:
         report = SolveReport(
-            "gmres", precond.kind, [0.0], [0.0], tol, maxit, time.perf_counter() - t0, restart
+            "gmres", precond.kind, [0.0], [0.0], tol, time.perf_counter() - t0
         )
         return x, report
 
@@ -343,8 +341,7 @@ def gmres_restart(
             break
 
     report = SolveReport(
-        "gmres", precond.kind, residuals, list(residuals), tol, maxit,
-        time.perf_counter() - t0, restart,
+        "gmres", precond.kind, residuals, list(residuals), tol, time.perf_counter() - t0
     )
     return x, report
 

@@ -36,10 +36,6 @@ import numpy as np
 __all__ = [
     "Mesh",
     "MeshError",
-    "DuplicateElementError",
-    "InvertedElementError",
-    "DisconnectedMeshError",
-    "UnsupportedCellError",
     "structured_simplex_mesh",
     "generate_structured_tri",
     "generate_structured_tet",
@@ -49,23 +45,7 @@ __all__ = [
 
 
 class MeshError(ValueError):
-    """Base class for mesh construction/validation failures."""
-
-
-class DuplicateElementError(MeshError):
-    pass
-
-
-class InvertedElementError(MeshError):
-    pass
-
-
-class DisconnectedMeshError(MeshError):
-    pass
-
-
-class UnsupportedCellError(MeshError):
-    pass
+    """Invalid mesh input: a mesh that cannot be built, validated or read."""
 
 
 def _signed_volumes(edges: np.ndarray) -> np.ndarray:
@@ -207,7 +187,7 @@ class Mesh:
         starts = np.flatnonzero(new)
         counts = np.diff(starts, append=len(order))
         if _has_duplicates(elements, order, starts, counts):
-            raise DuplicateElementError("mesh contains duplicate elements")
+            raise MeshError("mesh contains duplicate elements")
 
         # vertex coordinates component-major, (d, d+1, ne), so that each
         # operation below runs over contiguous rows
@@ -222,9 +202,7 @@ class Mesh:
         vols = _signed_volumes(diff[:, :d].transpose(2, 1, 0))
         if np.any(vols <= 0.0):
             bad = int(np.argmin(vols))
-            raise InvertedElementError(
-                f"element {bad} has nonpositive signed volume {vols[bad]:.3e}"
-            )
+            raise MeshError(f"element {bad} has nonpositive signed volume {vols[bad]:.3e}")
         self.elem_volumes = vols
 
         # every sum below is written out in the order numpy's reduction over
@@ -242,7 +220,7 @@ class Mesh:
         hmax = float(self.elem_diameters.max())
         if np.any(vols < 1e-14 * hmax**d):
             bad = int(np.argmin(vols))
-            raise InvertedElementError(f"element {bad} is degenerate")
+            raise MeshError(f"element {bad} is degenerate")
         if counts.max() > 2:
             raise MeshError("non-conforming mesh: facet shared by more than 2 elements")
 
@@ -328,15 +306,13 @@ class Mesh:
 
         pairs = np.take(self.facet_elems, self.interior_facets, axis=0)
         if len(pairs) == 0:
-            raise DisconnectedMeshError("mesh has no interior facets")
+            raise MeshError("mesh has no interior facets")
         g = coo_matrix(
             (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(ne, ne)
         )
         ncomp, _ = connected_components(g, directed=False)
         if ncomp != 1:
-            raise DisconnectedMeshError(
-                f"element adjacency graph has {ncomp} components"
-            )
+            raise MeshError(f"element adjacency graph has {ncomp} components")
 
     # ---- queries ---------------------------------------------------------
 
@@ -470,9 +446,12 @@ def _load_gmsh(text: str) -> Mesh:
             )
         return start, body[1:]
 
-    fmt = section("MeshFormat")[1][0].split()
-    if not fmt[0].startswith("2.2"):
-        raise MeshError(f"unsupported gmsh format version {fmt[0]}")
+    try:
+        version = section("MeshFormat")[1][0].split()[0]
+    except IndexError:
+        raise MeshError("gmsh $MeshFormat section has no version line") from None
+    if not version.startswith("2.2"):
+        raise MeshError(f"unsupported gmsh format version {version}")
 
     start, node_lines = records("Nodes")
     coords = np.empty((len(node_lines), 3))
@@ -505,11 +484,11 @@ def _load_gmsh(text: str) -> Mesh:
     cell_type = None
     for num, etype, nodes in parsed:
         if etype not in (2, 4):
-            raise UnsupportedCellError(f"gmsh element type {etype} not supported")
+            raise MeshError(f"gmsh element type {etype} not supported")
         if cell_type is None:
             cell_type = etype
         elif cell_type != etype:
-            raise UnsupportedCellError("mixed triangle/tetrahedron gmsh file")
+            raise MeshError("mixed triangle/tetrahedron gmsh file")
         try:
             cells.append([ids[n] for n in nodes])
         except KeyError as exc:

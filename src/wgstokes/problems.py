@@ -61,8 +61,8 @@ class StokesProblem:
     velocity_gradient: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
-        if not self.mu > 0:
-            raise ValueError("viscosity must be positive")
+        if not 0 < self.mu < math.inf:
+            raise ValueError("viscosity must be positive and finite")
 
     def with_mu(self, mu: float) -> "StokesProblem":
         """The same problem, every callable kept, at viscosity `mu`."""

@@ -283,10 +283,6 @@ class SpectralReport:
     lambda_max_Mp: float
 
     @property
-    def margin(self) -> float:
-        return SPECTRAL_MARGIN
-
-    @property
     def beta(self) -> float:
         """Inf-sup estimate, the square root of the smallest positive gamma."""
         return math.sqrt(max(float(self.gammas[1]), 0.0))

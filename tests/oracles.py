@@ -332,7 +332,7 @@ def reference_minres(
     x = np.zeros(n)
     if normb == 0.0:
         report = SolveReport(
-            "minres", precond.kind, [0.0], [0.0], tol, maxit, time.perf_counter() - t0
+            "minres", precond.kind, [0.0], [0.0], tol, time.perf_counter() - t0
         )
         return x, report
 
@@ -394,7 +394,7 @@ def reference_minres(
             break
 
     report = SolveReport(
-        "minres", precond.kind, residuals, precond_res, tol, maxit, time.perf_counter() - t0
+        "minres", precond.kind, residuals, precond_res, tol, time.perf_counter() - t0
     )
     return x, report
 
@@ -420,7 +420,7 @@ def reference_gmres_restart(
     x = np.zeros(n)
     if normb == 0.0:
         report = SolveReport(
-            "gmres", precond.kind, [0.0], [0.0], tol, maxit, time.perf_counter() - t0, restart
+            "gmres", precond.kind, [0.0], [0.0], tol, time.perf_counter() - t0
         )
         return x, report
 
@@ -477,7 +477,6 @@ def reference_gmres_restart(
             break
 
     report = SolveReport(
-        "gmres", precond.kind, residuals, list(residuals), tol, maxit,
-        time.perf_counter() - t0, restart,
+        "gmres", precond.kind, residuals, list(residuals), tol, time.perf_counter() - t0
     )
     return x, report

@@ -20,6 +20,7 @@ from wgstokes.mesh import generate_structured_tet, generate_structured_tri
 from wgstokes.problems import builtin_problem, problem_from_expressions
 from wgstokes.quadrature import facet_rule
 from wgstokes.verification import (
+    SPECTRAL_MARGIN,
     convergence_study,
     inconsistency_demo,
     residual_bound_check,
@@ -148,7 +149,7 @@ def test_a5_dense_spectral_bounds():
             and rep.quad_map_max_dist <= 1e-8
         )
         gamma_bits.append(f"n={n}: beta {rep.beta:.4f}, gamma_max {rep.gammas[-1]:.4f}")
-        unit_count = int(np.sum(np.abs(rep.lambdas - 1.0) <= rep.margin))
+        unit_count = int(np.sum(np.abs(rep.lambdas - 1.0) <= SPECTRAL_MARGIN))
         unit_bits.append(f"{unit_count} (n_u - N + 1 = {sys_.n_u - sys_.n_p + 1})")
         v = rep.lambda_interval_violations
         lambda_ok &= v.size == 0

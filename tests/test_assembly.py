@@ -227,7 +227,7 @@ def test_split_returns_facet_values_in_mesh_order():
     # the dof order must differ from the mesh order for the round trip to mean anything
     assert np.any(dof.facet_slot[mesh.interior_facets] != np.arange(len(mesh.interior_facets)))
     # each facet's barycenter, written into its dofs through the element-to-dof table
-    x = np.zeros(system.size)
+    x = np.zeros(system.n_u + system.n_p)
     base = dof.elem_dofs[:, 1:]
     live = base >= 0
     x[2 * base[live][:, None] + np.arange(2)] = mu * mesh.facet_barycenters[mesh.elem_facets[live]]
@@ -408,7 +408,7 @@ def test_saddle_operator_matches_dense():
     dense = dense_operator(sys_)
     rng = np.random.default_rng(12)
     for _ in range(3):
-        x = rng.normal(size=sys_.size)
+        x = rng.normal(size=sys_.n_u + sys_.n_p)
         assert np.allclose(sys_.apply(x), dense @ x, rtol=1e-13, atol=1e-13)
 
 
@@ -487,7 +487,7 @@ def test_for_viscosity_calls_no_problem_callable(dim):
         replace(base, mu=0.0)
 
 
-@pytest.mark.parametrize("mu", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("mu", [0.0, -1.0, float("nan"), float("inf")])
 def test_replace_rejects_a_nonpositive_viscosity(mu):
     # the system checks its own viscosity, however it is made
     system = build_saddle_system(generate_structured_tri(2), builtin_problem("stokes2d_exp"))

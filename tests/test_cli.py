@@ -8,7 +8,7 @@ import pytest
 from wgstokes import cli, krylov
 
 CAVITY = [
-    "--problem", "custom", "--dim", "2",
+    "--problem", "custom",
     "--velocity=2*x**2*(1-x)**2*y*(1-y)*(1-2*y)",
     "--velocity=-2*x*(1-x)*(1-2*x)*y**2*(1-y)**2",
     "--pressure", "x*y - 1/4",
@@ -26,8 +26,8 @@ def test_help_lists_all_subcommands(capsys):
 
 
 # The flags each subcommand reads; every other flag exits 2.
-PROBLEM_AND_MESHES = {"--config", "--out", "--problem", "--dim", "--mu", "--levels",
-                      "--mesh-file", "--qg", "--velocity", "--pressure"}
+PROBLEM_AND_MESHES = {"--config", "--out", "--problem", "--mu", "--levels", "--mesh-file",
+                      "--qg", "--velocity", "--pressure"}
 SOLVER = {"--method", "--tol", "--restart", "--maxit"}
 FLAGS = {
     "convergence": PROBLEM_AND_MESHES | SOLVER,
@@ -333,7 +333,7 @@ def test_spectral_takes_no_setting_its_report_ignores(monkeypatch, tmp_path, cap
 @pytest.mark.parametrize(
     "extra, message",
     [
-        (["--dim", "3"], "need 3 velocity components, got 2"),
+        (["--velocity=0", "--velocity=0"], "custom problems need 2 or 3 --velocity, got 4"),
         (["--forcing", "0"], "convergence takes no --forcing"),
     ],
     ids=["velocity", "forcing"],
@@ -341,6 +341,23 @@ def test_spectral_takes_no_setting_its_report_ignores(monkeypatch, tmp_path, cap
 def test_custom_component_count_is_config_error(capsys, extra, message):
     assert cli.main(["convergence", *CAVITY, *extra, "--levels", "2", "4"]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_custom_dimension_is_the_velocity_count(monkeypatch, tmp_path, capsys):
+    # the dimension is read off the expressions, and nothing else sets it
+    def no_mesh(*args):
+        raise AssertionError("a mesh was built before the dimension was checked")
+
+    monkeypatch.setattr(cli, "structured_simplex_mesh", no_mesh)
+    one = ["--problem", "custom", "--velocity=x", "--pressure", "0"]
+    assert cli.main(["convergence", *one, "--levels", "2"]) == 2
+    assert "custom problems need 2 or 3 --velocity, got 1" in capsys.readouterr().err
+    assert cli.main(["convergence", *CAVITY, "--dim", "2", "--levels", "2"]) == 2
+    assert "convergence takes no --dim" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dim": 2}))
+    assert cli.main(["convergence", *CAVITY, "--config", str(cfg), "--levels", "2"]) == 2
+    assert "convergence takes no config key 'dim'" in capsys.readouterr().err
 
 
 def test_export_system_writes_matrix_market_and_metadata(tmp_path):
@@ -427,12 +444,48 @@ def test_custom_problem_runs_from_flags(tmp_path):
     assert (tmp_path / "convergence.csv").exists()
 
 
-def test_builtin_dimension_mismatch_rejected(capsys):
-    code = cli.main(
-        ["convergence", "--problem", "stokes3d_trig", "--dim", "2", "--levels", "2"]
-    )
-    assert code == 2
-    assert "3D" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "given, config",
+    [
+        (["--velocity=x", "--velocity=-y", "--pressure", "0"], {}),
+        (["--pressure", "0"], {}),
+        ([], {"velocity": ["x", "-y"]}),
+    ],
+    ids=["flags", "pressure", "config"],
+)
+def test_expressions_without_custom_problem_rejected(monkeypatch, tmp_path, capsys, given,
+                                                     config):
+    # a built-in problem reads no expression, so a solve would ignore them
+    def no_mesh(*args):
+        raise AssertionError("a mesh was built before the expressions were checked")
+
+    monkeypatch.setattr(cli, "structured_simplex_mesh", no_mesh)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    argv = ["solver-study", "--levels", "2", *given, "--config", str(cfg), "--out", str(out)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "--velocity and --pressure are read only with --problem custom" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["inf", "nan", "config"])
+def test_non_finite_viscosity_is_config_error(monkeypatch, tmp_path, capsys, source):
+    # an infinite viscosity makes every load term NaN, and MINRES runs to the cap
+    def no_mesh(*args):
+        raise AssertionError("a mesh was built before the viscosities were checked")
+
+    monkeypatch.setattr(cli, "structured_simplex_mesh", no_mesh)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mu": [1.0, float("inf")]}))  # written as Infinity
+    given = {
+        "inf": ["--mu", "inf"],
+        "nan": ["--mu", "1", "--mu", "nan"],
+        "config": ["--config", str(cfg)],
+    }[source]
+    assert cli.main(["solver-study", "--levels", "2", "4", *given]) == 2
+    assert "viscosity values must be positive and finite" in capsys.readouterr().err
 
 
 def test_mesh_file_input(tmp_path):

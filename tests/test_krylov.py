@@ -90,7 +90,7 @@ def test_pd_inverse_scales_pressure_by_measures():
 def test_pt_inverse_dense_roundtrip():
     sys_ = small_system(n=1)
     rng = np.random.default_rng(5)
-    r = rng.standard_normal(sys_.size)
+    r = rng.standard_normal(sys_.n_u + sys_.n_p)
     x = SaddlePreconditioner(sys_, "block_lower_tri").apply(r)
     a = np.kron(sys_.A.toarray(), np.eye(2))
     b = sys_.B.toarray()
@@ -117,8 +117,8 @@ def test_pd_preconditioned_operator_self_adjoint():
     pd = SaddlePreconditioner(sys_, "block_diag")
     rng = np.random.default_rng(7)
     for _ in range(3):
-        x = rng.standard_normal(sys_.size)
-        y = rng.standard_normal(sys_.size)
+        x = rng.standard_normal(sys_.n_u + sys_.n_p)
+        y = rng.standard_normal(sys_.n_u + sys_.n_p)
         tx = pd.apply(sys_.apply(x))
         ty = pd.apply(sys_.apply(y))
 
@@ -135,7 +135,7 @@ def test_pd_preconditioned_operator_self_adjoint():
 @pytest.mark.parametrize("dim, n", [(2, 8), (3, 3)], ids=["2d-8-jittered", "3d-3-jittered"])
 def test_product_on_preconditioned_vector_is_operator_product(dim, n):
     sys_ = jittered_system(dim, n)
-    r = np.random.default_rng(8).standard_normal(sys_.size)
+    r = np.random.default_rng(8).standard_normal(sys_.n_u + sys_.n_p)
     for kind in ("block_diag", "block_lower_tri"):
         p = SaddlePreconditioner(sys_, kind)
         z = p.apply(r)

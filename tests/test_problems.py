@@ -175,7 +175,7 @@ def test_expression_validation():
 
 def test_viscosity_checked_by_every_constructor():
     base = builtin_problem("stokes2d_exp")
-    for mu in (-1.0, 0.0, float("nan")):
+    for mu in (-1.0, 0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="viscosity must be positive"):
             base.with_mu(mu)
         with pytest.raises(ValueError, match="viscosity must be positive"):

@@ -36,7 +36,7 @@ def study(qg):
 
 
 def dummy_report():
-    return SolveReport("minres", "block_diag", [0.0], [0.0], 1e-9, 1000, 0.0)
+    return SolveReport("minres", "block_diag", [0.0], [0.0], 1e-9, 0.0)
 
 
 def projected_solution(mesh, problem, degree=4):
@@ -409,7 +409,7 @@ def test_residual_bound_check_rejects_flat_history():
     sys_ = build_saddle_system(structured_simplex_mesh(2, 4), prob)
     spec = spectral_report(sys_.mesh)
     flat = [1.0] * 40
-    fake = SolveReport("minres", "block_diag", flat, flat, 1e-9, 39, 0.0)
+    fake = SolveReport("minres", "block_diag", flat, flat, 1e-9, 0.0)
     assert (fake.iterations, fake.converged, fake.stagnated) == (39, False, False)
     check = residual_bound_check(fake, spec)
     assert not check.passed
