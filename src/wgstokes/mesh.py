@@ -402,6 +402,8 @@ def write_mesh(mesh: Mesh, path: str | Path) -> None:
 def _load_native(tokens: list[str]) -> Mesh:
     try:
         dim, nv, ne = (int(t) for t in tokens[:3])
+        if min(dim, nv, ne) < 0:
+            raise ValueError(f"header {dim} {nv} {ne} has a negative count")
         end = 3 + nv * dim + ne * (dim + 1)
         if len(tokens) != end:
             raise ValueError(
@@ -424,6 +426,10 @@ def _load_gmsh(text: str) -> Mesh:
             b = lines.index(f"$End{name}")
         except ValueError as exc:
             raise MeshError(f"gmsh file missing ${name} section") from exc
+        if b < a:
+            raise MeshError(
+                f"gmsh $End{name} on line {b + 1} comes before ${name} on line {a + 1}"
+            )
         return a + 1, lines[a + 1 : b]
 
     def malformed(start, row, exc):
@@ -482,13 +488,19 @@ def _load_gmsh(text: str) -> Mesh:
         raise malformed(start, row, exc) from exc
     cells = []
     cell_type = None
-    for num, etype, nodes in parsed:
+    for row, (num, etype, nodes) in enumerate(parsed, 1):
         if etype not in (2, 4):
             raise MeshError(f"gmsh element type {etype} not supported")
         if cell_type is None:
             cell_type = etype
         elif cell_type != etype:
             raise MeshError("mixed triangle/tetrahedron gmsh file")
+        want = 3 if etype == 2 else 4
+        if len(nodes) != want:
+            raise MeshError(
+                f"gmsh element {num} on line {start + row + 1} has {len(nodes)} nodes, "
+                f"but type {etype} takes {want}"
+            )
         try:
             cells.append([ids[n] for n in nodes])
         except KeyError as exc:
@@ -506,7 +518,10 @@ def load_mesh(path: str | Path) -> Mesh:
 
     A file whose first line is `$MeshFormat` is read as Gmsh, any other as native.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MeshError(f"mesh file {path} is not UTF-8 text: {exc}") from exc
     if text.lstrip().startswith("$MeshFormat"):
         return _load_gmsh(text)
     return _load_native(text.split())

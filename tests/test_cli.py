@@ -524,6 +524,20 @@ def test_unreadable_mesh_file_is_config_error(tmp_path, capsys, name):
     assert err.startswith(f"error: cannot read mesh file {path}: ")
 
 
+@pytest.mark.parametrize(
+    "flag,message",
+    [("--config", "config file is not UTF-8 text: "),
+     ("--mesh-file", "mesh file {path} is not UTF-8 text: ")],
+    ids=["config", "mesh-file"],
+)
+def test_non_utf8_input_file_is_config_error(tmp_path, capsys, flag, message):
+    path = tmp_path / "input"
+    path.write_bytes(b"\xff\xfe\x00")
+    code = cli.main(["convergence", "--levels", "2", flag, str(path), "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: " + message.format(path=path))
+
+
 @pytest.mark.parametrize("out", ["results", "results/run1"])
 def test_out_through_a_file_is_rejected_before_solving(monkeypatch, tmp_path, capsys, out):
     (tmp_path / "results").write_text("keep\n")

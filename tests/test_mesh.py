@@ -1,6 +1,7 @@
 """Mesh generators, geometry, validation errors and file round-trips."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -233,6 +234,22 @@ def test_native_header_must_count_every_token(tmp_path):
         load_mesh(path)
 
 
+def test_native_negative_count_named(tmp_path):
+    # the token count 3 + (-3)*2 + 1*3 = 0 would hide which header entry is wrong
+    path = tmp_path / "mesh.txt"
+    path.write_text("2 -3 1\n0 0\n1 0\n0 1\n1 2 3\n")
+    message = "^malformed native mesh file: header 2 -3 1 has a negative count$"
+    with pytest.raises(MeshError, match=message):
+        load_mesh(path)
+
+
+def test_non_utf8_mesh_file_named(tmp_path):
+    path = tmp_path / "mesh.msh"
+    path.write_bytes(b"\xff\xfe\x00")
+    with pytest.raises(MeshError, match=f"^mesh file {re.escape(str(path))} is not UTF-8 text: "):
+        load_mesh(path)
+
+
 GMSH_SQUARE = """$MeshFormat
 2.2 0 8
 $EndMeshFormat
@@ -291,6 +308,31 @@ def test_gmsh_section_count_must_match_its_lines(tmp_path, good, bad, match):
     path = tmp_path / "square.msh"
     path.write_text(GMSH_SQUARE.replace(good, bad))
     with pytest.raises(MeshError, match=match):
+        load_mesh(path)
+
+
+@pytest.mark.parametrize(
+    "name,end,begin", [("Nodes", 4, 10), ("Elements", 11, 15)], ids=["nodes", "elements"]
+)
+def test_gmsh_end_line_before_its_section_named(tmp_path, name, end, begin):
+    path = tmp_path / "square.msh"
+    swapped = GMSH_SQUARE.replace(f"${name}\n", "@\n").replace(f"$End{name}\n", f"${name}\n")
+    path.write_text(swapped.replace("@\n", f"$End{name}\n"))
+    with pytest.raises(
+        MeshError, match=rf"^gmsh \$End{name} on line {end} comes before \${name} on line {begin}$"
+    ):
+        load_mesh(path)
+
+
+@pytest.mark.parametrize(
+    "bad,count", [("2 2 2 0 1 1 3", 2), ("2 2 2 0 1 1 3 4 2", 4)], ids=["short", "long"]
+)
+def test_gmsh_element_node_count_must_match_its_type(tmp_path, bad, count):
+    path = tmp_path / "square.msh"
+    path.write_text(GMSH_SQUARE.replace("2 2 2 0 1 1 3 4", bad))
+    with pytest.raises(
+        MeshError, match=f"^gmsh element 2 on line 14 has {count} nodes, but type 2 takes 3$"
+    ):
         load_mesh(path)
 
 
