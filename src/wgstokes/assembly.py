@@ -372,7 +372,7 @@ class SaddleSystem:
     load: LoadParts  # what b1 is made of at any viscosity
     factor: Future = field(compare=False, repr=False)  # of InnerSolver(A)
     b1: np.ndarray = field(init=False)
-    alpha_h: float = field(init=False)  # sum of b2, the boundary-flux defect; zero iff b2 is consistent
+    alpha_h: float = field(init=False)  # sum of b2, the boundary-flux defect; 0 iff consistent
 
     def __post_init__(self):
         if not 0 < self.mu < math.inf:

@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 a solve failed or broke down, 2 bad configuration.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -24,13 +25,16 @@ import sys
 import types
 import typing
 from dataclasses import dataclass, field, fields
+from itertools import zip_longest
 from pathlib import Path
 
 from .assembly import build_saddle_system, each_viscosity, export_system
 from .krylov import METHODS, PRECONDITIONERS, preconditioner_for, solve_system
 from .mesh import Mesh, load_mesh, structured_simplex_mesh
 from .problems import BUILTIN_PROBLEMS, StokesProblem, builtin_problem, problem_from_expressions
-from .verification import ERROR_FIELDS, convergence_study, inconsistency_demo, spectral_report
+from .verification import (
+    ERROR_FIELDS, ConvergenceTable, convergence_study, inconsistency_demo, spectral_report,
+)
 from .wg_core import FACET_METHODS
 
 EXIT_OK = 0
@@ -106,15 +110,11 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         value = getattr(args, name)
         if value is not None:
             setattr(cfg, name, value)
-    _normalize(cfg)
+    cfg.mu = [float(m) for m in cfg.mu]
     _validate(cfg)
     if cfg.method != "gmres" and ("restart" in values or getattr(args, "restart", None)):
         raise ConfigError(f"--restart is the GMRES restart length; {cfg.method} takes none")
     return cfg
-
-
-def _normalize(cfg: ExperimentConfig) -> None:
-    cfg.mu = [float(m) for m in cfg.mu]
 
 
 def _validate(cfg: ExperimentConfig) -> None:
@@ -163,9 +163,7 @@ def _validate(cfg: ExperimentConfig) -> None:
 def make_problem(cfg: ExperimentConfig) -> StokesProblem:
     if cfg.problem == "custom":
         try:
-            return problem_from_expressions(
-                len(cfg.velocity), cfg.velocity, cfg.pressure, mu=cfg.mu[0]
-            )
+            return problem_from_expressions(cfg.velocity, cfg.pressure, mu=cfg.mu[0])
         except ValueError as exc:
             raise ConfigError(f"custom problem: {exc}") from exc
     return builtin_problem(cfg.problem, mu=cfg.mu[0])
@@ -199,20 +197,71 @@ def _outdir(cfg: ExperimentConfig) -> Path:
     return out
 
 
+def _solver(cfg: ExperimentConfig):
+    """The `solve(system)` of a study: `solve_system` with this run's settings."""
+    settings = {name: getattr(cfg, name) for name in _SOLVER + ("precond",)}
+    return functools.partial(solve_system, **settings)
+
+
+def _write_csv(path: Path, columns: list[str], rows) -> None:
+    """A header line of `columns`, then one line per row, cells as str() gives them."""
+    path.write_text("".join(",".join(map(str, row)) + "\n" for row in (columns, *rows)), "utf-8")
+
+
+def _markdown_table(header: list[str], rows) -> str:
+    """A pipe table: the header, one `---` per column, then a line per row."""
+    sep = "|" + "|".join("---" for _ in header) + "|"
+    body = ["| " + " | ".join(map(str, row)) + " |" for row in rows]
+    return "\n".join(["| " + " | ".join(header) + " |", sep, *body])
+
+
+def _convergence_csv(table: ConvergenceTable, path: Path) -> None:
+    """One row per viscosity and level; a level's rates are against the one before."""
+    columns = ["N", "h", "mu"]
+    for name in ERROR_FIELDS:
+        columns += [name, f"{name}_rate"]
+    columns += ["alpha_h", "iterations", "converged"]
+    rows = []
+    for mu in table.mu_values:
+        rates = {name: table.rates(mu, name) for name in ERROR_FIELDS}
+        for i in range(len(table.levels)):
+            r = table.reports[(mu, i)]
+            row = [r.num_elements, f"{r.h:.6e}", f"{mu:g}"]
+            for name in ERROR_FIELDS:
+                rate = rates[name][i]
+                row += [f"{getattr(r, name):.6e}", "" if rate is None else f"{rate:.3f}"]
+            rows.append(row + [f"{r.alpha_h:.6e}", r.iterations, r.converged])
+    _write_csv(path, columns, rows)
+
+
+def _convergence_markdown(table: ConvergenceTable, name: str) -> str:
+    """The errors in `name` per level, an error and a rate column per viscosity."""
+    header = ["N"]
+    for mu in table.mu_values:
+        header += [f"error (mu={mu:g})", "conv. rate"]
+    rates = {mu: table.rates(mu, name) for mu in table.mu_values}
+    rows = []
+    for i, n in enumerate(table.levels):
+        row = [n]
+        for mu in table.mu_values:
+            rate = rates[mu][i]
+            row += [f"{getattr(table.reports[(mu, i)], name):.6e}",
+                    "-" if rate is None else f"{rate:.3f}"]
+        rows.append(row)
+    return _markdown_table(header, rows)
+
+
 def run_convergence(cfg: ExperimentConfig) -> int:
     problem = make_problem(cfg)
     meshes = resolve_meshes(cfg, problem.dim)
-    table = convergence_study(
-        problem, meshes, mu_values=tuple(cfg.mu), qg_method=cfg.qg,
-        method=cfg.method, tol=cfg.tol, maxit=cfg.maxit, restart=cfg.restart,
-    )
+    table = convergence_study(problem, meshes, tuple(cfg.mu), cfg.qg, solve=_solver(cfg))
     out = _outdir(cfg)
-    table.write_csv(out / "convergence.csv")
+    _convergence_csv(table, out / "convergence.csv")
     sections = [f"# Convergence: {problem.name} (qg={cfg.qg}, {cfg.method})", ""]
     for name in ERROR_FIELDS:
-        sections += [f"## {name}", "", table.to_markdown(name), ""]
+        sections += [f"## {name}", "", _convergence_markdown(table, name), ""]
     (out / "convergence.md").write_text("\n".join(sections), encoding="utf-8")
-    print(table.to_markdown("l2_velocity"))
+    print(_convergence_markdown(table, "l2_velocity"))
     print(f"wrote {out / 'convergence.csv'} and {out / 'convergence.md'}")
     ok = all(rep.converged for rep in table.reports.values())
     if not ok:
@@ -224,27 +273,25 @@ def run_solver_study(cfg: ExperimentConfig) -> int:
     problem = make_problem(cfg)
     meshes = resolve_meshes(cfg, problem.dim)
     precond = preconditioner_for(cfg.method, cfg.precond)
-
-    def solve(system):
-        return solve_system(system, cfg.method, precond, cfg.tol, cfg.maxit, cfg.restart).report
-
-    grid = [each_viscosity(m, problem, cfg.mu, cfg.qg, cfg.consistent, solve) for m in meshes]
+    solve = _solver(cfg)
+    grid = [
+        each_viscosity(m, problem, cfg.mu, cfg.qg, cfg.consistent, lambda s: solve(s).report)
+        for m in meshes
+    ]
     out = _outdir(cfg)
     csv_path = out / "solver_study.csv"
-    with csv_path.open("w", encoding="utf-8") as fh:
-        fh.write("N,mu,method,precond,iterations,converged,final_relres\n")
-        for mesh, reps in zip(meshes, grid):
-            for mu, rep in zip(cfg.mu, reps):
-                fh.write(
-                    f"{mesh.num_elements},{mu:.6e},{cfg.method},{precond},{rep.iterations},"
-                    f"{int(rep.converged)},{rep.residuals[-1]:.6e}\n"
-                )
-    header = "| N | " + " | ".join(f"its (mu={m:g})" for m in cfg.mu) + " |"
-    lines = [header, "|---|" + "---|" * len(cfg.mu)]
-    for mesh, reps in zip(meshes, grid):
-        cells = [f"{rep.iterations}{'' if rep.converged else '*'}" for rep in reps]
-        lines.append(f"| {mesh.num_elements} | " + " | ".join(cells) + " |")
-    md = "\n".join(lines)
+    columns = ["N", "mu", "method", "precond", "iterations", "converged", "final_relres"]
+    _write_csv(csv_path, columns, [
+        [mesh.num_elements, f"{mu:.6e}", cfg.method, precond, rep.iterations,
+         int(rep.converged), f"{rep.residuals[-1]:.6e}"]
+        for mesh, reps in zip(meshes, grid)
+        for mu, rep in zip(cfg.mu, reps)
+    ])
+    counts = [
+        [mesh.num_elements, *(f"{r.iterations}{'' if r.converged else '*'}" for r in reps)]
+        for mesh, reps in zip(meshes, grid)
+    ]
+    md = _markdown_table(["N", *(f"its (mu={m:g})" for m in cfg.mu)], counts)
     (out / "solver_study.md").write_text(md + "\n", encoding="utf-8")
     print(f"{cfg.method} with {precond} preconditioning")
     print(md)
@@ -258,30 +305,28 @@ def run_solver_study(cfg: ExperimentConfig) -> int:
 def run_spectral(cfg: ExperimentConfig) -> int:
     meshes = resolve_meshes(cfg, make_problem(cfg).dim)
     out = _outdir(cfg)
-    summary_rows = []
+    summary = []
     for mesh in meshes:
         try:
-            report = spectral_report(mesh)
+            rep = spectral_report(mesh)
         except ValueError as exc:
             raise ConfigError(f"mesh with {mesh.num_elements} elements: {exc}") from exc
         path = out / f"spectral_eigs_N{mesh.num_elements}.csv"
-        report.write_csv(path)
+        _write_csv(path, ["index", "gamma", "lambda"], (
+            [i, *("" if v is None else f"{v:.10e}" for v in pair)]
+            for i, pair in enumerate(zip_longest(rep.gammas, rep.lambdas))
+        ))
         print(f"N = {mesh.num_elements}")
-        print(report.summary())
+        print(rep.summary())
         print(f"eigenvalues written to {path}")
-        summary_rows.append((mesh.num_elements, report))
-    with (out / "spectral_summary.csv").open("w", encoding="utf-8") as fh:
-        fh.write(
-            "N,beta,zero_gamma_count,gamma_max,gamma_upper_ok,"
-            "zero_lambda_count,lambda_violations,quad_map_max_dist\n"
-        )
-        for n, rep in summary_rows:
-            fh.write(
-                f"{n},{rep.beta:.6e},{rep.zero_gamma_count},"
-                f"{rep.gammas[-1]:.6e},{int(rep.gamma_upper_ok)},"
-                f"{rep.zero_lambda_count},{len(rep.lambda_interval_violations)},"
-                f"{rep.quad_map_max_dist:.6e}\n"
-            )
+        summary.append([
+            mesh.num_elements, f"{rep.beta:.6e}", rep.zero_gamma_count,
+            f"{rep.gammas[-1]:.6e}", int(rep.gamma_upper_ok), rep.zero_lambda_count,
+            len(rep.lambda_interval_violations), f"{rep.quad_map_max_dist:.6e}",
+        ])
+    columns = ["N", "beta", "zero_gamma_count", "gamma_max", "gamma_upper_ok",
+               "zero_lambda_count", "lambda_violations", "quad_map_max_dist"]
+    _write_csv(out / "spectral_summary.csv", columns, summary)
     return EXIT_OK
 
 
@@ -290,17 +335,13 @@ def run_inconsistency(cfg: ExperimentConfig) -> int:
     _only_one("mesh", cfg.levels + cfg.mesh_files)
     problem = make_problem(cfg)
     mesh = resolve_meshes(cfg, problem.dim)[0]
-    demo = inconsistency_demo(
-        mesh, problem, method=cfg.method, qg_method=cfg.qg, tol=cfg.tol,
-        maxit=cfg.maxit, restart=cfg.restart,
-    )
+    demo = inconsistency_demo(mesh, problem, cfg.qg, solve=_solver(cfg))
     out = _outdir(cfg)
-    raw_path = out / "inconsistency_raw.csv"
-    fixed_path = out / "inconsistency_fixed.csv"
-    demo.report_raw.write_csv(raw_path)
-    demo.report_fixed.write_csv(fixed_path)
+    paths = [out / f"inconsistency_{kind}.csv" for kind in ("raw", "fixed")]
+    for path, rep in zip(paths, (demo.report_raw, demo.report_fixed)):
+        _write_csv(path, ["iteration", "relres"], enumerate(f"{r:.6e}" for r in rep.residuals))
     print(demo.summary())
-    print(f"residual histories written to {raw_path} and {fixed_path}")
+    print(f"residual histories written to {paths[0]} and {paths[1]}")
     return EXIT_OK if demo.report_fixed.converged else EXIT_SOLVER
 
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.linalg.blas import daxpy, ddot
@@ -148,13 +147,6 @@ class SolveReport:
             f"relres {self.residuals[-1]:.3e}, {flag}{extra}, "
             f"{self.wall_time:.2f}s"
         )
-
-    def write_csv(self, path: str | Path) -> None:
-        path = Path(path)
-        with path.open("w", encoding="utf-8") as fh:
-            fh.write("iteration,relres\n")
-            for k, r in enumerate(self.residuals):
-                fh.write(f"{k},{r:.6e}\n")
 
 
 def _detect_stagnation(residuals: list[float], tol: float) -> bool:

@@ -421,11 +421,13 @@ def _load_gmsh(text: str) -> Mesh:
     lines = [ln.strip() for ln in text.splitlines()]
 
     def section(name):
-        try:
-            a = lines.index(f"${name}")
-            b = lines.index(f"$End{name}")
-        except ValueError as exc:
-            raise MeshError(f"gmsh file missing ${name} section") from exc
+        starts = [i for i, ln in enumerate(lines) if ln == f"${name}"]
+        if len(starts) > 1:  # reading one alone would drop the other without a word
+            first, second = (i + 1 for i in starts[:2])
+            raise MeshError(f"gmsh file has two ${name} sections, on lines {first} and {second}")
+        if not starts or f"$End{name}" not in lines:
+            raise MeshError(f"gmsh file missing ${name} section")
+        a, b = starts[0], lines.index(f"$End{name}")
         if b < a:
             raise MeshError(
                 f"gmsh $End{name} on line {b + 1} comes before ${name} on line {a + 1}"
@@ -483,12 +485,18 @@ def _load_gmsh(text: str) -> Mesh:
     try:
         for row, ln in enumerate(elem_lines, 1):
             parts = [int(p) for p in ln.split()]
-            parsed.append((parts[0], parts[1], parts[3 + parts[2] :]))
+            parsed.append((parts[0], parts[1], parts[2], parts[3:]))
     except (ValueError, IndexError) as exc:
         raise malformed(start, row, exc) from exc
     cells = []
     cell_type = None
-    for row, (num, etype, nodes) in enumerate(parsed, 1):
+    for row, (num, etype, ntags, fields) in enumerate(parsed, 1):
+        if not 0 <= ntags <= len(fields):
+            raise MeshError(
+                f"gmsh element {num} on line {start + row + 1} has tag count {ntags}, "
+                f"but {len(fields)} fields follow it"
+            )
+        nodes = fields[ntags:]
         if etype not in (2, 4):
             raise MeshError(f"gmsh element type {etype} not supported")
         if cell_type is None:

@@ -166,13 +166,13 @@ _ALLOWED_FUNCS = {"exp", "sin", "cos"}
 
 
 def problem_from_expressions(
-    dim: int,
     velocity_exprs: list[str],
     pressure_expr: str,
     mu: float = 1.0,
     name: str = "custom",
 ) -> StokesProblem:
-    """Build a problem from expression strings in x, y(, z), pi, exp, sin, cos.
+    """Build a problem from expression strings in x, y(, z), pi, exp, sin, cos;
+    the number of velocity components, 2 or 3, is the dimension.
 
     The forcing terms -Lap(u) and grad p and the velocity gradient are
     derived symbolically, so the supplied pair (u, p) is the exact solution
@@ -181,10 +181,9 @@ def problem_from_expressions(
     """
     import sympy as sp
 
+    dim = len(velocity_exprs)
     if dim not in (2, 3):
-        raise ValueError("dim must be 2 or 3")
-    if len(velocity_exprs) != dim:
-        raise ValueError(f"need {dim} velocity components, got {len(velocity_exprs)}")
+        raise ValueError(f"need 2 or 3 velocity components, got {dim}")
     coords = sp.symbols("x y z")[:dim]
     local = {"x": coords[0], "y": coords[1], "pi": sp.pi}
     if dim == 3:

@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 
 from .assembly import assemble_A, assemble_B, build_dofmap, build_saddle_system, each_viscosity
-from .krylov import SolveReport, StokesSolution, default_tolerance, solve_system
-from .mesh import Mesh, structured_simplex_mesh
+from .krylov import SolveReport, StokesSolution, solve_system
+from .mesh import Mesh
 from .problems import StokesProblem, evaluate_batch
 from .quadrature import simplex_rule
 from .wg_core import field_weak_gradients
@@ -170,66 +169,18 @@ class ConvergenceTable:
                 out.append(math.log(e0 / e1) / math.log(r0.h / r1.h))
         return out
 
-    def write_csv(self, path: str | Path) -> None:
-        path = Path(path)
-        cols = ["N", "h", "mu"]
-        for name in ERROR_FIELDS:
-            cols += [name, f"{name}_rate"]
-        cols += ["alpha_h", "iterations", "converged"]
-        with path.open("w", encoding="utf-8") as fh:
-            fh.write(",".join(cols) + "\n")
-            for mu in self.mu_values:
-                rate_cols = {f: self.rates(mu, f) for f in ERROR_FIELDS}
-                for i in range(len(self.levels)):
-                    r = self.reports[(mu, i)]
-                    cells = [str(r.num_elements), f"{r.h:.6e}", f"{mu:g}"]
-                    for f in ERROR_FIELDS:
-                        rate = rate_cols[f][i]
-                        cells.append(f"{getattr(r, f):.6e}")
-                        cells.append("" if rate is None else f"{rate:.3f}")
-                    cells += [
-                        f"{r.alpha_h:.6e}",
-                        str(r.iterations),
-                        str(r.converged),
-                    ]
-                    fh.write(",".join(cells) + "\n")
-
-    def to_markdown(self, field_name: str) -> str:
-        """One table per error quantity, error and rate columns per viscosity."""
-        header = ["N"]
-        for mu in self.mu_values:
-            header += [f"error (mu={mu:g})", "conv. rate"]
-        lines = [
-            "| " + " | ".join(header) + " |",
-            "|" + "|".join("---" for _ in header) + "|",
-        ]
-        rate_cols = {mu: self.rates(mu, field_name) for mu in self.mu_values}
-        for i in range(len(self.levels)):
-            row = [str(self.levels[i])]
-            for mu in self.mu_values:
-                r = self.reports[(mu, i)]
-                rate = rate_cols[mu][i]
-                row.append(f"{getattr(r, field_name):.6e}")
-                row.append("-" if rate is None else f"{rate:.3f}")
-            lines.append("| " + " | ".join(row) + " |")
-        return "\n".join(lines)
-
 
 def convergence_study(
     problem: StokesProblem,
-    meshes: list,
+    meshes: list[Mesh],
     mu_values: tuple = (1.0,),
     qg_method: str = "barycenter",
-    method: str = "minres",
-    tol: float | None = None,
-    maxit: int = 1000,
-    restart: int = 30,
+    solve=solve_system,
 ) -> ConvergenceTable:
     """Solve on a mesh sequence for each viscosity and tabulate errors.
 
-    meshes may hold Mesh objects or integers (structured subdivision levels,
-    dimension taken from the problem). On each mesh the system is built
-    once, and the other viscosities only recombine b1
+    `solve(system)` returns each system's `StokesSolution`. On each mesh
+    the system is built once, and the other viscosities only recombine b1
     (``replace(system, mu=...)``); all share one sample of the exact
     solution for the errors, and solve concurrently. A problem without a
     `velocity_gradient` raises a ValueError before the first solve.
@@ -238,17 +189,12 @@ def convergence_study(
         raise ValueError("need at least two meshes to observe a rate")
     if not mu_values:
         raise ValueError("need at least one viscosity")
-    resolved = [
-        m if isinstance(m, Mesh) else structured_simplex_mesh(problem.dim, m)
-        for m in meshes
-    ]
     reports = {}
-    for i, mesh in enumerate(resolved):
+    for i, mesh in enumerate(meshes):
         exact = _sample_exact(mesh, problem)
 
         def solve_and_measure(system):
-            sol = solve_system(system, method, tol=tol, maxit=maxit, restart=restart)
-            return _error_report(mesh, system.mu, exact, sol)
+            return _error_report(mesh, system.mu, exact, solve(system))
 
         rows = each_viscosity(mesh, problem, mu_values, qg_method, True, solve_and_measure)
         reports.update({(mu, i): rep for mu, rep in zip(mu_values, rows)})
@@ -257,7 +203,7 @@ def convergence_study(
         qg_method=qg_method,
         mu_values=tuple(mu_values),
         reports=reports,
-        levels=[m.num_elements for m in resolved],
+        levels=[m.num_elements for m in meshes],
     )
 
 
@@ -337,16 +283,6 @@ class SpectralReport:
         interval.
         """
         return _lambda_intervals(self.dim, self.beta)
-
-    def write_csv(self, path: str | Path) -> None:
-        path = Path(path)
-        with path.open("w", encoding="utf-8") as fh:
-            fh.write("index,gamma,lambda\n")
-            n = max(len(self.gammas), len(self.lambdas))
-            for i in range(n):
-                g = f"{self.gammas[i]:.10e}" if i < len(self.gammas) else ""
-                l = f"{self.lambdas[i]:.10e}" if i < len(self.lambdas) else ""
-                fh.write(f"{i},{g},{l}\n")
 
     def summary(self) -> str:
         lo, _, hi = self.intervals()
@@ -479,13 +415,11 @@ class InconsistencyDemo:
 def inconsistency_demo(
     mesh: Mesh,
     problem: StokesProblem,
-    method: str = "minres",
     qg_method: str = "barycenter",
-    tol: float | None = None,
-    maxit: int = 1000,
-    restart: int = 30,
+    solve=solve_system,
 ) -> InconsistencyDemo:
-    """Solve with the raw and the corrected pressure right-hand side.
+    """Solve with the raw and the corrected pressure right-hand side, each
+    by `solve(system)`.
 
     The operator is symmetric and its kernel is the constant pressures
     (B^T 1 = 0), so the least-squares residual of the raw right-hand side b
@@ -493,8 +427,8 @@ def inconsistency_demo(
     """
     raw = build_saddle_system(mesh, problem, qg_method, consistent=False)
     fixed = replace(raw, consistent=True)  # shares raw's factor of A
-    sol_raw = solve_system(raw, method, tol=tol, maxit=maxit, restart=restart)
-    sol_fixed = solve_system(fixed, method, tol=tol, maxit=maxit, restart=restart)
+    sol_raw = solve(raw)
+    sol_fixed = solve(fixed)
     floor = abs(raw.mu * raw.alpha_h) / (math.sqrt(raw.n_p) * float(np.linalg.norm(raw.rhs())))
     return InconsistencyDemo(
         alpha_h=raw.alpha_h,

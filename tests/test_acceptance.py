@@ -9,6 +9,7 @@ messages carry the measured numbers and what was ruled out.
 
 import time
 from dataclasses import replace
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -85,8 +86,7 @@ def test_a2_velocity_errors_pressure_robust():
         builtin_problem("stokes2d_exp"),
         [mesh(2, n) for n in (4, 8, 16, 32)],
         mu_values=(1.0, 1e-4),
-        tol=1e-11,
-        maxit=3000,
+        solve=partial(solve_system, tol=1e-11, maxit=3000),
     )
     diffs = []
     for i in range(4):
@@ -282,7 +282,6 @@ def test_a7_unpreconditioned_runs_fail():
 def test_a8_consistency_enforcement():
     demo = inconsistency_demo(mesh(2, 16), builtin_problem("stokes2d_exp"))
     cavity = problem_from_expressions(
-        2,
         ["2*x**2*(1-x)**2*y*(1-y)*(1-2*y)", "-2*x*(1-x)*(1-2*x)*y**2*(1-y)**2"],
         "x*y - 1/4",
         name="cavity",

@@ -89,6 +89,95 @@ def test_identical_invocations_produce_identical_files(tmp_path):
     assert (a / "convergence.csv").read_bytes() == (b / "convergence.csv").read_bytes()
 
 
+# The cell formats of the written files: %.6e, %.10e, %g, %.3f and integers.
+E6 = r"-?\d\.\d{6}e[+-]\d\d"
+E10 = r"-?\d\.\d{10}e[+-]\d\d"
+INT = r"\d+"
+RATE = r"(\d\.\d{3}|)"  # empty on the first level
+COMMANDS = {
+    "convergence": ["convergence", "--levels", "2", "4", "--mu", "1", "--mu", "1e-4"],
+    "solver-study": ["solver-study", "--levels", "2", "4", "--mu", "1", "--mu", "1e-4"],
+    "spectral": ["spectral", "--levels", "2"],
+    "inconsistency": ["inconsistency", "--levels", "2"],
+}
+# (command, file, its exact header line, the cells of each of its rows)
+CSV_FILES = [
+    ("convergence", "convergence.csv",
+     "N,h,mu,l2_velocity,l2_velocity_rate,superconv,superconv_rate,grad_error,"
+     "grad_error_rate,pressure_error,pressure_error_rate,alpha_h,iterations,converged",
+     [INT, E6, r"1|0\.0001", E6, RATE, E6, RATE, E6, RATE, E6, RATE, E6, INT, "True"]),
+    ("solver-study", "solver_study.csv",
+     "N,mu,method,precond,iterations,converged,final_relres",
+     [INT, r"1\.000000e\+00|1\.000000e-04", "minres", "block_diag", INT, "1", E6]),
+    ("spectral", "spectral_eigs_N8.csv", "index,gamma,lambda", [INT, f"({E10}|)", E10]),
+    ("spectral", "spectral_summary.csv",
+     "N,beta,zero_gamma_count,gamma_max,gamma_upper_ok,zero_lambda_count,"
+     "lambda_violations,quad_map_max_dist",
+     [INT, E6, INT, E6, "1", INT, INT, E6]),
+    ("inconsistency", "inconsistency_raw.csv", "iteration,relres", [INT, E6]),
+    ("inconsistency", "inconsistency_fixed.csv", "iteration,relres", [INT, E6]),
+]
+
+
+@pytest.fixture(scope="module")
+def written(tmp_path_factory):
+    """The output directory of each command in COMMANDS."""
+    dirs = {}
+    for name, argv in COMMANDS.items():
+        dirs[name] = tmp_path_factory.mktemp(name)
+        assert cli.main([*argv, "--out", str(dirs[name])]) == 0
+    return dirs
+
+
+@pytest.mark.parametrize(
+    "command,name,header,cells", CSV_FILES, ids=[f for _, f, _, _ in CSV_FILES]
+)
+def test_csv_header_and_cell_formats(written, command, name, header, cells):
+    lines = (written[command] / name).read_text(encoding="utf-8").split("\n")
+    assert lines[0] == header and lines[-1] == ""  # every line ends in a newline
+    assert len(lines) > 2
+    for line in lines[1:-1]:
+        assert re.fullmatch(",".join(f"({c})" for c in cells), line), line
+
+
+def test_csv_blank_cells_and_viscosity_order(written):
+    # the first level of each viscosity has no rate; mu is %g in convergence.csv
+    rows = (written["convergence"] / "convergence.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[2] for r in rows] == ["1", "1", "0.0001", "0.0001"]
+    assert [r.split(",")[4] == "" for r in rows] == [True, False, True, False]
+    spectral = (written["spectral"] / "spectral_eigs_N8.csv").read_text().splitlines()
+    assert spectral[1].startswith("0,") and spectral[-1].split(",")[1] == ""
+
+
+@pytest.mark.parametrize(
+    "command,name,separator",
+    [("convergence", "convergence.md", "|---|---|---|---|---|"),
+     ("solver-study", "solver_study.md", "|---|---|---|")],
+    ids=["convergence", "solver-study"],
+)
+def test_markdown_separator_row(written, command, name, separator):
+    lines = (written[command] / name).read_text(encoding="utf-8").splitlines()
+    headers = [i for i, line in enumerate(lines) if line.startswith("| N |")]
+    assert headers and all(lines[i + 1] == separator for i in headers)
+    cells = r"(\| [^|]+ )+\|"
+    assert all(re.fullmatch(cells, lines[i]) for i in headers)
+
+
+@pytest.mark.parametrize(
+    "command,name,column",
+    [("convergence", "convergence.csv", -2), ("solver-study", "solver_study.csv", 4),
+     ("inconsistency", "inconsistency_fixed.csv", 0)],
+    ids=["convergence", "solver-study", "inconsistency"],
+)
+def test_solver_settings_reach_every_study(tmp_path, command, name, column):
+    # each study solves with the run's settings, here a cap of 3 iterations
+    levels = ["2"] if command == "inconsistency" else ["2", "4"]
+    argv = [command, "--levels", *levels, "--method", "gmres", "--maxit", "3"]
+    assert cli.main([*argv, "--out", str(tmp_path)]) == 1
+    rows = [r.split(",") for r in (tmp_path / name).read_text().splitlines()[1:]]
+    assert max(int(r[column]) for r in rows) == 3
+
+
 def test_solver_study_grid_shape(tmp_path):
     code = cli.main(
         ["solver-study", "--levels", "2", "4", "--mu", "1", "--mu", "1e-4",

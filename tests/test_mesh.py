@@ -336,6 +336,36 @@ def test_gmsh_element_node_count_must_match_its_type(tmp_path, bad, count):
         load_mesh(path)
 
 
+@pytest.mark.parametrize(
+    "name,second,first_line",
+    [("Nodes", "1\n5 2 2 0", 4), ("Elements", "1\n3 2 2 0 1 1 2 4", 11)],
+    ids=["nodes", "elements"],
+)
+def test_gmsh_second_section_named(tmp_path, name, second, first_line):
+    # reading only the first section would drop the second without a word
+    path = tmp_path / "square.msh"
+    path.write_text(GMSH_SQUARE + f"${name}\n{second}\n$End{name}\n")
+    with pytest.raises(
+        MeshError, match=rf"^gmsh file has two \${name} sections, on lines {first_line} and 16$"
+    ):
+        load_mesh(path)
+
+
+@pytest.mark.parametrize(
+    "bad,tags,fields",
+    [("2 2 -1 1 3 4", -1, 3), ("2 2 9 0 1 1 3 4", 9, 5)],
+    ids=["negative", "past-the-line"],
+)
+def test_gmsh_element_tag_count_must_fit_its_line(tmp_path, bad, tags, fields):
+    path = tmp_path / "square.msh"
+    path.write_text(GMSH_SQUARE.replace("2 2 2 0 1 1 3 4", bad))
+    with pytest.raises(
+        MeshError,
+        match=f"^gmsh element 2 on line 14 has tag count {tags}, but {fields} fields follow it$",
+    ):
+        load_mesh(path)
+
+
 @pytest.mark.parametrize("fifth", ["2 9 9 0", "2 1.1 0 0"], ids=["inverts", "stretches"])
 def test_gmsh_repeated_node_id_rejected(tmp_path, fifth):
     # either row of node 2 would move the elements that name it: the first

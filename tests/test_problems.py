@@ -27,7 +27,7 @@ def assert_satisfies_strong_form(prob):
     symbolically from the same (u, p), to rounding, and its velocity is
     divergence-free."""
     velocity, pressure = BUILTIN_EXPRESSIONS[prob.name]
-    derived = problem_from_expressions(prob.dim, velocity, pressure, prob.mu)
+    derived = problem_from_expressions(velocity, pressure, prob.mu)
     pts = 0.15 + 0.7 * np.random.default_rng(3).random((12, prob.dim))
     for field in ("velocity", "pressure"):  # the strings are prob's solution
         ours, theirs = getattr(prob, field)(pts), getattr(derived, field)(pts)
@@ -62,8 +62,8 @@ def centered_gradient(velocity, pts, step=1e-6):
     [
         builtin_problem("stokes2d_exp"),
         builtin_problem("stokes3d_trig", 1e-4),
-        problem_from_expressions(2, ["x + y**2", "x*sin(y) - 2"], "x*y"),
-        problem_from_expressions(3, ["sin(pi*x)*exp(y)", "3", "x*y*cos(z)"], "0"),
+        problem_from_expressions(["x + y**2", "x*sin(y) - 2"], "x*y"),
+        problem_from_expressions(["sin(pi*x)*exp(y)", "3", "x*y*cos(z)"], "0"),
     ],
     ids=["stokes2d_exp", "stokes3d_trig", "custom-2d", "custom-3d-constant-row"],
 )
@@ -114,7 +114,6 @@ def test_with_mu_rebuilds_forcing():
 
 def test_problem_from_expressions_derives_forcing():
     prob = problem_from_expressions(
-        2,
         ["sin(pi*y)", "sin(pi*x)"],
         "cos(pi*x)*cos(pi*y)",
         mu=0.7,
@@ -135,7 +134,6 @@ def test_problem_from_expressions_derives_forcing():
 
 def test_problem_from_expressions_3d():
     prob = problem_from_expressions(
-        3,
         ["2*sin(pi*x)", "-pi*y*cos(pi*x)", "-pi*z*cos(pi*x)"],
         "sin(pi*x)*cos(pi*y)*sin(pi*z)",
         mu=1.0,
@@ -151,7 +149,7 @@ def test_with_mu_makes_no_sympy_call(monkeypatch):
     # mu: nothing is parsed, derived or lambdified again
     import sympy
 
-    prob = problem_from_expressions(2, ["sin(pi*y)", "sin(pi*x)"], "x*y", mu=0.7)
+    prob = problem_from_expressions(["sin(pi*y)", "sin(pi*x)"], "x*y", mu=0.7)
 
     def no_sympy(*args, **kwargs):
         raise AssertionError("sympy called")
@@ -166,11 +164,14 @@ def test_with_mu_makes_no_sympy_call(monkeypatch):
 
 def test_expression_validation():
     with pytest.raises(ValueError, match="unknown symbols"):
-        problem_from_expressions(2, ["w", "0"], "0")
+        problem_from_expressions(["w", "0"], "0")
     with pytest.raises(ValueError, match="not allowed"):
-        problem_from_expressions(2, ["tan(x)", "0"], "0")
-    with pytest.raises(ValueError, match="velocity components"):
-        problem_from_expressions(2, ["x"], "0")
+        problem_from_expressions(["tan(x)", "0"], "0")
+    # the dimension is the number of velocity components
+    for velocity in (["x"], ["x", "y", "0", "0"]):
+        message = f"^need 2 or 3 velocity components, got {len(velocity)}$"
+        with pytest.raises(ValueError, match=message):
+            problem_from_expressions(velocity, "0")
 
 
 def test_viscosity_checked_by_every_constructor():
@@ -179,6 +180,6 @@ def test_viscosity_checked_by_every_constructor():
         with pytest.raises(ValueError, match="viscosity must be positive"):
             base.with_mu(mu)
         with pytest.raises(ValueError, match="viscosity must be positive"):
-            problem_from_expressions(2, ["y", "-x"], "0", mu=mu)
+            problem_from_expressions(["y", "-x"], "0", mu=mu)
     with pytest.raises(ValueError, match="viscosity must be positive"):
         StokesProblem("custom", 2, -1.0, base.velocity, base.pressure, base.forcing_terms)

@@ -3,6 +3,7 @@
 import math
 import threading
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -31,7 +32,8 @@ _TABLES = {}
 def study(qg):
     if qg not in _TABLES:
         prob = builtin_problem("stokes2d_exp")
-        _TABLES[qg] = convergence_study(prob, [4, 8, 16], mu_values=(1.0,), qg_method=qg)
+        meshes = [structured_simplex_mesh(2, n) for n in (4, 8, 16)]
+        _TABLES[qg] = convergence_study(prob, meshes, mu_values=(1.0,), qg_method=qg)
     return _TABLES[qg]
 
 
@@ -134,9 +136,9 @@ def test_boundary_flux_defect_decays_at_second_order():
 
 def test_velocity_errors_independent_of_viscosity():
     prob = builtin_problem("stokes2d_exp")
-    table = convergence_study(
-        prob, [4, 8], mu_values=(1.0, 1e-4), tol=1e-12, maxit=3000
-    )
+    meshes = [structured_simplex_mesh(2, n) for n in (4, 8)]
+    solve = partial(solve_system, tol=1e-12, maxit=3000)
+    table = convergence_study(prob, meshes, mu_values=(1.0, 1e-4), solve=solve)
     for i in range(2):
         e1 = table.reports[(1.0, i)].l2_velocity
         e2 = table.reports[(1e-4, i)].l2_velocity
@@ -186,21 +188,22 @@ def test_convergence_study_matches_per_viscosity_loop(monkeypatch, dim, levels, 
 
     builds, grads = [], []
     solves = {}  # keyed, since the two threads record in no fixed order
-    real_build, real_solve = assembly.build_saddle_system, verification.solve_system
+    real_build = assembly.build_saddle_system
 
     def build(mesh, *args):
         builds.append(mesh)
         return real_build(mesh, *args)
 
-    def solve(system, *args, **kwargs):
+    def solve(system):
         key = (system.mesh, system.mu)
         assert key not in solves
-        solves[key] = real_solve(system, *args, **kwargs)
+        solves[key] = solve_system(system)
         return solves[key]
 
     monkeypatch.setattr(assembly, "build_saddle_system", build)
-    monkeypatch.setattr(verification, "solve_system", solve)
-    table = convergence_study(gradient_counted(prob, grads), meshes, mu_values=mu_values)
+    table = convergence_study(
+        gradient_counted(prob, grads), meshes, mu_values=mu_values, solve=solve
+    )
     assert builds == meshes
     points = len(simplex_rule(dim, verification.ERROR_DEGREE)[1])
     assert grads == [m.num_elements * points for m in meshes]
@@ -223,44 +226,43 @@ def test_convergence_study_matches_per_viscosity_loop(monkeypatch, dim, levels, 
             )
 
 
-def test_error_on_the_worker_reaches_the_study_caller(monkeypatch):
-    real_solve = verification.solve_system
+def test_error_on_the_worker_reaches_the_study_caller():
     failed_on = []
 
-    def solve(system, *args, **kwargs):
+    def solve(system):
         if system.mu == 1.0:
             failed_on.append(threading.current_thread())
             raise RuntimeError("no solve at mu=1")
-        return real_solve(system, *args, **kwargs)
+        return solve_system(system)
 
-    monkeypatch.setattr(verification, "solve_system", solve)
     prob = builtin_problem("stokes2d_exp")
+    meshes = [structured_simplex_mesh(2, n) for n in (2, 4)]
     with pytest.raises(RuntimeError, match=r"^no solve at mu=1$"):
-        convergence_study(prob, [2, 4], mu_values=(1.0, 1e-4))
+        convergence_study(prob, meshes, mu_values=(1.0, 1e-4), solve=solve)
     assert failed_on and failed_on[0] is not threading.main_thread()
 
     # the worker is not left blocked: the next study runs to the end
-    monkeypatch.setattr(verification, "solve_system", real_solve)
-    table = convergence_study(prob, [2, 4], mu_values=(1.0, 1e-4))
+    table = convergence_study(prob, meshes, mu_values=(1.0, 1e-4))
     assert len(table.reports) == 4
     assert all(rep.converged for rep in table.reports.values())
     assert set(threading.enumerate()) == {threading.main_thread(), failed_on[0]}
 
 
 def test_convergence_study_needs_a_viscosity(monkeypatch):
+    mesh = structured_simplex_mesh(2, 2)
     monkeypatch.setattr(assembly, "build_saddle_system", lambda *a: pytest.fail("built"))
     with pytest.raises(ValueError, match="need at least one viscosity"):
-        convergence_study(builtin_problem("stokes2d_exp"), [2, 4], mu_values=())
+        convergence_study(builtin_problem("stokes2d_exp"), [mesh, mesh], mu_values=())
 
 
-def test_convergence_study_without_gradient_fails_before_solving(monkeypatch):
+def test_convergence_study_without_gradient_fails_before_solving():
     solves = []
-    monkeypatch.setattr(verification, "solve_system", lambda *a, **k: solves.append(a))
     no_gradient = replace(
         builtin_problem("stokes2d_exp"), name="gradient-free", velocity_gradient=None
     )
+    meshes = [structured_simplex_mesh(2, n) for n in (2, 4)]
     with pytest.raises(ValueError, match="'gradient-free' has no velocity_gradient"):
-        convergence_study(no_gradient, [2, 4], mu_values=(1.0, 1e-4))
+        convergence_study(no_gradient, meshes, mu_values=(1.0, 1e-4), solve=solves.append)
     assert solves == []
 
 
@@ -318,22 +320,7 @@ def test_compute_errors_reports_the_systems_alpha_h():
 def test_convergence_study_needs_two_meshes():
     prob = builtin_problem("stokes2d_exp")
     with pytest.raises(ValueError):
-        convergence_study(prob, [4])
-
-
-def test_convergence_table_serialization(tmp_path):
-    table = study("barycenter")
-    path = tmp_path / "table.csv"
-    table.write_csv(path)
-    lines = path.read_text().strip().splitlines()
-    header = lines[0].split(",")
-    assert header[0] == "N" and "l2_velocity" in header
-    assert len(lines) == 1 + 3  # one viscosity, three levels
-    md = table.to_markdown("l2_velocity")
-    assert "conv. rate" in md
-    rows = md.strip().splitlines()
-    assert len(rows) == 2 + 3
-    assert rows[2].split("|")[3].strip() == "-"  # no rate on the first level
+        convergence_study(prob, [structured_simplex_mesh(2, 4)])
 
 
 def test_spectral_report_gamma_side():
@@ -419,7 +406,7 @@ def test_residual_bound_check_rejects_flat_history():
 def test_inconsistency_demo_contrasts_raw_and_corrected():
     mesh = structured_simplex_mesh(2, 4)
     prob = builtin_problem("stokes2d_exp")
-    demo = inconsistency_demo(mesh, prob, maxit=200)
+    demo = inconsistency_demo(mesh, prob, solve=partial(solve_system, maxit=200))
     assert demo.alpha_h != 0.0
     assert not demo.report_raw.converged
     assert demo.report_raw.stagnated
@@ -450,7 +437,7 @@ def test_inconsistency_demo_builds_the_system_once(monkeypatch):
 def test_inconsistency_demo_no_op_for_zero_boundary_data():
     u0 = "2*x**2*(1-x)**2*y*(1-y)*(1-2*y)"
     u1 = "-2*x*(1-x)*(1-2*x)*y**2*(1-y)**2"
-    prob = problem_from_expressions(2, [u0, u1], "x*y - 1/4", name="cavity")
+    prob = problem_from_expressions([u0, u1], "x*y - 1/4", name="cavity")
     mesh = structured_simplex_mesh(2, 3)
     demo = inconsistency_demo(mesh, prob)
     assert demo.alpha_h == 0.0
@@ -473,7 +460,7 @@ def test_inconsistency_floor_matches_dense_least_squares(n, mu):
     # the closed form |mu alpha_h| / (sqrt(N) ||b||) is the least-squares floor
     mesh = structured_simplex_mesh(2, n)
     prob = builtin_problem("stokes2d_exp", mu=mu)
-    demo = inconsistency_demo(mesh, prob, maxit=20)
+    demo = inconsistency_demo(mesh, prob, solve=partial(solve_system, maxit=20))
     reference = dense_floor(build_saddle_system(mesh, prob, consistent=False))
     assert isinstance(demo.residual_floor, float)
     assert demo.residual_floor == pytest.approx(reference, rel=1e-10)
