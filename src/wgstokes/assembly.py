@@ -24,12 +24,14 @@ SINUM 10, 1973), not in `mesh.interior_facets` order: `DofMap.facet_slot`
 maps one to the other, and `SaddleSystem.split` maps facet values back. The
 facet Schur complement of A couples only facets that share an element, so
 the facets between two halves of the elements separate its graph exactly.
-`build_saddle_system` factors A on a worker thread while it assembles B, b1
-and b2; every system derived from it shares the factor (`SaddleSystem.inner`).
-The system keeps the parts of b1 that do not depend on the viscosity
-(`LoadParts`) and forms b1 from them, so ``dataclasses.replace(system,
-mu=...)`` is the system at another viscosity. In studies the same one
-worker runs every viscosity's solve but the last (`each_viscosity`).
+A is factored when the factor is first read (`SaddleSystem.inner`), on the
+reading thread, and every system derived from a build shares that one
+factor, so work that never reads it (`export_system`, an unpreconditioned
+solve) never factors. The system keeps the parts of b1 that do not depend
+on the viscosity (`LoadParts`) and forms b1 from them, so
+``dataclasses.replace(system, mu=...)`` is the system at another viscosity.
+In studies one worker thread runs every viscosity's solve but the last
+(`each_viscosity`).
 
 Every block is built from the mesh's per-element arrays and the dof map's
 element-to-dof table: local blocks for all elements at once, then one
@@ -39,10 +41,10 @@ scatter per block.
 from __future__ import annotations
 
 import math
-from concurrent.futures import Future, ThreadPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -352,13 +354,31 @@ def assemble_b2(
     return (mesh.elem_facet_measures * flux).sum(axis=1)
 
 
+class _Factor:
+    """`InnerSolver(a)`, made by the first call of `result` that succeeds and
+    returned by every later one. A lock lets one call at a time factor, so
+    threads that call together get one object; a call whose factoring raises
+    stores nothing, and the next call factors again."""
+
+    def __init__(self, a: sp.csr_matrix):
+        self._a = a
+        self._lock = threading.Lock()
+        self._inner = None
+
+    def result(self) -> InnerSolver:
+        with self._lock:
+            if self._inner is None:
+                self._inner = InnerSolver(self._a)
+            return self._inner
+
+
 @dataclass
 class SaddleSystem:
     """Rescaled singular saddle system and everything needed to solve/verify it.
 
     b1 and alpha_h are formed from `load`, `mu` and `b2` on construction, so
     ``dataclasses.replace(system, mu=...)`` gives the system at another
-    viscosity, sharing every block and the factor of A.
+    viscosity, sharing every block and the factor of A (made on first read).
     """
 
     mesh: Mesh
@@ -370,7 +390,7 @@ class SaddleSystem:
     consistent: bool
     g_boundary: np.ndarray  # projected datum per boundary facet
     load: LoadParts  # what b1 is made of at any viscosity
-    factor: Future = field(compare=False, repr=False)  # of InnerSolver(A)
+    factor: _Factor = field(compare=False, repr=False)  # of A, shared by replace() copies
     b1: np.ndarray = field(init=False)
     alpha_h: float = field(init=False)  # sum of b2, the boundary-flux defect; 0 iff consistent
 
@@ -395,7 +415,8 @@ class SaddleSystem:
 
     @property
     def inner(self) -> InnerSolver:
-        """The factor of A, once it is done; raises what factoring raised."""
+        """The factor of A, made by the first read on any thread; raises what
+        factoring raised."""
         return self.factor.result()
 
     def rhs(self) -> np.ndarray:
@@ -433,11 +454,8 @@ class SaddleSystem:
         return interior, facet, x[self.n_u :].copy()
 
 
-# the one worker: each build's factor of A, beside its B, b1 and b2, and in
-# studies every viscosity's solve but the last (SuperLU and numpy release the
-# GIL). Only the two functions below submit to it. Tasks run first in, first
-# out, so a queued solve may wait on its system's factor only because the
-# build submitted that factor before it
+# the one worker: in studies every viscosity's solve but the last (SuperLU
+# and numpy release the GIL). Only `each_viscosity` submits to it
 _WORKER = ThreadPoolExecutor(max_workers=1)
 
 
@@ -459,7 +477,6 @@ def build_saddle_system(
     g_proj = project_boundary_values(mesh, problem, qg_method)
     gram = local_gram_matrices(mesh)
     a = _stiffness(dof, gram)
-    factor = _WORKER.submit(InnerSolver, a)
     b = assemble_B(mesh, dof)
     load = _load_parts(mesh, problem, g_proj, gram)
     return SaddleSystem(
@@ -472,7 +489,7 @@ def build_saddle_system(
         consistent=consistent,
         g_boundary=g_proj,
         load=load,
-        factor=factor,
+        factor=_Factor(a),
     )
 
 
@@ -482,16 +499,17 @@ def each_viscosity(
     """`task(system)` for each viscosity's system on `mesh`, in `mu_values` order.
 
     One build; the other systems are ``replace(system, mu=mu)`` and share
-    its A, B, load parts and factor. Every task but the last runs on
-    the worker while this thread derives the next system, and the last runs
-    here. Every task has finished when this returns or raises, and an
-    exception from either thread reaches the caller.
+    its A, B, load parts and factor, which the first task to read it makes
+    while the others wait. Every task but the last runs on the worker while
+    this thread derives the next system, and the last runs here. Every task
+    has finished when this returns or raises, and an exception from either
+    thread reaches the caller.
     """
     system = build_saddle_system(mesh, problem.with_mu(mu_values[0]), qg_method, consistent)
     pending = []
     try:
         for mu in mu_values[1:]:
-            pending.append(_WORKER.submit(task, system))  # queued behind system's factor
+            pending.append(_WORKER.submit(task, system))
             system = replace(system, mu=mu)
         last = task(system)
     finally:
@@ -499,20 +517,11 @@ def each_viscosity(
     return done + [last]
 
 
-def export_system(system: SaddleSystem, outdir: str | Path) -> list[Path]:
-    """Write kron(A, I_d), B and the right-hand side in Matrix Market coordinate
-    format, as system_A.mtx, system_B.mtx and system_rhs.mtx in outdir."""
-    from scipy.io import mmwrite
-
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for suffix, mat in (
-        ("A", sp.kron(system.A, sp.identity(system.dof.dim), "csr").tocoo()),  # row-major
-        ("B", system.B.tocoo()),
-        ("rhs", sp.coo_matrix(system.rhs().reshape(-1, 1))),
-    ):
-        p = outdir / f"system_{suffix}.mtx"
-        mmwrite(p, mat)
-        paths.append(p)
-    return paths
+def export_system(system: SaddleSystem) -> dict[str, sp.coo_matrix]:
+    """kron(A, I_d), B and the right-hand side (one column) in coordinate
+    form, keyed "A", "B" and "rhs"; the rows of each are in row-major order."""
+    return {
+        "A": sp.kron(system.A, sp.identity(system.dof.dim), "csr").tocoo(),
+        "B": system.B.tocoo(),
+        "rhs": sp.coo_matrix(system.rhs().reshape(-1, 1)),
+    }

@@ -352,7 +352,11 @@ def run_export(cfg: ExperimentConfig) -> int:
     mesh = resolve_meshes(cfg, problem.dim)[0]
     system = build_saddle_system(mesh, problem, cfg.qg, cfg.consistent)
     out = _outdir(cfg)
-    paths = export_system(system, out)
+    from scipy.io import mmwrite  # only this subcommand writes Matrix Market
+    paths = []
+    for name, mat in export_system(system).items():
+        paths.append(out / f"system_{name}.mtx")
+        mmwrite(paths[-1], mat)
     meta = {
         "dim": system.mesh.dim,
         "num_elements": mesh.num_elements,

@@ -82,7 +82,8 @@ class SaddlePreconditioner:
     """Applies the inverse of the chosen block preconditioner.
 
     The A-block inverse is `inner_solver`, or else the system's own factor
-    (`SaddleSystem.inner`); the "none" kind never waits for it.
+    (`SaddleSystem.inner`), made on first read; the "none" kind never reads
+    it, so it never factors A.
     """
 
     def __init__(

@@ -411,7 +411,14 @@ def _load_native(tokens: list[str]) -> Mesh:
                 f"so {end} tokens, but the file has {len(tokens)}"
             )
         vertices = np.array(tokens[3 : 3 + nv * dim], dtype=float).reshape(nv, dim)
-        elements = np.array(tokens[3 + nv * dim : end], dtype=np.int64).reshape(ne, dim + 1)
+        cells = tokens[3 + nv * dim : end]
+        try:
+            elements = np.array(cells, dtype=np.int64).reshape(ne, dim + 1)
+        except OverflowError:  # not a ValueError: name the entry instead
+            k = next(i for i, t in enumerate(cells) if not -(2**63) <= int(t) < 2**63)
+            raise ValueError(
+                f"element {k // (dim + 1)} has vertex index {cells[k]}, outside the int64 range"
+            ) from None
     except ValueError as exc:
         raise MeshError(f"malformed native mesh file: {exc}") from exc
     return Mesh(vertices, elements - 1)

@@ -1,5 +1,9 @@
 """Global assembly against dense oracles and the consistency bookkeeping."""
 
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -453,6 +457,36 @@ def test_system_for_viscosity_equals_fresh_build(dim, n, consistent, qg):
     assert derived.consistent == consistent
 
 
+def test_threads_reading_copies_share_one_factor(monkeypatch):
+    # more readers than cores, on a system and its replace() copies, all
+    # arrive while the first is factoring: one construction, one object
+    built = []
+
+    def slow(a):
+        built.append(a)
+        time.sleep(0.05)
+        return InnerSolver(a)
+
+    monkeypatch.setattr(assembly, "InnerSolver", slow)
+    base = build_saddle_system(generate_structured_tri(3), builtin_problem("stokes2d_exp"))
+    copies = [base if k % 2 else replace(base, mu=10.0**-k) for k in range(8)]
+    start = threading.Barrier(len(copies))
+
+    def read(system):
+        start.wait(timeout=30)
+        return system.inner
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(copies)) as pool:
+            got = list(pool.map(read, copies, timeout=30))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(built) == 1 and built[0] is base.A
+    assert isinstance(got[0], InnerSolver) and all(g is got[0] for g in got)
+
+
 def counted_callables(problem, calls):
     """`problem` with every callable counting its calls in `calls`, by field name."""
     names = ("velocity", "pressure", "forcing_terms", "velocity_gradient")
@@ -581,9 +615,12 @@ def test_pointwise_forcing_rejected_by_name():
 def test_export_system_roundtrip(tmp_path):
     mesh = generate_structured_tri(1)
     sys_ = build_saddle_system(mesh, builtin_problem("stokes2d_exp"))
-    paths = export_system(sys_, tmp_path)
-    assert [p.name for p in paths] == ["system_A.mtx", "system_B.mtx", "system_rhs.mtx"]
-    a_back = scipy.io.mmread(paths[0]).toarray()
+    mats = export_system(sys_)
+    assert list(mats) == ["A", "B", "rhs"]
+    for name, mat in mats.items():
+        scipy.io.mmwrite(tmp_path / f"{name}.mtx", mat)
+    a_back = scipy.io.mmread(tmp_path / "A.mtx").toarray()
     assert np.allclose(a_back, np.kron(sys_.A.toarray(), np.eye(2)), rtol=1e-12)
-    rhs_back = np.asarray(scipy.io.mmread(paths[2]).todense()).ravel()
+    assert np.array_equal(scipy.io.mmread(tmp_path / "B.mtx").toarray(), sys_.B.toarray())
+    rhs_back = np.asarray(scipy.io.mmread(tmp_path / "rhs.mtx").todense()).ravel()
     assert np.allclose(rhs_back, sys_.rhs())

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from wgstokes import cli, krylov
+from wgstokes import assembly, cli, krylov
 
 CAVITY = [
     "--problem", "custom",
@@ -464,6 +464,26 @@ def test_export_system_writes_matrix_market_and_metadata(tmp_path):
     assert code == 0
     meta = json.loads((tmp_path / "system_meta.json").read_text())
     assert meta["consistent"] is False
+
+
+@pytest.mark.parametrize(
+    "argv, factors",
+    [(["export-system", "--levels", "4"], []),
+     (["solver-study", "--levels", "2", "3", "--mu", "1", "--mu", "1e-4"], [16, 39])],
+    ids=["export-system", "solver-study"],
+)
+def test_factors_only_what_a_solve_reads(monkeypatch, tmp_path, argv, factors):
+    # export-system reads no factor, so it makes none; a study makes one per
+    # mesh, shared by its viscosities (rows of A: elements plus interior facets)
+    real, built = assembly.InnerSolver, []
+
+    def counting(a):
+        built.append(a.shape[0])
+        return real(a)
+
+    monkeypatch.setattr(assembly, "InnerSolver", counting)
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+    assert built == factors
 
 
 def test_flags_override_config_file(tmp_path):

@@ -1,5 +1,6 @@
 """Block preconditioners, MINRES/GMRES behavior, and solution post-processing."""
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -199,10 +200,10 @@ def test_preconditioner_for_pairs_method_and_preconditioner(method, precond, exp
 
 
 class Unawaited:
-    """Stands in for a system's factor future; waiting on it fails the test."""
+    """Stands in for a system's factor; reading it fails the test."""
 
-    def result(self, timeout=None):
-        raise AssertionError("the A-block factor was awaited")
+    def result(self):
+        raise AssertionError("the A-block factor was read")
 
 
 def test_solve_system_rejects_minres_with_triangular_before_factoring():
@@ -216,6 +217,15 @@ def test_unpreconditioned_solve_never_waits_for_the_factor(method):
     sys_ = replace(small_system(n=4), factor=Unawaited())
     rep = solve_system(sys_, method, "none", maxit=5).report
     assert rep.preconditioner == "none" and rep.iterations == 5
+
+
+@pytest.mark.parametrize("method", ["minres", "gmres"])
+def test_unpreconditioned_solve_never_factors(monkeypatch, method):
+    built = []
+    monkeypatch.setattr(assembly, "InnerSolver", built.append)
+    sys_ = build_saddle_system(structured_simplex_mesh(2, 4), builtin_problem("stokes2d_exp"))
+    assert solve_system(sys_, method, "none", maxit=5).report.iterations == 5
+    assert built == []
 
 
 @pytest.mark.parametrize("method", ["minres", "gmres"])
@@ -233,7 +243,7 @@ def test_report_reads_its_count_and_verdicts_off_the_residuals(method):
 @pytest.mark.parametrize("method", ["minres", "gmres"])
 @pytest.mark.parametrize("dim,n", [(2, 8), (3, 3)], ids=["2d-8-jittered", "3d-3-jittered"])
 def test_own_factor_solves_as_a_fresh_inner_solver(dim, n, method):
-    # the factor started on the worker thread is the same SuperLU call on
+    # the factor the system makes on first read is the same SuperLU call on
     # the same matrix: every iterate and residual is bitwise equal
     sys_ = jittered_system(dim, n)
     own = solve_system(sys_, method)
@@ -245,16 +255,33 @@ def test_own_factor_solves_as_a_fresh_inner_solver(dim, n, method):
 
 
 def test_factor_error_reaches_the_solver_caller(monkeypatch):
+    # every reader of the factor, on any thread and through any replace()
+    # copy, gets the error; a failed read stores nothing, so once factoring
+    # succeeds a read returns a real factor of A, never None
     class FactorError(Exception):
         pass
 
+    calls = []
+
     def failing(a):
+        calls.append(a)
         raise FactorError("SuperLU failed")
 
     monkeypatch.setattr(assembly, "InnerSolver", failing)
     sys_ = build_saddle_system(structured_simplex_mesh(2, 2), builtin_problem("stokes2d_exp"))
     with pytest.raises(FactorError, match="SuperLU failed"):
         solve_system(sys_)
+    with pytest.raises(FactorError, match="SuperLU failed"):
+        solve_system(replace(sys_, mu=1e-3), "gmres")
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        reads = [pool.submit(lambda: replace(sys_, consistent=False).inner) for _ in range(2)]
+    for read in reads:
+        with pytest.raises(FactorError, match="SuperLU failed"):
+            read.result(timeout=30)
+    assert len(calls) == 4 and all(a is sys_.A for a in calls)
+    monkeypatch.undo()
+    inner = replace(sys_, mu=1e-3).inner
+    assert isinstance(inner, InnerSolver) and sys_.inner is inner
 
 
 # (mu, consistent, preconditioner, maxit) of each MINRES run pinned to the

@@ -243,6 +243,19 @@ def test_native_negative_count_named(tmp_path):
         load_mesh(path)
 
 
+@pytest.mark.parametrize("index", ["999999999999999999999", "-9223372036854775809"])
+def test_native_element_index_past_int64_named(tmp_path, index):
+    # numpy raises OverflowError, not ValueError, for such a token
+    path = tmp_path / "mesh.txt"
+    path.write_text(f"2 4 2\n0 0\n1 0\n1 1\n0 1\n1 2 3\n1 {index} 4\n")
+    message = (
+        f"^malformed native mesh file: element 1 has vertex index {index}, "
+        "outside the int64 range$"
+    )
+    with pytest.raises(MeshError, match=message):
+        load_mesh(path)
+
+
 def test_non_utf8_mesh_file_named(tmp_path):
     path = tmp_path / "mesh.msh"
     path.write_bytes(b"\xff\xfe\x00")

@@ -1,7 +1,8 @@
 """tools/outputs.py: digests of the same run compare equal, and a perturbed
-right-hand side is named with its size."""
+right-hand side, and the iterates it moves, are named with their size."""
 
 import importlib.util
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -54,4 +55,14 @@ def test_compare_names_what_differs_and_by_how_much(outputs, monkeypatch, tmp_pa
     assert b1.startswith("b1: differs on 4 of 4 inputs, largest relative difference 1.0")
     assert "e-12" in b1
     assert "A: equal on all 2 inputs" in lines
-    assert any(line.startswith("gmres iterates: differs on") for line in lines)
+    # the iterates move with b1: each differing sequence is reported with the
+    # largest relative difference of its norms, within rounding of b1's
+    for method in ("minres", "gmres"):
+        iterates = next(line for line in lines if line.startswith(f"{method} iterates:"))
+        found = re.fullmatch(
+            rf"{method} iterates: differs on \d of 4 inputs, "
+            r"largest relative difference (\S+) \(.+\)",
+            iterates,
+        )
+        assert found, iterates
+        assert 1e-14 < float(found[1]) < 1e-11

@@ -147,7 +147,7 @@ def test_velocity_errors_independent_of_viscosity():
 
 def test_convergence_study_factors_each_mesh_once(monkeypatch):
     # A does not depend on mu, so both viscosities share one factorization
-    # per mesh, and each mesh gets its own; the builds start them
+    # per mesh, and each mesh gets its own; the first solve on a mesh makes it
     built = []
     real = assembly.InnerSolver
 

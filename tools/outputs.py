@@ -12,18 +12,19 @@ seeds 1-3, each at mu 1 and 1e-4. For each it writes DIR/digests.json with
 the SHA-256 digest and the largest entry of every ndarray attribute of the
 mesh, of A, B, b2 and alpha_h (once per mesh) and of b1 and rhs() (per
 viscosity). For a MINRES and a GMRES solve with the default
-preconditioner and tolerance it adds the iteration count and the digests
-of every iterate the method forms (MINRES: every step; GMRES: the start
-and the end of every cycle) and of both residual histories. The
-environment holds the numpy and scipy versions, the thread variables and
-the OpenBLAS kernel (core name) of each OpenBLAS library the process
-loaded. DIR/arrays.npz keeps the arrays, for `compare`.
+preconditioner and tolerance it adds the iteration count, the digest and
+the 2-norm of every iterate the method forms (MINRES: every step; GMRES:
+the start and the end of every cycle) and the digests of both residual
+histories. The environment holds the numpy and scipy versions, the thread
+variables and the OpenBLAS kernel (core name) of each OpenBLAS library the
+process loaded. DIR/arrays.npz keeps the arrays, for `compare`.
 
 `compare` names each array, history and iterate sequence whose digest
 differs, with the number of inputs on which it differs and its largest
-relative difference (max |a - b| / max |b|), and lists each iteration count
-that changed. Digests made with different OpenBLAS kernels differ in the
-last bits by design; compare like with like.
+relative difference (max |a - b| / max |b|; for iterates, that of the
+sequences of their norms, infinite if their counts differ), and lists each
+iteration count that changed. Digests made with different OpenBLAS kernels
+differ in the last bits by design; compare like with like.
 """
 
 from __future__ import annotations
@@ -117,12 +118,13 @@ class _Recorder:
 
 
 def _solve_record(system, method: str, key: str, arrays: dict) -> dict:
-    iterates = []
+    iterates, norms = [], []
     traced = replace(system)
     apply = traced.apply
 
     def recording(x):  # every iterate whose residual the method computes
         iterates.append(digest(x))
+        norms.append(float(np.linalg.norm(x)))
         return apply(x)
 
     traced.apply = recording
@@ -135,6 +137,7 @@ def _solve_record(system, method: str, key: str, arrays: dict) -> dict:
         "iterations": sol.report.iterations,
         "converged": sol.report.converged,
         "iterates": iterates,
+        "iterate_norms": norms,
         **rec.record,
     }
 
@@ -180,22 +183,21 @@ def write(outdir: Path) -> None:
     print(f"wrote {outdir / 'digests.json'} and {outdir / 'arrays.npz'}")
 
 
-def _relative_difference(a, b, key: str) -> float:
-    """max |a - b| / max |b| of one stored array (or CSR matrix); inf if the
-    shapes differ."""
-    if f"{key}.data" in b:
-        x, y = (
-            sp.csr_matrix((f[f"{key}.data"], f[f"{key}.indices"], f[f"{key}.indptr"]))
-            for f in (a, b)
-        )
-        absmax = lambda m: abs(m).max()  # noqa: E731
-    else:
-        x, y = a[key], b[key]
-        absmax = lambda m: np.abs(m).max()  # noqa: E731
+def _stored(arrays, key: str):
+    """One array of an arrays.npz, or the CSR matrix stored as three arrays."""
+    if f"{key}.data" in arrays:
+        parts = (arrays[f"{key}.{part}"] for part in ("data", "indices", "indptr"))
+        return sp.csr_matrix(tuple(parts))
+    return arrays[key]
+
+
+def _relative_difference(x, y) -> float:
+    """max |x - y| / max |y| of two arrays or CSR matrices; inf if the shapes
+    differ."""
     if x.shape != y.shape:
         return float("inf")
-    scale = absmax(y)
-    return float(absmax(x - y) / scale if scale else absmax(x - y))
+    diff, scale = abs(x - y).max(), abs(y).max()
+    return float(diff / scale if scale else diff)
 
 
 def compare(dir_a: Path, dir_b: Path) -> int:
@@ -217,27 +219,29 @@ def compare(dir_a: Path, dir_b: Path) -> int:
                 if name == "iterations" and rec_a[name] != entry:
                     changed.append(f"{key}: {label}iterations {entry} -> {rec_a[name]}")
                 if name == "iterates":
-                    same, rel = rec_a[name] == entry, None
+                    same = rec_a[name] == entry
+                    pair = [np.array(r["iterate_norms"]) for r in (rec_a, rec_b)]
                 elif isinstance(entry, dict) and "sha256" in entry:
                     same = rec_a[name]["sha256"] == entry["sha256"]
-                    rel = None if same else _relative_difference(*npz, f"{npz_key}:{name}")
+                    pair = None if same else [_stored(f, f"{npz_key}:{name}") for f in npz]
                 else:
                     continue
                 what = label + name
                 seen[what] = seen.get(what, 0) + 1
                 if not same:
                     differing[what] = differing.get(what, 0) + 1
-                    if rel is not None and rel >= largest.get(what, (-1.0, ""))[0]:
+                    rel = _relative_difference(*pair)
+                    if rel >= largest.get(what, (-1.0, ""))[0]:
                         largest[what] = (rel, key)
     for what, total in seen.items():
         if what not in differing:
             print(f"{what}: equal on all {total} inputs")
             continue
-        line = f"{what}: differs on {differing[what]} of {total} inputs"
-        if what in largest:
-            rel, where = largest[what]
-            line += f", largest relative difference {rel:.2e} ({where})"
-        print(line)
+        rel, where = largest[what]
+        print(
+            f"{what}: differs on {differing[what]} of {total} inputs, "
+            f"largest relative difference {rel:.2e} ({where})"
+        )
     print("\n".join(changed) or "iteration counts: all equal")
     return 1 if differing or changed else 0
 
