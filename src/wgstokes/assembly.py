@@ -24,14 +24,15 @@ SINUM 10, 1973), not in `mesh.interior_facets` order: `DofMap.facet_slot`
 maps one to the other, and `SaddleSystem.split` maps facet values back. The
 facet Schur complement of A couples only facets that share an element, so
 the facets between two halves of the elements separate its graph exactly.
-A is factored when the factor is first read (`SaddleSystem.inner`), on the
-reading thread, and every system derived from a build shares that one
-factor, so work that never reads it (`export_system`, an unpreconditioned
-solve) never factors. The system keeps the parts of b1 that do not depend
-on the viscosity (`LoadParts`) and forms b1 from them, so
-``dataclasses.replace(system, mu=...)`` is the system at another viscosity.
-In studies one worker thread runs every viscosity's solve but the last
-(`each_viscosity`).
+The system keeps the parts of b1 that do not depend on the viscosity
+(`LoadParts`) and forms b1 from them, so ``dataclasses.replace(system,
+mu=...)`` is the system at another viscosity. The build makes neither the
+load parts nor the factor of A: each is made once, when first read, and
+every system derived from a build shares both, so work that never reads the
+factor (`export_system`, an unpreconditioned solve) never factors. A
+preconditioned solve queues the load parts on one worker thread and factors
+A on its own thread, so the two largest setup stages overlap. In studies
+the same worker runs every viscosity's solve but the last (`each_viscosity`).
 
 Every block is built from the mesh's per-element arrays and the dof map's
 element-to-dof table: local blocks for all elements at once, then one
@@ -354,31 +355,48 @@ def assemble_b2(
     return (mesh.elem_facet_measures * flux).sum(axis=1)
 
 
-class _Factor:
-    """`InnerSolver(a)`, made by the first call of `result` that succeeds and
-    returned by every later one. A lock lets one call at a time factor, so
-    threads that call together get one object; a call whose factoring raises
-    stores nothing, and the next call factors again."""
+class _Once:
+    """`make()`, made by the first call of `result` that succeeds and
+    returned by every later one. A lock lets one call at a time make it, so
+    threads that call together get one object; a call whose making raises
+    stores nothing, and the next call makes it again.
 
-    def __init__(self, a: sp.csr_matrix):
-        self._a = a
+    `queue` has `_WORKER` make it ahead of the first read. A read that finds
+    that job still queued (say, a read from a task running on the worker)
+    cancels it and makes it inline, so no read waits on a job queued behind
+    itself."""
+
+    def __init__(self, make):
+        self._make = make
         self._lock = threading.Lock()
-        self._inner = None
+        self._value = None
+        self._job = None
 
-    def result(self) -> InnerSolver:
+    def queue(self) -> None:
+        # unlocked: a second job from a racing call finds the value made
+        if self._value is None and self._job is None:
+            self._job = _WORKER.submit(self.result)
+
+    def result(self):
+        if self._job is not None:
+            self._job.cancel()
         with self._lock:
-            if self._inner is None:
-                self._inner = InnerSolver(self._a)
-            return self._inner
+            if self._value is None:
+                self._value = self._make()
+                self._make = None  # frees what making it needed
+            return self._value
 
 
 @dataclass
 class SaddleSystem:
     """Rescaled singular saddle system and everything needed to solve/verify it.
 
-    b1 and alpha_h are formed from `load`, `mu` and `b2` on construction, so
-    ``dataclasses.replace(system, mu=...)`` gives the system at another
-    viscosity, sharing every block and the factor of A (made on first read).
+    alpha_h is formed from `b2` on construction and b1 from `load` and `mu`
+    on first read, so ``dataclasses.replace(system, mu=...)`` gives the
+    system at another viscosity, sharing every block, the load parts and the
+    factor of A. The load parts and the factor are each made once, on first
+    read; `solve_system` queues the load parts on the worker first, so they
+    are formed there while the reading thread factors A.
     """
 
     mesh: Mesh
@@ -389,16 +407,21 @@ class SaddleSystem:
     b2: np.ndarray
     consistent: bool
     g_boundary: np.ndarray  # projected datum per boundary facet
-    load: LoadParts  # what b1 is made of at any viscosity
-    factor: _Factor = field(compare=False, repr=False)  # of A, shared by replace() copies
-    b1: np.ndarray = field(init=False)
+    # what b1 is made of at any viscosity, and the factor of A; each a
+    # `_Once` that replace() copies share
+    load: _Once = field(compare=False, repr=False)
+    factor: _Once = field(compare=False, repr=False)
     alpha_h: float = field(init=False)  # sum of b2, the boundary-flux defect; 0 iff consistent
 
     def __post_init__(self):
         if not 0 < self.mu < math.inf:
             raise ValueError("viscosity must be positive and finite")
-        self.b1 = self.load.b1(self.mu, self.mesh, self.dof)
         self.alpha_h = float(np.sum(self.b2))
+
+    @cached_property
+    def b1(self) -> np.ndarray:
+        """The momentum right-hand side; raises what forming the load raised."""
+        return self.load.result().b1(self.mu, self.mesh, self.dof)
 
     @property
     def Mp(self) -> np.ndarray:
@@ -454,8 +477,9 @@ class SaddleSystem:
         return interior, facet, x[self.n_u :].copy()
 
 
-# the one worker: in studies every viscosity's solve but the last (SuperLU
-# and numpy release the GIL). Only `each_viscosity` submits to it
+# the one worker: it forms a system's load parts while the solving thread
+# factors A (`_Once.queue`), and in studies it runs every viscosity's solve
+# but the last. SuperLU and numpy release the GIL, so the two overlap
 _WORKER = ThreadPoolExecutor(max_workers=1)
 
 
@@ -478,7 +502,6 @@ def build_saddle_system(
     gram = local_gram_matrices(mesh)
     a = _stiffness(dof, gram)
     b = assemble_B(mesh, dof)
-    load = _load_parts(mesh, problem, g_proj, gram)
     return SaddleSystem(
         mesh=mesh,
         dof=dof,
@@ -488,8 +511,8 @@ def build_saddle_system(
         b2=assemble_b2(mesh, problem, qg_method, g_proj),
         consistent=consistent,
         g_boundary=g_proj,
-        load=load,
-        factor=_Factor(a),
+        load=_Once(lambda: _load_parts(mesh, problem, g_proj, gram)),
+        factor=_Once(lambda: InnerSolver(a)),
     )
 
 
@@ -499,13 +522,15 @@ def each_viscosity(
     """`task(system)` for each viscosity's system on `mesh`, in `mu_values` order.
 
     One build; the other systems are ``replace(system, mu=mu)`` and share
-    its A, B, load parts and factor, which the first task to read it makes
-    while the others wait. Every task but the last runs on the worker while
-    this thread derives the next system, and the last runs here. Every task
-    has finished when this returns or raises, and an exception from either
-    thread reaches the caller.
+    its A, B, load parts and factor. The load parts are queued on the worker
+    first, so it forms them while the first solve to read the factor makes
+    it; the other tasks wait for each. Every task but the last then runs on
+    the worker while this thread derives the next system, and the last runs
+    here. Every task has finished when this returns or raises, and an
+    exception from either thread reaches the caller.
     """
     system = build_saddle_system(mesh, problem.with_mu(mu_values[0]), qg_method, consistent)
+    system.load.queue()
     pending = []
     try:
         for mu in mu_values[1:]:

@@ -29,7 +29,7 @@ from itertools import zip_longest
 from pathlib import Path
 
 from .assembly import build_saddle_system, each_viscosity, export_system
-from .krylov import METHODS, PRECONDITIONERS, preconditioner_for, solve_system
+from .krylov import METHODS, PRECONDITIONERS, default_tolerance, preconditioner_for, solve_system
 from .mesh import Mesh, load_mesh, structured_simplex_mesh
 from .problems import BUILTIN_PROBLEMS, StokesProblem, builtin_problem, problem_from_expressions
 from .verification import (
@@ -57,9 +57,9 @@ class ExperimentConfig:
     qg: str = "barycenter"
     method: str = "minres"
     precond: str | None = None
-    tol: float | None = None
-    restart: int = 30
-    maxit: int = 1000
+    tol: float | None = None  # solver settings left unset take solve_system's defaults
+    restart: int | None = None
+    maxit: int | None = None
     out: str = "."
     consistent: bool = True
     velocity: list[str] = field(default_factory=list)
@@ -112,7 +112,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             setattr(cfg, name, value)
     cfg.mu = [float(m) for m in cfg.mu]
     _validate(cfg)
-    if cfg.method != "gmres" and ("restart" in values or getattr(args, "restart", None)):
+    if cfg.method != "gmres" and cfg.restart is not None:
         raise ConfigError(f"--restart is the GMRES restart length; {cfg.method} takes none")
     return cfg
 
@@ -129,10 +129,9 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("viscosity values must be positive and finite")
     if cfg.tol is not None and not 0.0 < cfg.tol < 1.0:
         raise ConfigError("tol must lie in (0, 1)")
-    if cfg.restart < 1:
-        raise ConfigError("restart must be a positive integer")
-    if cfg.maxit < 1:
-        raise ConfigError("maxit must be a positive integer")
+    for name in ("restart", "maxit"):
+        if getattr(cfg, name) is not None and getattr(cfg, name) < 1:
+            raise ConfigError(f"{name} must be a positive integer")
     if cfg.qg not in FACET_METHODS:
         raise ConfigError(f"qg must be one of {', '.join(FACET_METHODS)}")
     try:
@@ -198,9 +197,9 @@ def _outdir(cfg: ExperimentConfig) -> Path:
 
 
 def _solver(cfg: ExperimentConfig):
-    """The `solve(system)` of a study: `solve_system` with this run's settings."""
+    """The `solve(system)` of a study: `solve_system` with the settings this run set."""
     settings = {name: getattr(cfg, name) for name in _SOLVER + ("precond",)}
-    return functools.partial(solve_system, **settings)
+    return functools.partial(solve_system, **{k: v for k, v in settings.items() if v is not None})
 
 
 def _write_csv(path: Path, columns: list[str], rows) -> None:
@@ -391,7 +390,8 @@ _FLAGS = {
     "pressure": ("--pressure", dict(metavar="EXPR", help="exact pressure (custom problems)")),
     "method": ("--method", dict(choices=METHODS, help="Krylov method")),
     "tol": ("--tol", dict(type=float, help=(
-        "relative residual tolerance (default 1e-9 in 2D, 1e-8 in 3D)"))),
+        f"relative residual tolerance (default {default_tolerance(2)} in 2D, "
+        f"{default_tolerance(3)} in 3D)"))),
     "restart": ("--restart", dict(type=int, help="GMRES restart length")),
     "maxit": ("--maxit", dict(type=int, help="iteration cap")),
     "precond": ("--precond", dict(choices=PRECONDITIONERS,

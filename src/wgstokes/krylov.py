@@ -365,10 +365,18 @@ def solve_system(
     restart: int = 30,
     inner_solver: InnerSolver | None = None,
 ) -> StokesSolution:
-    """Solve a prebuilt system with its own A-block factor or `inner_solver`."""
+    """Solve a prebuilt system with its own A-block factor or `inner_solver`.
+
+    A solve that reads the system's own factor first queues the system's
+    load parts on the worker, which forms them while this thread factors A
+    (a no-op for what is already made); b1 is read only after. An error from
+    either is raised here, on the calling thread.
+    """
     kind = preconditioner_for(method, precond)
     if tol is None:
         tol = default_tolerance(system.dof.dim)
+    if kind != "none" and inner_solver is None:
+        system.load.queue()
     p = SaddlePreconditioner(system, kind, inner_solver)
     if method == "minres":
         x, report = minres(system, p, tol, maxit)

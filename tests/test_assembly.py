@@ -506,12 +506,14 @@ def counted_callables(problem, calls):
 @pytest.mark.parametrize("dim", [2, 3])
 def test_for_viscosity_calls_no_problem_callable(dim):
     # the forcing terms do not depend on mu, so a new viscosity recombines
-    # the kept moments and evaluates nothing
+    # the kept moments and evaluates nothing; the build leaves the forcing to
+    # the first read of b1
     calls = {}
     prob = counted_callables(
         builtin_problem("stokes2d_exp" if dim == 2 else "stokes3d_trig"), calls
     )
     base = build_saddle_system(jittered_mesh(dim, 3, 6), prob)
+    base.b1
     assert calls["forcing_terms"] >= 1 and calls["velocity"] >= 1
     calls.clear()
     derived = replace(base, mu=1e-4)
@@ -602,14 +604,15 @@ def test_incompatible_boundary_datum_rejected():
 
 def test_pointwise_forcing_rejected_by_name():
     # a callable that ignores the batch and returns one (2, d) pair of terms
-    # is named in the error instead of being evaluated point by point
+    # is named in the error instead of being evaluated point by point, when
+    # b1 is first read
     mesh = generate_structured_tri(2)
     prob = StokesProblem(
         "fixed_f", 2, 1.0, zeros_vec, zeros_scalar,
         lambda p: np.array([[1.0, 0.0], [0.0, 0.0]]),
     )
     with pytest.raises(ValueError, match="forcing"):
-        build_saddle_system(mesh, prob)
+        build_saddle_system(mesh, prob).b1
 
 
 def test_export_system_roundtrip(tmp_path):

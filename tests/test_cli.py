@@ -371,6 +371,21 @@ def test_restart_with_minres_is_config_error(monkeypatch, tmp_path, capsys, comm
     assert cli.config_from_args(cli.build_parser().parse_args(argv)).restart == 5
 
 
+def test_unset_solver_settings_keep_solve_system_defaults(capsys):
+    # the CLI declares no solver default of its own: a setting left unset is
+    # not passed, and the --tol help quotes default_tolerance
+    parse = cli.build_parser().parse_args
+    cfg = cli.config_from_args(parse(["solver-study", "--levels", "2"]))
+    assert cli._solver(cfg).keywords == {"method": "minres"}
+    cfg = cli.config_from_args(parse(["solver-study", "--levels", "2", "--maxit", "7"]))
+    assert cli._solver(cfg).keywords == {"method": "minres", "maxit": 7}
+    with pytest.raises(SystemExit):
+        parse(["convergence", "--help"])
+    tols = (krylov.default_tolerance(2), krylov.default_tolerance(3))
+    text = " ".join(capsys.readouterr().out.split())
+    assert "(default {} in 2D, {} in 3D)".format(*tols) in text
+
+
 @pytest.mark.parametrize("command", ["spectral", "inconsistency", "export-system"])
 @pytest.mark.parametrize("source", ["flags", "config"])
 def test_single_problem_subcommands_reject_several_viscosities(monkeypatch, tmp_path, capsys,

@@ -1,5 +1,6 @@
 """Block preconditioners, MINRES/GMRES behavior, and solution post-processing."""
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -8,7 +9,7 @@ import pytest
 
 from oracles import jittered_mesh, reference_gmres_restart, reference_minres
 from wgstokes import assembly
-from wgstokes.assembly import build_saddle_system
+from wgstokes.assembly import build_saddle_system, export_system
 from wgstokes.krylov import (
     PRECONDITIONERS,
     SaddlePreconditioner,
@@ -282,6 +283,71 @@ def test_factor_error_reaches_the_solver_caller(monkeypatch):
     monkeypatch.undo()
     inner = replace(sys_, mu=1e-3).inner
     assert isinstance(inner, InnerSolver) and sys_.inner is inner
+
+
+def worker_thread():
+    return assembly._WORKER.submit(threading.current_thread).result(timeout=30)
+
+
+def test_solve_forms_the_load_on_the_worker_while_it_factors(monkeypatch):
+    # the factor waits until the load is formed, which can only happen if the
+    # load was queued before the factor was made on this thread
+    real_load, real_inner = assembly._load_parts, assembly.InnerSolver
+    loads, factors, formed = [], [], threading.Event()
+
+    def load_parts(*args):
+        loads.append(threading.current_thread())
+        formed.set()
+        return real_load(*args)
+
+    def inner_solver(a):
+        factors.append(threading.current_thread())
+        assert formed.wait(timeout=30), "the load was not formed beside the factor"
+        return real_inner(a)
+
+    monkeypatch.setattr(assembly, "_load_parts", load_parts)
+    monkeypatch.setattr(assembly, "InnerSolver", inner_solver)
+    sys_ = build_saddle_system(structured_simplex_mesh(2, 4), builtin_problem("stokes2d_exp"))
+    assert loads == [] and factors == []
+    assert solve_system(sys_).report.converged
+    assert solve_system(replace(sys_, mu=1e-3), "gmres").report.converged
+    assert loads == [worker_thread()] and factors == [threading.main_thread()]
+
+
+def test_solve_inside_a_worker_task_forms_the_load_inline(monkeypatch):
+    # the load queued behind the running task is cancelled, not waited for
+    real_load, loads = assembly._load_parts, []
+
+    def load_parts(*args):
+        loads.append(threading.current_thread())
+        return real_load(*args)
+
+    monkeypatch.setattr(assembly, "_load_parts", load_parts)
+    sys_ = build_saddle_system(structured_simplex_mesh(2, 4), builtin_problem("stokes2d_exp"))
+    sol = assembly._WORKER.submit(solve_system, sys_).result(timeout=60)
+    assert sol.report.converged and loads == [worker_thread()]
+
+
+def test_load_error_is_raised_on_every_read_by_the_caller():
+    # a forcing callable that ignores the batch is named by a ValueError from
+    # each read of b1, solve or export, raised where it is read; a failed
+    # read stores nothing
+    called_on = []
+
+    def pointwise(p):
+        called_on.append(threading.current_thread())
+        return np.array([[1.0, 0.0], [0.0, 0.0]])
+
+    prob = replace(builtin_problem("stokes2d_exp"), forcing_terms=pointwise)
+    sys_ = build_saddle_system(structured_simplex_mesh(2, 2), prob)
+    errors = []
+    for read in (solve_system, export_system, solve_system, lambda s: replace(s, mu=2.0).b1):
+        before = len(called_on)
+        with pytest.raises(ValueError, match="forcing_terms returned shape") as err:
+            read(sys_)
+        assert len(called_on) > before and called_on[-1] is threading.main_thread()
+        errors.append(str(err.value))
+    assert len(set(errors)) == 1
 
 
 # (mu, consistent, preconditioner, maxit) of each MINRES run pinned to the

@@ -1,6 +1,7 @@
 """Mesh generators, geometry, validation errors and file round-trips."""
 
 import math
+import random
 import re
 
 import numpy as np
@@ -446,6 +447,53 @@ def test_gmsh_malformed_line_named(tmp_path, good, bad, lineno):
     path.write_text(GMSH_SQUARE.replace(good, bad))
     with pytest.raises(MeshError, match=f"line {lineno}: '{bad}'"):
         load_mesh(path)
+
+
+NATIVE_SQUARE = "2 4 2\n0 0\n1 0\n1 1\n0 1\n1 2 3\n1 3 4\n"
+# NaN, inf, negative, past-int64 and over-long integers, section names and
+# plain small numbers, which keep many mutants well formed
+MUTANT_TOKENS = (
+    "nan", "inf", "-inf", "1e308", "0.5", "-1", "0", "1", "2", "3", "4", "2.2", "x",
+    str(2**63), str(-(2**63) - 1), "9" * 30, "$Nodes", "$EndElements",
+)
+
+
+def mutants(text: str, count: int, rng: random.Random):
+    """`count` copies of `text`, each with one to three edits: a token
+    replaced, inserted or deleted, or a line copied to another place."""
+    lines = [ln.split() for ln in text.splitlines()]
+    for _ in range(count):
+        rows = [list(row) for row in lines]
+        for _ in range(rng.randint(1, 3)):
+            row = rows[rng.randrange(len(rows))]
+            edit = rng.randrange(4)
+            if edit == 0 and row:
+                row[rng.randrange(len(row))] = rng.choice(MUTANT_TOKENS)
+            elif edit == 1:
+                row.insert(rng.randint(0, len(row)), rng.choice(MUTANT_TOKENS))
+            elif edit == 2 and row:
+                del row[rng.randrange(len(row))]
+            else:
+                rows.insert(rng.randint(0, len(rows)), list(row))
+        yield "".join(" ".join(row) + "\n" for row in rows)
+
+
+@pytest.mark.parametrize("base", [NATIVE_SQUARE, GMSH_SQUARE], ids=["native", "gmsh"])
+def test_mutated_mesh_file_gives_a_mesh_or_a_mesh_error(tmp_path, base):
+    path = tmp_path / "mesh.txt"
+    path.write_text(base)
+    assert load_mesh(path).num_elements == 2
+    outcomes = {Mesh: 0, MeshError: 0}
+    for text in mutants(base, 2500, random.Random(5)):
+        path.write_text(text)
+        try:
+            load_mesh(path)
+            outcomes[Mesh] += 1
+        except MeshError:
+            outcomes[MeshError] += 1
+        except Exception as exc:  # any other error is a reader fault: show its input
+            pytest.fail(f"{exc!r} from mesh file {text!r}")
+    assert min(outcomes.values()) > 0, outcomes
 
 
 def test_zero_subdivisions_rejected():

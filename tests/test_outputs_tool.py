@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from wgstokes.assembly import _Once
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "outputs.py"
 
 
@@ -39,12 +41,12 @@ def test_compare_names_what_differs_and_by_how_much(outputs, monkeypatch, tmp_pa
         # b1 is formed from the load parts, and linearly in all but the
         # lifting inverse, so scaling those scales b1
         system = build(mesh, problem)
-        load, s = system.load, 1.0 + 1e-12
+        load, s = system.load.result(), 1.0 + 1e-12
         scaled = replace(
             load, moments=load.moments * s, radial_moments=load.radial_moments * s,
             gram_datum=load.gram_datum * s,
         )
-        return replace(system, load=scaled)
+        return replace(system, load=_Once(lambda: scaled))
 
     monkeypatch.setattr(outputs, "build_saddle_system", perturbed)
     outputs.write(tmp_path / "c")
