@@ -8,9 +8,12 @@ spectral       dense eigenvalue verification on small systems
 inconsistency  raw versus corrected right-hand side residual histories
 export-system  write the assembled blocks in Matrix Market format
 
-Each subcommand takes only the settings it reads (`_COMMANDS`), as flags or
-as keys of a JSON config file (``--config``); any other flag or key exits 2.
-Explicit flags win over file values, which win over the built-in defaults.
+Each subcommand takes only the settings it reads (`_COMMANDS`); any other
+flag exits 2. An argument ``@PATH`` stands for the flags in the file PATH,
+each line split as a shell would split it (``#`` starts a comment), so they
+pass the same checks as typed flags. A flag given twice keeps its last
+value, except the repeatable --mu, --mesh-file and --velocity, which collect
+every value; flags left out keep the defaults of `ExperimentConfig`.
 Exit codes: 0 success, 1 a solve failed or broke down, 2 bad configuration.
 """
 
@@ -21,15 +24,17 @@ import functools
 import json
 import math
 import os
+import shlex
 import sys
-import types
-import typing
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from itertools import zip_longest
 from pathlib import Path
 
 from .assembly import build_saddle_system, each_viscosity, export_system
-from .krylov import METHODS, PRECONDITIONERS, default_tolerance, preconditioner_for, solve_system
+from .krylov import (
+    METHODS, PRECONDITIONERS, check_solver_settings, default_tolerance, preconditioner_for,
+    solve_system,
+)
 from .mesh import Mesh, load_mesh, structured_simplex_mesh
 from .problems import BUILTIN_PROBLEMS, StokesProblem, builtin_problem, problem_from_expressions
 from .verification import (
@@ -48,7 +53,8 @@ class ConfigError(Exception):
 
 @dataclass
 class ExperimentConfig:
-    """Settings of every subcommand; JSON config files use these field names and types."""
+    """Settings of every subcommand, one field per flag (`_FLAGS`), with the
+    value a run that leaves the flag out uses."""
 
     problem: str = "stokes2d_exp"
     mu: list[float] = field(default_factory=lambda: [1.0])
@@ -66,54 +72,13 @@ class ExperimentConfig:
     pressure: str | None = None
 
 
-def _load_config_file(path: Path) -> dict:
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"config file is not UTF-8 text: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError("config file must contain a JSON object")
-    return data
-
-
-def _fits(value, hint) -> bool:
-    """Whether a JSON value has the type of a config field."""
-    args = typing.get_args(hint)
-    if typing.get_origin(hint) is types.UnionType:
-        return any(_fits(value, h) for h in args)
-    if typing.get_origin(hint) is list:
-        return isinstance(value, list) and all(_fits(v, args[0]) for v in value)
-    if isinstance(value, bool):  # JSON true/false is never a number
-        return hint is bool
-    return isinstance(value, (int, float) if hint is float else hint)
-
-
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    cfg = ExperimentConfig()
-    hints = typing.get_type_hints(ExperimentConfig)
-    declared = {f.name: f.type for f in fields(ExperimentConfig)}
     _, _, settings = _COMMANDS[args.command]
-    values = _load_config_file(args.config) if args.config is not None else {}
-    for key, value in values.items():
-        if key not in settings:
-            raise ConfigError(f"{args.command} takes no config key {key!r}")
-        if not _fits(value, hints[key]) and _fits([value], hints[key]):
-            value = [value]  # a list field also takes one item
-        if not _fits(value, hints[key]):
-            raise ConfigError(f"config key {key!r} must be {declared[key]}, got {value!r}")
-        setattr(cfg, key, value)
-    for name in settings:  # every flag is named after its field and defaults to None
-        value = getattr(args, name)
-        if value is not None:
-            setattr(cfg, name, value)
-    cfg.mu = [float(m) for m in cfg.mu]
+    # every flag is named after its field and defaults to None
+    cfg = ExperimentConfig(**{
+        name: value for name, value in vars(args).items() if name in settings and value is not None
+    })
     _validate(cfg)
-    if cfg.method != "gmres" and cfg.restart is not None:
-        raise ConfigError(f"--restart is the GMRES restart length; {cfg.method} takes none")
     return cfg
 
 
@@ -127,18 +92,12 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("need at least one viscosity value")
     if not all(0 < m < math.inf for m in cfg.mu):
         raise ConfigError("viscosity values must be positive and finite")
-    if cfg.tol is not None and not 0.0 < cfg.tol < 1.0:
-        raise ConfigError("tol must lie in (0, 1)")
-    for name in ("restart", "maxit"):
-        if getattr(cfg, name) is not None and getattr(cfg, name) < 1:
-            raise ConfigError(f"{name} must be a positive integer")
-    if cfg.qg not in FACET_METHODS:
-        raise ConfigError(f"qg must be one of {', '.join(FACET_METHODS)}")
     try:
+        check_solver_settings(cfg.tol, cfg.restart, cfg.maxit)
         preconditioner_for(cfg.method, cfg.precond)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if any(not isinstance(n, int) or n < 1 for n in cfg.levels):
+    if any(n < 1 for n in cfg.levels):
         raise ConfigError("mesh levels must be positive integers")
     if not cfg.levels and not cfg.mesh_files:
         raise ConfigError("no meshes: give --levels or --mesh-file")
@@ -157,6 +116,8 @@ def _validate(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"custom problems need 2 or 3 --velocity, got {len(cfg.velocity)}")
     elif cfg.velocity or cfg.pressure is not None:
         raise ConfigError("--velocity and --pressure are read only with --problem custom")
+    if cfg.method != "gmres" and cfg.restart is not None:
+        raise ConfigError(f"--restart is the GMRES restart length; {cfg.method} takes none")
 
 
 def make_problem(cfg: ExperimentConfig) -> StokesProblem:
@@ -225,11 +186,11 @@ def _convergence_csv(table: ConvergenceTable, path: Path) -> None:
         rates = {name: table.rates(mu, name) for name in ERROR_FIELDS}
         for i in range(len(table.levels)):
             r = table.reports[(mu, i)]
-            row = [r.num_elements, f"{r.h:.6e}", f"{mu:g}"]
+            row = [r.num_elements, f"{r.h:.6e}", f"{mu:.6e}"]
             for name in ERROR_FIELDS:
                 rate = rates[name][i]
                 row += [f"{getattr(r, name):.6e}", "" if rate is None else f"{rate:.3f}"]
-            rows.append(row + [f"{r.alpha_h:.6e}", r.iterations, r.converged])
+            rows.append(row + [f"{r.alpha_h:.6e}", r.iterations, int(r.converged)])
     _write_csv(path, columns, rows)
 
 
@@ -405,7 +366,7 @@ _PROBLEM_AND_MESHES = (
 _SOLVER = ("method", "tol", "restart", "maxit")
 
 # Each subcommand and the settings it reads; its parser offers only these
-# flags and its config file may hold only these keys. convergence and
+# flags, typed or in an argument file. convergence and
 # inconsistency use the method's default preconditioner, convergence solves
 # the corrected system and inconsistency both; export-system solves nothing,
 # and spectral reads only the meshes, whose dimension the problem sets.
@@ -426,14 +387,16 @@ _COMMANDS = {
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wgstokes",
-        description="Weak Galerkin Stokes studies: convergence, solver behavior, spectra.",
+        description="Weak Galerkin Stokes studies: convergence, solver behavior, spectra. "
+                    "An argument @PATH reads flags from the file PATH.",
+        fromfile_prefix_chars="@",
     )
+    # each line of an argument file is split as a shell would split it
+    parser.convert_arg_line_to_args = functools.partial(shlex.split, comments=True)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (func, help_text, settings) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         sp.set_defaults(func=func)
-        sp.add_argument("--config", type=Path, metavar="PATH",
-                        help="JSON config file; explicit flags override it")
         for key in settings:
             flag, options = _FLAGS[key]
             sp.add_argument(flag, dest=key, **options)

@@ -45,6 +45,7 @@ __all__ = [
     "solve_stokes",
     "default_tolerance",
     "preconditioner_for",
+    "check_solver_settings",
 ]
 
 STAGNATION_WINDOW = 50
@@ -76,6 +77,17 @@ def preconditioner_for(method: str, precond: str | None) -> str:
     if method == "minres" and precond == "block_lower_tri":
         raise ValueError(_MINRES_TRI)
     return precond
+
+
+def check_solver_settings(tol: float | None, restart: int | None, maxit: int | None) -> None:
+    """ValueError unless each setting that is given lies in its range: a
+    tolerance of 1 or more stops at once and one of 0 or less never, and a
+    restart or cap below 1 makes no step (GMRES would cycle forever)."""
+    if tol is not None and not 0.0 < tol < 1.0:
+        raise ValueError("tol must lie in (0, 1)")
+    for name, value in (("restart", restart), ("maxit", maxit)):
+        if value is not None and value < 1:
+            raise ValueError(f"{name} must be a positive integer")
 
 
 class SaddlePreconditioner:
@@ -370,11 +382,13 @@ def solve_system(
     A solve that reads the system's own factor first queues the system's
     load parts on the worker, which forms them while this thread factors A
     (a no-op for what is already made); b1 is read only after. An error from
-    either is raised here, on the calling thread.
+    either is raised here, on the calling thread, and a setting out of range
+    (`check_solver_settings`) before anything is read.
     """
     kind = preconditioner_for(method, precond)
     if tol is None:
         tol = default_tolerance(system.dof.dim)
+    check_solver_settings(tol, restart, maxit)
     if kind != "none" and inner_solver is None:
         system.load.queue()
     p = SaddlePreconditioner(system, kind, inner_solver)

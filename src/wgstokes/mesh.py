@@ -48,6 +48,12 @@ class MeshError(ValueError):
     """Invalid mesh input: a mesh that cannot be built, validated or read."""
 
 
+# the largest coordinate magnitude a mesh accepts: the geometry multiplies up
+# to five coordinate differences (the second moments in 3D), and the fifth
+# power of twice this stays far below the float limit
+_MAX_COORDINATE = 1e50
+
+
 def _signed_volumes(edges: np.ndarray) -> np.ndarray:
     """Signed volume of each simplex from its (ne, d, d) edges v_k - v_0."""
     return np.linalg.det(edges) / math.factorial(edges.shape[-1])
@@ -152,6 +158,15 @@ class Mesh:
         if not np.isfinite(vertices).all():  # a NaN volume passes every test below
             bad = int(np.argmin(np.isfinite(vertices).all(axis=1)))
             raise MeshError(f"vertex {bad} has non-finite coordinates {vertices[bad].tolist()}")
+        # past the limit a squared edge length could overflow and make a
+        # sound element look degenerate
+        fits = (np.abs(vertices) <= _MAX_COORDINATE).all(axis=1)
+        if not fits.all():
+            bad = int(np.argmin(fits))
+            raise MeshError(
+                f"vertex {bad} has coordinates {vertices[bad].tolist()} past "
+                f"{_MAX_COORDINATE:g} in magnitude, too large for the element geometry"
+            )
         d = vertices.shape[1]
         if elements.ndim != 2 or elements.shape[1] != d + 1:
             raise MeshError(f"elements must be (ne, {d + 1}) for dim {d}")

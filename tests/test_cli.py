@@ -1,7 +1,12 @@
-"""End-to-end command line tests: outputs, exit codes, config handling."""
+"""End-to-end command line tests: outputs, exit codes, config handling.
+
+A case named `config` gives its settings in an argument file (`@PATH`)
+instead of typing them.
+"""
 
 import json
 import re
+import sys
 
 import pytest
 
@@ -15,6 +20,12 @@ CAVITY = [
 ]
 
 
+def args_file(path, text):
+    """Write `text` to `path`; return the argument that reads its flags."""
+    path.write_text(text, encoding="utf-8")
+    return f"@{path}"
+
+
 def test_help_lists_all_subcommands(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--help"])
@@ -26,7 +37,7 @@ def test_help_lists_all_subcommands(capsys):
 
 
 # The flags each subcommand reads; every other flag exits 2.
-PROBLEM_AND_MESHES = {"--config", "--out", "--problem", "--mu", "--levels", "--mesh-file",
+PROBLEM_AND_MESHES = {"--out", "--problem", "--mu", "--levels", "--mesh-file",
                       "--qg", "--velocity", "--pressure"}
 SOLVER = {"--method", "--tol", "--restart", "--maxit"}
 FLAGS = {
@@ -89,7 +100,7 @@ def test_identical_invocations_produce_identical_files(tmp_path):
     assert (a / "convergence.csv").read_bytes() == (b / "convergence.csv").read_bytes()
 
 
-# The cell formats of the written files: %.6e, %.10e, %g, %.3f and integers.
+# The cell formats of the written files: %.6e, %.10e, %.3f and integers.
 E6 = r"-?\d\.\d{6}e[+-]\d\d"
 E10 = r"-?\d\.\d{10}e[+-]\d\d"
 INT = r"\d+"
@@ -105,7 +116,8 @@ CSV_FILES = [
     ("convergence", "convergence.csv",
      "N,h,mu,l2_velocity,l2_velocity_rate,superconv,superconv_rate,grad_error,"
      "grad_error_rate,pressure_error,pressure_error_rate,alpha_h,iterations,converged",
-     [INT, E6, r"1|0\.0001", E6, RATE, E6, RATE, E6, RATE, E6, RATE, E6, INT, "True"]),
+     [INT, E6, r"1\.000000e\+00|1\.000000e-04", E6, RATE, E6, RATE, E6, RATE, E6, RATE, E6,
+      INT, "1"]),
     ("solver-study", "solver_study.csv",
      "N,mu,method,precond,iterations,converged,final_relres",
      [INT, r"1\.000000e\+00|1\.000000e-04", "minres", "block_diag", INT, "1", E6]),
@@ -141,9 +153,9 @@ def test_csv_header_and_cell_formats(written, command, name, header, cells):
 
 
 def test_csv_blank_cells_and_viscosity_order(written):
-    # the first level of each viscosity has no rate; mu is %g in convergence.csv
+    # the first level of each viscosity has no rate; mu is %.6e in every CSV
     rows = (written["convergence"] / "convergence.csv").read_text().splitlines()[1:]
-    assert [r.split(",")[2] for r in rows] == ["1", "1", "0.0001", "0.0001"]
+    assert [r.split(",")[2] for r in rows] == ["1.000000e+00"] * 2 + ["1.000000e-04"] * 2
     assert [r.split(",")[4] == "" for r in rows] == [True, False, True, False]
     spectral = (written["spectral"] / "spectral_eigs_N8.csv").read_text().splitlines()
     assert spectral[1].startswith("0,") and spectral[-1].split(",")[1] == ""
@@ -323,25 +335,24 @@ def test_ignored_flags_are_config_errors(monkeypatch, tmp_path, capsys, argv, fl
 
 
 @pytest.mark.parametrize(
-    "command, values, key",
+    "command, text, flag",
     [
-        ("spectral", {"levels": [2], "maxit": 1000}, "maxit"),
-        ("export-system", {"levels": [2], "restart": 30}, "restart"),
-        ("convergence", {"levels": [2, 4], "forcing": ["0", "0"]}, "forcing"),
+        ("spectral", "--levels 2\n--maxit 1000\n", "--maxit"),
+        ("export-system", "--levels 2  # one mesh\n--restart 30\n", "--restart"),
+        ("convergence", "--levels 2 4\n--forcing 0 --forcing=0\n", "--forcing"),
     ],
     ids=["spectral-maxit", "export-restart", "convergence-forcing"],
 )
 def test_config_key_the_subcommand_ignores_is_config_error(monkeypatch, tmp_path, capsys,
-                                                          command, values, key):
+                                                          command, text, flag):
+    # a flag read from an argument file is checked as a typed one is
     def no_mesh(*args):
-        raise AssertionError("a mesh was built before the config keys were checked")
+        raise AssertionError("a mesh was built before the flags were checked")
 
     monkeypatch.setattr(cli, "structured_simplex_mesh", no_mesh)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(values))
     out = tmp_path / "out"
-    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
-    assert f"{command} takes no config key {key!r}" in capsys.readouterr().err
+    assert cli.main([command, args_file(tmp_path / "run.args", text), "--out", str(out)]) == 2
+    assert f"{command} takes no {flag}\n" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -353,12 +364,10 @@ def test_restart_with_minres_is_config_error(monkeypatch, tmp_path, capsys, comm
         raise AssertionError("a mesh was built before the restart was checked")
 
     monkeypatch.setattr(cli, "structured_simplex_mesh", no_mesh)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"restart": 5, "method": "minres"}))
     given = {
         "flags": ["--restart", "5"],  # the default method is minres
-        "config": ["--config", str(cfg)],
-        "config-method": ["--config", str(cfg), "--restart", "30"],
+        "config": [args_file(tmp_path / "a.args", "--restart 5\n--method minres\n")],
+        "config-method": [args_file(tmp_path / "b.args", "--method minres"), "--restart", "30"],
     }[source]
     levels = ["--levels", "4"] if command == "inconsistency" else ["--levels", "2", "4"]
     out = tmp_path / "out"
@@ -366,9 +375,9 @@ def test_restart_with_minres_is_config_error(monkeypatch, tmp_path, capsys, comm
     assert "--restart is the GMRES restart length; minres takes none" in capsys.readouterr().err
     assert not out.exists()
     # the same restart with GMRES is read
-    cfg.write_text(json.dumps({"restart": 5, "method": "gmres"}))
-    argv = [command, *levels, "--config", str(cfg), "--restart", "5"]
-    assert cli.config_from_args(cli.build_parser().parse_args(argv)).restart == 5
+    given = args_file(tmp_path / "run.args", "--restart 5 --method gmres")
+    argv = [command, *levels, given, "--restart", "7"]
+    assert cli.config_from_args(cli.build_parser().parse_args(argv)).restart == 7
 
 
 def test_unset_solver_settings_keep_solve_system_defaults(capsys):
@@ -394,43 +403,34 @@ def test_single_problem_subcommands_reject_several_viscosities(monkeypatch, tmp_
         raise AssertionError("a mesh was built before the viscosities were checked")
 
     monkeypatch.setattr(cli, "structured_simplex_mesh", no_mesh)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"mu": [1, 1e-4]}))
-    mus = ["--mu", "1", "--mu", "1e-4"] if source == "flags" else ["--config", str(cfg)]
+    mus = ["--mu", "1", "--mu", "1e-4"]
+    if source == "config":
+        mus = [args_file(tmp_path / "run.args", " ".join(mus))]
     out = tmp_path / "out"
     assert cli.main([command, "--levels", "2", *mus, "--out", str(out)]) == 2
     # spectral reads no viscosity at all
-    expected = {"flags": "spectral takes no --mu", "config": "spectral takes no config key 'mu'"}
-    message = expected[source] if command == "spectral" else "takes one viscosity, got 2"
+    message = "spectral takes no --mu" if command == "spectral" else "takes one viscosity, got 2"
     assert message in capsys.readouterr().err
     assert not out.exists()
 
 
 @pytest.mark.parametrize(
-    "flags, key, value",
-    [
-        (["--mu", "1e-4"], "mu", 1e-4),
-        (["--qg", "gauss3"], "qg", "gauss3"),
-        (["--inconsistent"], "consistent", False),
-    ],
+    "flags", [["--mu", "1e-4"], ["--qg", "gauss3"], ["--inconsistent"]],
     ids=["mu", "qg", "inconsistent"],
 )
 @pytest.mark.parametrize("source", ["flags", "config"])
 def test_spectral_takes_no_setting_its_report_ignores(monkeypatch, tmp_path, capsys, source,
-                                                      flags, key, value):
+                                                      flags):
     # the preconditioned operator is made of A, B and Mp, which depend only
     # on the mesh: no viscosity, projection rule or right-hand side reaches it
     def no_mesh(*args):
         raise AssertionError("a mesh was built before the settings were checked")
 
     monkeypatch.setattr(cli, "structured_simplex_mesh", no_mesh)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({key: value}))
-    given = flags if source == "flags" else ["--config", str(cfg)]
+    given = flags if source == "flags" else [args_file(tmp_path / "run.args", " ".join(flags))]
     out = tmp_path / "out"
     assert cli.main(["spectral", "--levels", "2", *given, "--out", str(out)]) == 2
-    named = flags[0] if source == "flags" else f"config key {key!r}"
-    assert f"spectral takes no {named}" in capsys.readouterr().err
+    assert f"spectral takes no {flags[0]}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -458,10 +458,9 @@ def test_custom_dimension_is_the_velocity_count(monkeypatch, tmp_path, capsys):
     assert "custom problems need 2 or 3 --velocity, got 1" in capsys.readouterr().err
     assert cli.main(["convergence", *CAVITY, "--dim", "2", "--levels", "2"]) == 2
     assert "convergence takes no --dim" in capsys.readouterr().err
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"dim": 2}))
-    assert cli.main(["convergence", *CAVITY, "--config", str(cfg), "--levels", "2"]) == 2
-    assert "convergence takes no config key 'dim'" in capsys.readouterr().err
+    given = args_file(tmp_path / "run.args", "--dim 2")
+    assert cli.main(["convergence", *CAVITY, given, "--levels", "2"]) == 2
+    assert "convergence takes no --dim" in capsys.readouterr().err
 
 
 def test_export_system_writes_matrix_market_and_metadata(tmp_path):
@@ -502,47 +501,53 @@ def test_factors_only_what_a_solve_reads(monkeypatch, tmp_path, argv, factors):
 
 
 def test_flags_override_config_file(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"levels": [2, 4], "maxit": 1}))
-    run = ["convergence", "--config", str(cfg), "--out", str(tmp_path)]
+    given = args_file(tmp_path / "run.args", "--levels 2 4\n--maxit 1\n--mu 1\n")
+    run = ["convergence", given, "--out", str(tmp_path)]
     assert cli.main(run) == 1  # one MINRES step cannot converge
     assert cli.main(run + ["--maxit", "200"]) == 0
+    # a scalar flag typed after the file replaces the file's value, and a
+    # repeatable flag adds to the file's values
+    parse = cli.build_parser().parse_args
+    cfg = cli.config_from_args(parse(run + ["--levels", "3", "--mu", "1e-4"]))
+    assert (cfg.levels, cfg.maxit, cfg.mu) == ([3], 1, [1.0, 1e-4])
+    cfg = cli.config_from_args(parse(["convergence", "--maxit", "200", given]))
+    assert cfg.maxit == 1  # the file comes last here, so its value wins
 
 
 def test_scalar_viscosity_in_config_is_accepted(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"levels": [2, 4], "mu": 0.5}))
-    assert cli.main(
-        ["convergence", "--config", str(cfg), "--out", str(tmp_path)]
-    ) == 0
+    # one --mu in a file replaces the default viscosity, as a typed one does
+    given = args_file(tmp_path / "run.args", "--levels 2 4 --mu 0.5")
+    cfg = cli.config_from_args(cli.build_parser().parse_args(["convergence", given]))
+    assert cfg.mu == [0.5]
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"levels": [2], "cleverness": 11}))
-    assert cli.main(["spectral", "--config", str(cfg)]) == 2
-    assert "cleverness" in capsys.readouterr().err
+    given = args_file(tmp_path / "run.args", "--levels 2\n--cleverness 11\n")
+    assert cli.main(["spectral", given]) == 2
+    assert "spectral takes no --cleverness\n" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
-    "values",
+    "text, message",
     [
-        {"tol": "1e-8"},
-        {"restart": 2.5, "method": "gmres"},
-        {"mu": "1e-3"},
-        {"consistent": "no"},
-        {"levels": [2, "4"]},
-        {"maxit": True},
+        ("--tol tight", "argument --tol: invalid float value: 'tight'"),
+        ("--method gmres --restart 2.5", "argument --restart: invalid int value: '2.5'"),
+        ("--mu small", "argument --mu: invalid float value: 'small'"),
+        ("--inconsistent=no", "argument --inconsistent: ignored explicit argument 'no'"),
+        ("--levels 2 four", "argument --levels: invalid int value: 'four'"),
+        ("--maxit true", "argument --maxit: invalid int value: 'true'"),
     ],
     ids=["tol-string", "restart-float", "mu-string", "consistent-string",
          "levels-item-string", "maxit-bool"],
 )
-def test_config_value_of_wrong_type_is_config_error(tmp_path, capsys, values):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"levels": [2], **values}))
-    assert cli.main(["solver-study", "--config", str(cfg), "--out", str(tmp_path)]) == 2
-    key = next(k for k in values if k != "method")
-    assert f"config key {key!r} must be" in capsys.readouterr().err
+def test_config_value_of_wrong_type_is_config_error(tmp_path, capsys, text, message):
+    # a value in an argument file meets the flag's own type, as a typed one does
+    given = args_file(tmp_path / "run.args", text)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solver-study", "--levels", "2", given, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_repeated_level_gives_nan_rate(tmp_path):
@@ -554,10 +559,17 @@ def test_repeated_level_gives_nan_rate(tmp_path):
 
 
 def test_malformed_config_rejected(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text("not json {")
-    assert cli.main(["spectral", "--config", str(cfg), "--levels", "2"]) == 2
-    assert "JSON" in capsys.readouterr().err
+    # a line of an argument file that a shell could not split
+    given = args_file(tmp_path / "run.args", '--levels 2\n--pressure "x*y\n')
+    assert cli.main(["spectral", given]) == 2
+    assert capsys.readouterr().err == "error: No closing quotation\n"
+
+
+def test_missing_args_file_exits_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["convergence", "--levels", "2", f"@{tmp_path / 'missing.args'}"])
+    assert exc.value.code == 2
+    assert "No such file or directory" in capsys.readouterr().err
 
 
 def test_custom_problem_runs_from_flags(tmp_path):
@@ -569,25 +581,25 @@ def test_custom_problem_runs_from_flags(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "given, config",
+    "given, text",
     [
-        (["--velocity=x", "--velocity=-y", "--pressure", "0"], {}),
-        (["--pressure", "0"], {}),
-        ([], {"velocity": ["x", "-y"]}),
+        (["--velocity=x", "--velocity=-y", "--pressure", "0"], None),
+        (["--pressure", "0"], None),
+        ([], "--velocity x\n--velocity=-y\n"),
     ],
     ids=["flags", "pressure", "config"],
 )
 def test_expressions_without_custom_problem_rejected(monkeypatch, tmp_path, capsys, given,
-                                                     config):
+                                                     text):
     # a built-in problem reads no expression, so a solve would ignore them
     def no_mesh(*args):
         raise AssertionError("a mesh was built before the expressions were checked")
 
     monkeypatch.setattr(cli, "structured_simplex_mesh", no_mesh)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(config))
+    if text is not None:
+        given = [args_file(tmp_path / "run.args", text)]
     out = tmp_path / "out"
-    argv = ["solver-study", "--levels", "2", *given, "--config", str(cfg), "--out", str(out)]
+    argv = ["solver-study", "--levels", "2", *given, "--out", str(out)]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert "--velocity and --pressure are read only with --problem custom" in err
@@ -601,12 +613,10 @@ def test_non_finite_viscosity_is_config_error(monkeypatch, tmp_path, capsys, sou
         raise AssertionError("a mesh was built before the viscosities were checked")
 
     monkeypatch.setattr(cli, "structured_simplex_mesh", no_mesh)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"mu": [1.0, float("inf")]}))  # written as Infinity
     given = {
         "inf": ["--mu", "inf"],
         "nan": ["--mu", "1", "--mu", "nan"],
-        "config": ["--config", str(cfg)],
+        "config": [args_file(tmp_path / "run.args", "--mu 1 --mu Infinity")],
     }[source]
     assert cli.main(["solver-study", "--levels", "2", "4", *given]) == 2
     assert "viscosity values must be positive and finite" in capsys.readouterr().err
@@ -650,16 +660,21 @@ def test_unreadable_mesh_file_is_config_error(tmp_path, capsys, name):
 
 @pytest.mark.parametrize(
     "flag,message",
-    [("--config", "config file is not UTF-8 text: "),
+    [("@", "'utf-8' codec can't decode byte 0xff"),
      ("--mesh-file", "mesh file {path} is not UTF-8 text: ")],
     ids=["config", "mesh-file"],
 )
 def test_non_utf8_input_file_is_config_error(tmp_path, capsys, flag, message):
     path = tmp_path / "input"
     path.write_bytes(b"\xff\xfe\x00")
-    code = cli.main(["convergence", "--levels", "2", flag, str(path), "--out", str(tmp_path)])
+    given = [f"@{path}"] if flag == "@" else [flag, str(path)]
+    code = cli.main(["convergence", "--levels", "2", *given, "--out", str(tmp_path)])
     assert code == 2
-    assert capsys.readouterr().err.startswith("error: " + message.format(path=path))
+    err = capsys.readouterr().err
+    # argparse reads an argument file in the locale's encoding up to Python
+    # 3.11, so the decode error reaches main; later versions escape the bytes
+    if flag == "--mesh-file" or sys.version_info < (3, 12):
+        assert err.startswith("error: " + message.format(path=path))
 
 
 @pytest.mark.parametrize("out", ["results", "results/run1"])

@@ -213,6 +213,24 @@ def test_solve_system_rejects_minres_with_triangular_before_factoring():
         solve_system(sys_, "minres", "block_lower_tri")
 
 
+@pytest.mark.parametrize(
+    "method, settings, message",
+    [
+        ("minres", {"tol": 2.0}, r"tol must lie in \(0, 1\)"),
+        ("gmres", {"tol": 0.0}, r"tol must lie in \(0, 1\)"),
+        ("gmres", {"restart": 0, "maxit": 10}, "restart must be a positive integer"),
+        ("minres", {"maxit": 0}, "maxit must be a positive integer"),
+    ],
+    ids=["tol-above-one", "tol-zero", "restart-zero", "maxit-zero"],
+)
+def test_solve_system_rejects_settings_out_of_range(method, settings, message):
+    # restart=0 made every GMRES cycle take no step, so the solve never ended,
+    # and tol=2 reported MINRES converged after one iteration
+    sys_ = replace(small_system(n=4), factor=Unawaited())
+    with pytest.raises(ValueError, match=message):
+        solve_system(sys_, method, **settings)
+
+
 @pytest.mark.parametrize("method", ["minres", "gmres"])
 def test_unpreconditioned_solve_never_waits_for_the_factor(method):
     sys_ = replace(small_system(n=4), factor=Unawaited())

@@ -178,12 +178,20 @@ def test_vertex_index_out_of_range_rejected(elements):
         Mesh(verts, np.array(elements))
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
-def test_non_finite_coordinates_rejected(bad):
+@pytest.mark.parametrize(
+    "bad, why",
+    [(math.nan, r"non-finite coordinates \[.+, 1\.0\]$"),
+     (math.inf, r"non-finite coordinates \[.+, 1\.0\]$"),
+     (1e308, r"coordinates \[1e\+308, 1\.0\] past 1e\+50 in magnitude, too large for the "
+             r"element geometry$")],
+    ids=["nan", "inf", "huge"],
+)
+def test_non_finite_coordinates_rejected(bad, why):
     # a NaN volume passes the volume and sliver tests; an inf in vertex 3 made
-    # element 0, which does not use it, look degenerate
+    # element 0, which does not use it, look degenerate, and so did a 1e308,
+    # whose squared edge lengths overflowed with a RuntimeWarning
     verts = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [bad, 1.0]]
-    with pytest.raises(MeshError, match=r"^vertex 3 has non-finite coordinates \[.+, 1\.0\]$"):
+    with pytest.raises(MeshError, match=f"^vertex 3 has {why}"):
         Mesh(verts, [[0, 1, 2], [1, 3, 2]])
 
 
